@@ -125,6 +125,8 @@ def cmd_blocks(args) -> dict:
             raise UsageError(str(exc)) from exc
     try:
         dim = blocks.block_dimension(graph, args.level)
+        if args.graph == "tadpole":
+            loop_colors = blocks.tadpole_basis(args.tail, args.level)
     except (InvalidColor, InvalidGraph, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     result: dict = {
@@ -137,7 +139,7 @@ def cmd_blocks(args) -> dict:
         "dimension": dim,
     }
     if args.graph == "tadpole":
-        result["loop_colors"] = list(blocks.tadpole_basis(args.tail, args.level))
+        result["loop_colors"] = list(loop_colors)
     return _report("blocks", {"graph": args.graph, "level": args.level}, result, [])
 
 
@@ -161,10 +163,10 @@ def cmd_veech(args) -> dict:
             raise UsageError("give a graph spec (e.g. A:3) or --inter")
     except GraphParseError as exc:
         raise UsageError(str(exc)) from exc
-    data = veech.perron(veech.intersection_matrix(graph))
+    data = veech.perron(graph)
     cert = veech.lattice_certificate(graph)
     dt_c, dt_d = veech.multitwist_matrices(data.mu)
-    surface = veech.flat_surface(graph)
+    surface = veech.flat_surface(graph, data)
     result = {
         "m": graph.m,
         "k": graph.k,

@@ -42,9 +42,5 @@ class NonHyperbolic(QuantcertError):
     """The surface (g, n) has non-negative Euler characteristic."""
 
 
-class NoConvergence(QuantcertError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class InvariantViolation(QuantcertError):
     """An internal consistency check failed; indicates a bug, not bad input."""

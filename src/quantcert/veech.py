@@ -15,18 +15,18 @@ and products of these classify by trace: elliptic (|tr| < 2), parabolic
 (|tr| = 2), Anosov (|tr| > 2).  The flat surface is the union of one
 v_i-by-v_j rectangle per intersection point.
 
-Unit-multiplicity configuration graphs are classified exactly, with no
-tolerance: spectral radius below 2 exactly for the simply-laced diagram
-shapes (paths, forked paths, the three exceptional trees), equal to 2
-exactly for their affine extensions (cycles, doubled edge, doubly forked
-paths, the three extended trees), and above 2 otherwise.  The
-two-multitwist group has finite index in the stabilizer of the flat
-surface precisely in the first two classes.
+The recessive / critical / dominant class (mu below, equal to or above 2)
+is decided exactly, with no tolerance, for every multiplicity vector.  With
+D the diagonal of multiplicities and A the adjacency matrix, N = DA is
+similar to the symmetric D^(1/2) A D^(1/2), so mu < 2, mu = 2 or mu > 2 as
+the integer matrix 2D - DAD (congruent to 2D^-1 - A) is definite, singular
+semidefinite or indefinite; a rational LDL^T factorization decides which.
+The two-multitwist group of a unit-multiplicity graph has finite index in
+the stabilizer of the flat surface precisely in the first two classes.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +37,7 @@ from .errors import (
     DisconnectedGraph,
     GraphParseError,
     InvalidGraph,
-    NoConvergence,
+    InvariantViolation,
 )
 
 RECESSIVE = "recessive"
@@ -54,7 +54,6 @@ NOT_FINITE_INDEX = "not_finite_index"
 DEFAULT_TOL = 1e-12
 PARABOLIC_TOL = 1e-9
 DET_TOL = 1e-12
-CRITICAL_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,34 +150,32 @@ class PerronData:
     tolerance: float
 
 
-def perron(n_matrix, tol: float = DEFAULT_TOL, max_iter: int = 500_000) -> PerronData:
-    """Dominant eigenpair of a nonnegative irreducible matrix.
+def perron(g: ConfigurationGraph) -> PerronData:
+    """Dominant eigenpair (mu, v) of N = DA, with v > 0 of unit length.
 
-    Power iteration on N + I (the shift removes the period-2 oscillation of
-    bipartite matrices without moving eigenvectors), from the all-ones
-    start vector, until ||Nv - mu v|| <= tol * mu.
+    One symmetric eigensolve: D^(1/2) A D^(1/2) = D^(-1/2) N D^(1/2) has the
+    eigenvalues of N, and its top eigenvector w gives v = D^(1/2) w.  The
+    pair is then checked against N itself: ||Nv - mu v|| <= DEFAULT_TOL * mu
+    and v > 0, else InvariantViolation.
     """
-    n_mat = np.asarray(n_matrix, dtype=float)
-    size = n_mat.shape[0]
-    if n_mat.shape != (size, size):
-        raise InvalidGraph("matrix must be square")
-    shifted = n_mat + np.eye(size)
-    v = np.ones(size) / math.sqrt(size)
-    for _ in range(max_iter):
-        w = shifted @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            raise NoConvergence("power iteration hit the zero vector")
-        v = w / norm
-        mu = float(v @ (n_mat @ v))
-        residual = float(np.linalg.norm(n_mat @ v - mu * v))
-        if mu > 0 and residual <= tol * mu:
-            if np.any(v <= 0):
-                raise NoConvergence("iterate is not strictly positive")
-            return PerronData(
-                mu=mu, v=tuple(float(x) for x in v), residual=residual, tolerance=tol
-            )
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
+    root = np.sqrt(np.asarray(g.multiplicities, dtype=float))
+    adj = np.asarray(g.adjacency(), dtype=float)
+    eigenvalues, eigenvectors = np.linalg.eigh(root[:, None] * adj * root[None, :])
+    mu = float(eigenvalues[-1])
+    v = root * eigenvectors[:, -1]
+    v /= np.linalg.norm(v)
+    if v.sum() < 0:
+        v = -v
+    residual = float(np.linalg.norm(intersection_matrix(g) @ v - mu * v))
+    if not residual <= DEFAULT_TOL * mu:
+        raise InvariantViolation(
+            f"Perron residual {residual:.3g} exceeds {DEFAULT_TOL:g} * mu = {mu:.12g}"
+        )
+    if not np.all(v > 0):
+        raise InvariantViolation("Perron vector is not strictly positive")
+    return PerronData(
+        mu=mu, v=tuple(float(x) for x in v), residual=residual, tolerance=DEFAULT_TOL
+    )
 
 
 @dataclass(frozen=True)
@@ -224,80 +221,7 @@ def classify_sl2(mat: SL2Mat) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact classification of unit-multiplicity configuration graphs
-
-def _arm_lengths(adj: list[list[int]], branch: int) -> list[int] | None:
-    """Path lengths from a branch vertex of a tree, None if a path forks."""
-    n = len(adj)
-    arms = []
-    for w in range(n):
-        for _ in range(adj[branch][w]):
-            length = 1
-            prev, cur = branch, w
-            while True:
-                nxt = [
-                    x
-                    for x in range(n)
-                    for _ in range(adj[cur][x])
-                    if x != prev
-                ]
-                if not nxt:
-                    break
-                if len(nxt) > 1:
-                    return None
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-    return arms
-
-
-def _classify_multigraph(adj: list[list[int]]) -> str:
-    """Exact spectral-radius trichotomy of a connected multigraph vs 2.
-
-    Radius below 2 exactly for the simply-laced tree shapes; equal to 2
-    exactly for the doubled edge, cycles, the doubly forked trees and the
-    three exceptional affine trees.  Decided combinatorially: the float
-    spectrum is never consulted.
-    """
-    n = len(adj)
-    if any(adj[i][j] >= 3 for i in range(n) for j in range(n)):
-        return DOMINANT
-    edge_count = sum(adj[i][j] for i in range(n) for j in range(i, n))
-    if any(adj[i][j] == 2 for i in range(n) for j in range(n)):
-        # doubled edge alone is the unique radius-2 multigraph; more is worse
-        return CRITICAL if n == 2 and edge_count == 2 else DOMINANT
-    degrees = [sum(adj[v]) for v in range(n)]
-    if edge_count >= n + 1:
-        return DOMINANT
-    if edge_count == n:
-        return CRITICAL if all(d == 2 for d in degrees) else DOMINANT
-    # tree cases
-    branches = [v for v in range(n) if degrees[v] >= 3]
-    if not branches:
-        return RECESSIVE  # path
-    if len(branches) == 1:
-        b = branches[0]
-        if degrees[b] >= 5:
-            return DOMINANT
-        arms = sorted(_arm_lengths(adj, b))
-        if degrees[b] == 4:
-            return CRITICAL if arms == [1, 1, 1, 1] else DOMINANT
-        weight = sum(Fraction(1, a + 1) for a in arms)
-        if weight > 1:
-            return RECESSIVE
-        return CRITICAL if weight == 1 else DOMINANT
-    if len(branches) == 2 and all(degrees[b] == 3 for b in branches):
-        # doubly forked path: critical iff both forks are a pair of leaves
-        for b in branches:
-            leaf_arms = 0
-            for w in range(n):
-                if adj[b][w] and degrees[w] == 1:
-                    leaf_arms += 1
-            if leaf_arms != 2:
-                return DOMINANT
-        return CRITICAL
-    return DOMINANT
-
+# exact classification
 
 def spectral_radius(adj) -> float:
     """Float spectral radius; the cross-check oracle for the exact classifier."""
@@ -308,50 +232,64 @@ def spectral_radius(adj) -> float:
 
 
 def classify_graph(g: ConfigurationGraph) -> str:
-    """Recessive / critical / dominant classification of the configuration graph.
+    """Recessive / critical / dominant: mu below, equal to or above 2, exactly.
 
-    Unit multiplicities are classified exactly by shape; general
-    multiplicities fall back to the spectral radius of the weighted matrix
-    with a tolerance band around 2.
+    Symmetric elimination in rationals on M = 2D - DAD, which is congruent
+    to 2I - D^(1/2) A D^(1/2), taking at each step the remaining row with the
+    fewest nonzeros (so trees never fill in).  All pivots positive: M is
+    definite, mu < 2.  Only the last pivot zero: M is semidefinite of
+    nullity one, mu = 2 (every proper principal submatrix of a connected
+    critical graph is definite, so an earlier zero pivot rules that out).
+    Any other non-positive pivot: mu > 2.
     """
-    if g.unit_multiplicities:
-        return _classify_multigraph(g.adjacency())
-    mu = perron(intersection_matrix(g)).mu
-    if mu < 2.0 - CRITICAL_BAND:
-        return RECESSIVE
-    if mu <= 2.0 + CRITICAL_BAND:
-        return CRITICAL
-    return DOMINANT
+    d = g.multiplicities
+    adj = g.adjacency()
+    rows = [
+        {j: -d[i] * d[j] * adj[i][j] for j in range(g.size) if adj[i][j]}
+        for i in range(g.size)
+    ]
+    for i, row in enumerate(rows):
+        row[i] = Fraction(2 * d[i])
+    remaining = set(range(g.size))
+    while remaining:
+        pivot_row = min(remaining, key=lambda v: (len(rows[v]), v))
+        remaining.remove(pivot_row)
+        row = rows[pivot_row]
+        pivot = row.pop(pivot_row, 0)
+        if pivot <= 0:
+            return CRITICAL if pivot == 0 and not remaining else DOMINANT
+        for i, a in row.items():
+            target = rows[i]
+            del target[pivot_row]
+            for j, b in row.items():
+                value = target.get(j, 0) - a * b / pivot
+                if value:
+                    target[j] = value
+                else:
+                    target.pop(j, None)
+    return RECESSIVE
 
 
 @dataclass(frozen=True)
 class LatticeCertificate:
     graph_class: str
-    status: str | None  # None when the shape taxonomy does not apply
-    mu: float
+    status: str | None  # None for weighted graphs
     teichmuller_curve_by_mu: bool
 
 
 def lattice_certificate(g: ConfigurationGraph) -> LatticeCertificate:
-    """Finite-index status of the two-multitwist group, plus the mu report.
+    """Finite-index status of the two-multitwist group and the mu <= 2 flag.
 
-    The shape taxonomy applies only to unit multiplicities; the mu-based
-    flag (a lattice stabilizer whenever mu <= 2) is always reported.
+    Both follow from the exact class.  The finite-index status is reported
+    for unit multiplicities only; the flag (a lattice stabilizer whenever
+    mu <= 2) for every graph.
     """
     cls = classify_graph(g)
-    mu = perron(intersection_matrix(g)).mu
     status: str | None = None
     if g.unit_multiplicities:
-        status = (
-            FINITE_INDEX_IN_VEECH
-            if cls in (RECESSIVE, CRITICAL)
-            else NOT_FINITE_INDEX
-        )
+        status = FINITE_INDEX_IN_VEECH if cls != DOMINANT else NOT_FINITE_INDEX
     return LatticeCertificate(
-        graph_class=cls,
-        status=status,
-        mu=mu,
-        teichmuller_curve_by_mu=mu <= 2.0 + CRITICAL_BAND,
+        graph_class=cls, status=status, teichmuller_curve_by_mu=cls != DOMINANT
     )
 
 
@@ -372,15 +310,14 @@ class FlatSurfaceData:
     total_area: float
 
 
-def flat_surface(g: ConfigurationGraph) -> FlatSurfaceData:
-    """One rectangle per intersection point, sized by the Perron vector.
+def flat_surface(g: ConfigurationGraph, data: PerronData) -> FlatSurfaceData:
+    """One rectangle per intersection point, sized by the Perron vector of g.
 
     Rectangles that share a component are glued in the cyclic order of
     their point ids along that component (deterministic but otherwise
     arbitrary): horizontally along first-multicurve components, vertically
     along second-multicurve components.
     """
-    data = perron(intersection_matrix(g))
     v = data.v
     rectangles: list[Rectangle] = []
     for i in range(g.m):

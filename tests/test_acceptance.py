@@ -119,11 +119,11 @@ def test_criterion_05_burau_oracle_equivalence():
 
 def test_criterion_06_perron_anchors():
     """|mu(A_n) - 2cos(pi/(n+1))| <= 1e-9 for n <= 50; mu = 2 within 1e-9
-    on the critical corpus; the combinatorial classifier matches the
+    on the critical corpus; the exact classifier matches the
     spectral radius on 100+ random connected bipartite graphs with at most
     12 vertices."""
     for n in range(2, 51):
-        data = veech.perron(veech.intersection_matrix(veech.path_family(n)))
+        data = veech.perron(veech.path_family(n))
         assert abs(data.mu - 2 * math.cos(math.pi / (n + 1))) <= 1e-9, n
     critical_corpus = [
         veech.cycle_family(4),
@@ -134,7 +134,7 @@ def test_criterion_06_perron_anchors():
         veech.ConfigurationGraph(((2,),), (1, 1)),
     ]
     for g in critical_corpus:
-        data = veech.perron(veech.intersection_matrix(g))
+        data = veech.perron(g)
         assert abs(data.mu - 2.0) <= 1e-9
         assert veech.classify_graph(g) == veech.CRITICAL
 

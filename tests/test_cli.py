@@ -76,6 +76,13 @@ class TestBlocksCommand:
         assert code == EXIT_USAGE
         assert "1*2" in err
 
+    @pytest.mark.parametrize("tail", ["3", "99"])
+    def test_tadpole_tail_outside_palette_exits_2(self, capsys, tail):
+        code, _, err = run(capsys, "blocks", "tadpole", "--tail", tail, "--level", "7")
+        assert code == EXIT_USAGE
+        assert "internal error" not in err
+        assert "palette" in err
+
 
 class TestVeechCommand:
     def test_path_family(self, capsys):

@@ -1,9 +1,16 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from quantcert.errors import DisconnectedGraph, GraphParseError, InvalidGraph
+from quantcert.errors import (
+    DisconnectedGraph,
+    GraphParseError,
+    InvalidGraph,
+    InvariantViolation,
+)
 from quantcert.veech import (
     ANOSOV,
     CRITICAL,
@@ -67,20 +74,32 @@ class TestIntersectionMatrix:
 
 class TestPerron:
     def test_swap_matrix(self):
-        data = perron([[0, 1], [1, 0]])
+        data = perron(ConfigurationGraph(((1,),), (1, 1)))  # N = [[0, 1], [1, 0]]
         assert abs(data.mu - 1.0) < 1e-9
         assert all(abs(x - 1 / math.sqrt(2)) < 1e-9 for x in data.v)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 10, 25, 50])
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 25, 50, 400])
     def test_path_eigenvalue(self, n):
-        data = perron(intersection_matrix(path_family(n)))
+        data = perron(path_family(n))
         assert abs(data.mu - 2 * math.cos(math.pi / (n + 1))) <= 1e-9
 
     def test_residual_bound(self):
         for g in (path_family(7), cycle_family(8), star_family(5)):
-            data = perron(intersection_matrix(g))
+            data = perron(g)
             assert data.residual <= 1e-10 * data.mu
             assert all(x > 0 for x in data.v)
+
+    def test_bad_eigenpair_is_an_invariant_violation(self, monkeypatch):
+        g = path_family(4)
+        values, vectors = np.linalg.eigh(np.asarray(g.adjacency(), dtype=float))
+        monkeypatch.setattr(np.linalg, "eigh", lambda _: (values + 0.1, vectors))
+        with pytest.raises(InvariantViolation, match="residual"):
+            perron(g)
+        # a true eigenpair, but not the Perron one: its vector changes sign
+        order = [0, 1, 3, 2]
+        monkeypatch.setattr(np.linalg, "eigh", lambda _: (values[order], vectors[:, order]))
+        with pytest.raises(InvariantViolation, match="positive"):
+            perron(g)
 
     def test_against_dense_eigensolver(self):
         rng = random.Random(7)
@@ -98,9 +117,8 @@ class TestPerron:
                 g = ConfigurationGraph(tuple(map(tuple, inter)), (1,) * (m + k))
             except DisconnectedGraph:
                 continue
-            n_mat = intersection_matrix(g)
-            mu = perron(n_mat).mu
-            assert abs(mu - spectral_radius(n_mat)) < 1e-8
+            mu = perron(g).mu
+            assert abs(mu - spectral_radius(intersection_matrix(g))) < 1e-8
 
 
 class TestMultitwistMatrices:
@@ -163,16 +181,32 @@ class TestClassifyGraph:
 
     def test_critical_eigenvalues_are_exactly_two(self):
         for g in (cycle_family(6), cycle_family(10), star_family(4)):
-            data = perron(intersection_matrix(g))
+            data = perron(g)
             assert abs(data.mu - 2.0) <= 1e-9
 
-    def test_nonunit_multiplicities_classified_spectrally(self):
+    def test_nonunit_multiplicities_classified_exactly(self):
         g = ConfigurationGraph(((1,),), (2, 2))  # N = [[0,2],[2,0]], radius 2
         assert classify_graph(g) == CRITICAL
         g = ConfigurationGraph(((1,),), (2, 3))  # radius sqrt(6)
         assert classify_graph(g) == DOMINANT
 
-    def _random_connected_bipartite(self, rng):
+    def test_weighted_stars_against_closed_form(self):
+        # centre multiplicity a, leaf multiplicities bs: mu^2 = a * sum(bs), so
+        # the exactly critical cases include the edges (1, 4), (4, 1), (2, 2)
+        # and the two-leaf star (1, 2, 2)
+        by_sign = {-1: RECESSIVE, 0: CRITICAL, 1: DOMINANT}
+        for a in range(1, 13):
+            for leaves in (1, 2, 3):
+                for bs in itertools.combinations_with_replacement(range(1, 5), leaves):
+                    g = ConfigurationGraph(((1,) * leaves,), (a, *bs))
+                    mu_sq = a * sum(bs)
+                    expected = by_sign[(mu_sq > 4) - (mu_sq < 4)]
+                    assert classify_graph(g) == expected, (a, bs)
+                    cert = lattice_certificate(g)
+                    assert cert.teichmuller_curve_by_mu == (expected != DOMINANT)
+                    assert abs(perron(g).mu - math.sqrt(mu_sq)) <= 1e-12 * mu_sq
+
+    def _random_connected_bipartite(self, rng, weighted):
         m = rng.randint(1, 6)
         k = rng.randint(1, 12 - m) if m < 11 else 1
         inter = [[0] * k for _ in range(m)]
@@ -200,17 +234,22 @@ class TestClassifyGraph:
                 inter[rng.randrange(m)][j] = 1
         for _ in range(rng.randint(0, 3)):
             inter[rng.randrange(m)][rng.randrange(k)] += 1
-        return ConfigurationGraph(tuple(map(tuple, inter)), (1,) * (m + k))
+        if weighted:
+            mult = tuple(rng.randint(1, 3) for _ in range(m + k))
+        else:
+            mult = (1,) * (m + k)
+        return ConfigurationGraph(tuple(map(tuple, inter)), mult)
 
     def test_combinatorial_matches_spectral_on_random_corpus(self):
+        # half unit multiplicities, half drawn from {1, 2, 3}
         rng = random.Random(20240817)
         checked = 0
-        while checked < 120:
+        while checked < 240:
             try:
-                g = self._random_connected_bipartite(rng)
+                g = self._random_connected_bipartite(rng, weighted=checked % 2 == 1)
             except DisconnectedGraph:
                 continue
-            radius = spectral_radius(g.adjacency())
+            radius = spectral_radius(intersection_matrix(g))
             if radius < 2 - 1e-9:
                 expected = RECESSIVE
             elif radius <= 2 + 1e-9:
@@ -226,19 +265,19 @@ class TestLatticeCertificate:
         cert = lattice_certificate(path_family(3))
         assert cert.status == FINITE_INDEX_IN_VEECH
         assert cert.teichmuller_curve_by_mu
-        assert abs(cert.mu - math.sqrt(2)) < 1e-9
+        assert abs(perron(path_family(3)).mu - math.sqrt(2)) < 1e-9
 
     def test_cycle(self):
         cert = lattice_certificate(cycle_family(6))
         assert cert.status == FINITE_INDEX_IN_VEECH
         assert cert.graph_class == CRITICAL
-        assert abs(cert.mu - 2.0) <= 1e-9
+        assert abs(perron(cycle_family(6)).mu - 2.0) <= 1e-9
 
     def test_complete_bipartite_2x3(self):
         g = ConfigurationGraph(((1, 1, 1), (1, 1, 1)), (1,) * 5)
         cert = lattice_certificate(g)
         assert cert.status == NOT_FINITE_INDEX
-        assert abs(cert.mu - math.sqrt(6)) < 1e-9
+        assert abs(perron(g).mu - math.sqrt(6)) < 1e-9
         assert not cert.teichmuller_curve_by_mu
 
     def test_taxonomy_not_applied_to_weighted_graphs(self):
@@ -250,33 +289,35 @@ class TestLatticeCertificate:
 
 class TestFlatSurface:
     def test_single_square(self):
-        surface = flat_surface(ConfigurationGraph(((1,),), (1, 1)))
+        g = ConfigurationGraph(((1,),), (1, 1))
+        surface = flat_surface(g, perron(g))
         assert len(surface.rectangles) == 1
         rect = surface.rectangles[0]
         assert abs(rect.width - 1 / math.sqrt(2)) < 1e-9
         assert abs(rect.height - 1 / math.sqrt(2)) < 1e-9
 
     def test_path3_two_rectangles(self):
-        surface = flat_surface(path_family(3))
+        g = path_family(3)
+        surface = flat_surface(g, perron(g))
         assert len(surface.rectangles) == 2
         dims = {(round(r.width, 6), round(r.height, 6)) for r in surface.rectangles}
         assert dims == {(0.5, round(1 / math.sqrt(2), 6))}
 
     def test_area_matches_incidence_sum(self):
         for g in (path_family(4), cycle_family(6), star_family(3)):
-            data = perron(intersection_matrix(g))
+            data = perron(g)
             expected = sum(
                 g.intersections[i][j] * data.v[i] * data.v[g.m + j]
                 for i in range(g.m)
                 for j in range(g.k)
             )
-            surface = flat_surface(g)
+            surface = flat_surface(g, data)
             assert abs(surface.total_area - expected) < 1e-12
             assert surface.total_area > 0
 
     def test_one_rectangle_per_intersection_unit(self):
         g = parse_intersections("(1,1,3)", "1,1")
-        surface = flat_surface(g)
+        surface = flat_surface(g, perron(g))
         assert len(surface.rectangles) == 3
         # three rectangles around each component, glued cyclically
         assert len(surface.horizontal_gluing) == 3
@@ -285,12 +326,12 @@ class TestFlatSurface:
     def test_area_invariant_under_relabeling(self):
         inter = ((1, 1, 0), (0, 1, 1))
         g = ConfigurationGraph(inter, (1,) * 5)
-        base = flat_surface(g).total_area
+        base = flat_surface(g, perron(g)).total_area
         for rows in ((1, 0), (0, 1)):
             for cols in ((2, 1, 0), (1, 0, 2), (0, 2, 1)):
                 permuted = tuple(tuple(inter[i][j] for j in cols) for i in rows)
                 h = ConfigurationGraph(permuted, (1,) * 5)
-                assert abs(flat_surface(h).total_area - base) < 1e-9
+                assert abs(flat_surface(h, perron(h)).total_area - base) < 1e-9
 
 
 class TestParsing:
