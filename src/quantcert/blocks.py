@@ -2,6 +2,7 @@
 
 A level p >= 5 determines a palette of colors: the even integers 0, 2, ...,
 p-3 when p is odd, and the full range 0, 1, ..., (p-4)/2 when p is even.
+Palette membership is therefore a range-and-parity test (``in_palette``).
 Three colors meeting at a trivalent vertex are admissible when they satisfy
 the triangle inequalities, have even sum, and their sum stays below the
 level bound (2p-4 for odd p, p-4 for even p).
@@ -30,26 +31,23 @@ def level_colors(p: int) -> tuple[int, ...]:
     return tuple(range(0, (p - 4) // 2 + 1))
 
 
+def in_palette(c: int, p: int) -> bool:
+    """Whether c is a color of level p, i.e. ``c in level_colors(p)``."""
+    if p < 5:
+        raise ValueError(f"level must be at least 5, got {p}")
+    if p % 2:
+        return 0 <= c <= p - 3 and c % 2 == 0
+    return 0 <= c <= (p - 4) // 2
+
+
 def admissible_bound(p: int) -> int:
     """Largest allowed color sum at a vertex of level p."""
     return 2 * p - 4 if p % 2 else p - 4
 
 
-@dataclass(frozen=True)
-class LevelData:
-    p: int
-    parity: str
-    colors: tuple[int, ...]
-
-
-def level_data(p: int) -> LevelData:
-    return LevelData(p=p, parity="odd" if p % 2 else "even", colors=level_colors(p))
-
-
 def _admissible(a: int, b: int, c: int, p: int) -> bool:
     """Admissibility with out-of-palette colors treated as inadmissible."""
-    cols = level_colors(p)
-    if a not in cols or b not in cols or c not in cols:
+    if not (in_palette(a, p) and in_palette(b, p) and in_palette(c, p)):
         return False
     if (a + b + c) % 2:
         return False
@@ -64,32 +62,24 @@ def is_admissible(a: int, b: int, c: int, p: int) -> bool:
     Raises InvalidColor when any of the three colors is outside the
     palette of the level.
     """
-    cols = level_colors(p)
     for x in (a, b, c):
-        if x not in cols:
-            raise InvalidColor(f"color {x} is not in the level-{p} palette {cols}")
+        if not in_palette(x, p):
+            raise InvalidColor(
+                f"color {x} is not in the level-{p} palette {level_colors(p)}"
+            )
     return _admissible(a, b, c, p)
 
 
-@dataclass(frozen=True)
-class AdmissibleTriple:
-    a: int
-    b: int
-    c: int
-    p: int
-
-    def __post_init__(self):
-        if not is_admissible(self.a, self.b, self.c, self.p):
-            raise InvalidColor(
-                f"({self.a}, {self.b}, {self.c}) is not admissible at level {self.p}"
-            )
-
-
 def tadpole_basis(i: int, p: int) -> tuple[int, ...]:
-    """Increasing loop colors a with (a, a, i) admissible; the tadpole basis."""
-    if i not in level_colors(p):
+    """Increasing loop colors a with (a, a, i) admissible; the tadpole basis.
+
+    The triangle inequality and the level bound confine a to the interval
+    ceil(i/2) <= a <= (bound - i)/2, so only that interval is filtered.
+    """
+    if not in_palette(i, p):
         raise InvalidColor(f"tail color {i} is not in the level-{p} palette")
-    return tuple(a for a in level_colors(p) if _admissible(a, a, i, p))
+    lo, hi = (i + 1) // 2, (admissible_bound(p) - i) // 2
+    return tuple(a for a in range(lo, hi + 1) if _admissible(a, a, i, p))
 
 
 @dataclass(frozen=True)
@@ -261,6 +251,18 @@ def cut_identity_check(graph: ColoredGraph, cut_edges: tuple[int, ...], p: int) 
     return lhs == rhs
 
 
+def _tokens(value: str, start: int):
+    """Nonempty comma-separated tokens of ``value`` with their positions.
+
+    ``start`` is the position of ``value`` in the parsed text.
+    """
+    for piece in value.split(","):
+        tok = piece.strip()
+        if tok:
+            yield tok, start + len(piece) - len(piece.lstrip())
+        start += len(piece) + 1
+
+
 def parse_colored_graph(text: str) -> ColoredGraph:
     """Parse ``vertices=n; edges=u-v,...; tails=v:color,...``.
 
@@ -271,11 +273,11 @@ def parse_colored_graph(text: str) -> ColoredGraph:
     vertices: tuple[int, ...] | None = None
     edges: list[tuple[int, int]] = []
     tails: list[tuple[int, int]] = []
-    compact = text
-    for part in compact.split(";"):
+    offset = 0
+    for part in text.split(";"):
+        pos, offset = offset, offset + len(part) + 1
         if not part.strip():
             continue
-        pos = compact.index(part)
         if "=" not in part:
             raise GraphParseError(
                 f"expected key=value, got {part.strip()!r} at position {pos}",
@@ -283,21 +285,20 @@ def parse_colored_graph(text: str) -> ColoredGraph:
                 position=pos,
             )
         key, _, value = part.partition("=")
+        value_pos = pos + len(key) + 1
         key = key.strip()
-        value = value.strip()
         if key == "vertices":
             try:
                 n = int(value)
             except ValueError:
                 raise GraphParseError(
-                    f"invalid vertex count {value!r} at position {pos}",
-                    token=value,
+                    f"invalid vertex count {value.strip()!r} at position {pos}",
+                    token=value.strip(),
                     position=pos,
                 ) from None
             vertices = tuple(range(1, n + 1))
         elif key == "edges":
-            for tok in filter(None, (t.strip() for t in value.split(","))):
-                tpos = compact.index(tok, pos)
+            for tok, tpos in _tokens(value, value_pos):
                 try:
                     u, _, v = tok.partition("-")
                     edges.append((int(u), int(v)))
@@ -308,8 +309,7 @@ def parse_colored_graph(text: str) -> ColoredGraph:
                         position=tpos,
                     ) from None
         elif key == "tails":
-            for tok in filter(None, (t.strip() for t in value.split(","))):
-                tpos = compact.index(tok, pos)
+            for tok, tpos in _tokens(value, value_pos):
                 try:
                     v, _, c = tok.partition(":")
                     tails.append((int(v), int(c)))

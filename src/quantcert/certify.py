@@ -14,10 +14,11 @@ indexed by sub-multisets of the twist-eigenvalue multiset
 
 and each case must fail a scalar identity -- (prod lambda)^6 = lambda_i^30
 for singletons, (prod lambda)^12 = (lambda_i lambda_j)^30 for pairs --
-checked by exact exponent arithmetic, or else be resolved by the
-indefiniteness of the form on the corresponding span or complement.  The
-irreducibility of a surviving restriction is not machine-checkable and is
-recorded as externally asserted; see UNCERTIFIABLE_LEVELS for when that
+checked by exact exponent arithmetic.  A case that survives it is resolved
+only if it is the span case {lambda_0, lambda_2}, by the indefiniteness of
+the form on that span; its partner {lambda_1, lambda_3} never survives.
+The irreducibility of a surviving restriction is not machine-checkable and
+is recorded as externally asserted; see UNCERTIFIABLE_LEVELS for when that
 assertion is available.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import blocks, hermitian
-from .burau import BurauImage, burau_is_finite, burau_matrices, minus_q_order
+from .burau import burau_is_finite, minus_q_order
 from .errors import InvariantViolation
 from .roots import RootOfUnity, is_one
 
@@ -37,8 +38,6 @@ ROUTE_UNCERTIFIED = "uncertified"
 SCALAR_OBSTRUCTED = "scalar_obstructed"
 SURVIVES = "survives"
 FORM_INDEFINITE_ON_SPAN = "form_indefinite_on_span"
-FORM_INDEFINITE_ON_COMPLEMENT = "form_indefinite_on_complement"
-EXTERNALLY_ASSERTED = "externally_asserted"
 
 #: Levels for which no certification route is asserted to work.  The even
 #: route leans on one step that exponent arithmetic cannot check (the
@@ -48,10 +47,6 @@ EXTERNALLY_ASSERTED = "externally_asserted"
 #: cannot distinguish 24 (listed) from 40 (absent): both satisfy the same
 #: divisibility predicates against 60 and 120.
 UNCERTIFIABLE_LEVELS = frozenset({1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 24})
-
-#: Orders n such that the braid image at -q of order n is an infinite
-#: triangle group; the complement of the finite orders {1, 2, 3, 4, 5}.
-_EXCLUDED_TRIANGLE_ORDERS = frozenset({2, 3, 4, 5})
 
 
 def odd_part(p: int) -> int:
@@ -161,11 +156,6 @@ class InfinitenessCertificate:
         return self.even.notes if self.even is not None else ()
 
 
-def burau_image_for_certificate(q: RootOfUnity) -> BurauImage:
-    """Generator matrices at the certificate's parameter (re-export hook)."""
-    return burau_matrices(q)
-
-
 def odd_certificate(p: int) -> InfinitenessCertificate:
     """Certify via the odd part q = p / 2^v2(p) when q >= 7.
 
@@ -196,16 +186,17 @@ def odd_certificate(p: int) -> InfinitenessCertificate:
     order = minus_q_order(parameter)
     if order != q:
         raise InvariantViolation(f"-parameter has order {order}, expected {q}")
+    infinite = not burau_is_finite(order)
+    if not infinite:
+        raise InvariantViolation(f"odd part {q} >= 7 but braid image marked finite")
     details = OddBurauDetails(
         odd_part=q,
         boundary_color=q - 5,
         loop_colors=(basis[0], basis[1]),
         burau_parameter=parameter,
         minus_parameter_order=order,
-        triangle_group_excluded_set_check=order not in _EXCLUDED_TRIANGLE_ORDERS,
+        triangle_group_excluded_set_check=infinite,
     )
-    if burau_is_finite(order):
-        raise InvariantViolation(f"odd part {q} >= 7 but braid image marked finite")
     return InfinitenessCertificate(p=p, route=ROUTE_ODD, odd=details)
 
 
@@ -314,12 +305,6 @@ def even_certificate(p: int) -> InfinitenessCertificate:
             ),
         )
     ell = hermitian.find_indefinite_ell(p)
-    if ell is None:
-        return InfinitenessCertificate(
-            p=p,
-            route=ROUTE_UNCERTIFIED,
-            failed=(f"no root selector with an indefinite diagonal form at level {p}",),
-        )
     boundary = 2 * k - 6
     basis = blocks.tadpole_basis(boundary, p)
     if len(basis) != hermitian.BASIS_SIZE or basis != tuple(range(k - 3, k + 2)):
@@ -335,7 +320,6 @@ def even_certificate(p: int) -> InfinitenessCertificate:
 
     licensed, license_note = _irreducibility_asserted(p)
     span_pattern = (lams[0], lams[2])
-    complement_pattern = (lams[1], lams[3])
     cases: list[SubspaceCase] = []
     failures: list[str] = []
     notes: list[str] = []
@@ -345,6 +329,10 @@ def even_certificate(p: int) -> InfinitenessCertificate:
         if scalar_obstruction(p, ell, subset) == SCALAR_OBSTRUCTED:
             cases.append(SubspaceCase(subset, SCALAR_OBSTRUCTED))
             continue
+        # Only the span case can survive the scalar test.  Its partner
+        # {z, -z} would need (prod lambda)^12 = (-z^2)^30, i.e. z^120 = z^60,
+        # i.e. z^60 = 1; but z is a primitive 2p = 8k-th root and 8 does not
+        # divide 60, so that pair is always scalar_obstructed.
         if len(subset) == 2 and _multiset_eq(subset, span_pattern):
             signs = _signs_on_classes(subset, lams, profile.diagonal_signs)
             if signs is not None and 1 in signs and -1 in signs and licensed:
@@ -358,24 +346,6 @@ def even_certificate(p: int) -> InfinitenessCertificate:
                 failures.append(
                     f"case {label} survives the scalar identity; the span is "
                     f"indefinite but {license_note}"
-                )
-                continue
-        if len(subset) == 2 and _multiset_eq(subset, complement_pattern):
-            complement = [lams[i] for i in (0, 2, 4)]
-            signs = _signs_on_classes(tuple(complement), lams, profile.diagonal_signs)
-            if signs is not None and 1 in signs and -1 in signs and licensed:
-                cases.append(
-                    SubspaceCase(
-                        subset, FORM_INDEFINITE_ON_COMPLEMENT, note=license_note
-                    )
-                )
-                if license_note not in notes:
-                    notes.append(license_note)
-                continue
-            if signs is not None and 1 in signs and -1 in signs:
-                failures.append(
-                    f"case {label} survives the scalar identity; the complement "
-                    f"is indefinite but {license_note}"
                 )
                 continue
         failures.append(

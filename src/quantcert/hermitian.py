@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominator, NonPrimitiveRoot
+from .errors import DegenerateDenominator, InvariantViolation, NonPrimitiveRoot
 
 RATIO_COUNT = 4
 BASIS_SIZE = 5
@@ -136,9 +136,11 @@ def find_indefinite_ell(p: int) -> int | None:
     """Smallest odd coprime selector in the window with an indefinite profile.
 
     Returns None when k = p/4 < 4 (no 5-dimensional block with positive
-    boundary color exists there) or when no selector in (0, 2p) produces an
-    indefinite profile.  Selectors outside the window are scanned only as a
-    fallback.
+    boundary color exists there).  For k >= 4 the window is never empty
+    (ell = 2k - 1 lies in it), and on it sin(3*pi*ell/2k) > 0,
+    cos(pi*ell/2k) < 0 and sin(pi*ell/4k) > 0, so every window selector
+    gives the diagonal signs (+, +, -, +, +); a window without an
+    indefinite profile raises InvariantViolation.
     """
     if p % 4:
         raise ValueError(f"level must be divisible by 4, got {p}")
@@ -147,9 +149,4 @@ def find_indefinite_ell(p: int) -> int | None:
     for ell in selector_window(p):
         if gram_profile(p, ell).indefinite:
             return ell
-    for ell in range(1, 2 * p, 2):
-        if math.gcd(ell, 2 * p) != 1:
-            continue
-        if gram_profile(p, ell).indefinite:
-            return ell
-    return None
+    raise InvariantViolation(f"no selector in the window is indefinite at level {p}")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .blocks import level_colors
+from .blocks import in_palette
 from .errors import DegenerateDenominator, InvalidColor, NonPrimitiveRoot
 
 
@@ -142,7 +142,7 @@ def twist_eigenvalue(a: int, p: int, ell: int = 1) -> TwistEigenvalue:
     The sign is folded in as an exponent shift by p, so the whole eigenvalue
     lives in one root of unity of order 2p.
     """
-    if a not in level_colors(p):
+    if not in_palette(a, p):
         raise InvalidColor(f"color {a} is not in the level-{p} palette")
     if math.gcd(ell, 2 * p) != 1:
         raise NonPrimitiveRoot(f"gcd({ell}, {2 * p}) != 1: selector is not primitive")

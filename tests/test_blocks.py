@@ -2,11 +2,13 @@ import pytest
 
 from quantcert.blocks import (
     ColoredGraph,
+    _admissible,
     block_dimension,
     block_dimension_bruteforce,
     chain_graph,
     cut_identity_check,
     dumbbell_graph,
+    in_palette,
     is_admissible,
     level_colors,
     parse_colored_graph,
@@ -15,6 +17,7 @@ from quantcert.blocks import (
     theta_graph,
 )
 from quantcert.errors import GraphParseError, InvalidColor, InvalidGraph
+from quantcert.roots import twist_eigenvalue
 
 
 class TestLevelColors:
@@ -30,6 +33,37 @@ class TestLevelColors:
     def test_too_small(self):
         with pytest.raises(ValueError):
             level_colors(4)
+
+
+class TestInPalette:
+    def test_matches_palette_scan(self):
+        """The range-and-parity test against the enumerated palette."""
+        for p in range(5, 151):
+            cols = level_colors(p)
+            for c in range(-2, p + 1):
+                assert in_palette(c, p) == (c in cols), (c, p)
+
+    def test_tadpole_interval_matches_full_palette_filter(self):
+        for p in range(5, 151):
+            cols = level_colors(p)
+            for i in range(-2, p + 1):
+                if i in cols:
+                    expected = tuple(a for a in cols if _admissible(a, a, i, p))
+                    assert tadpole_basis(i, p) == expected, (i, p)
+                else:
+                    with pytest.raises(InvalidColor):
+                        tadpole_basis(i, p)
+
+    @pytest.mark.parametrize("p", [-1, 0, 4])
+    def test_small_levels_raise_value_error(self, p):
+        with pytest.raises(ValueError, match="level must be at least 5"):
+            in_palette(0, p)
+        with pytest.raises(ValueError, match="level must be at least 5"):
+            is_admissible(0, 0, 0, p)
+        with pytest.raises(ValueError, match="level must be at least 5"):
+            tadpole_basis(0, p)
+        with pytest.raises(ValueError, match="level must be at least 5"):
+            twist_eigenvalue(0, p)
 
 
 class TestIsAdmissible:
@@ -182,6 +216,16 @@ class TestParser:
             parse_colored_graph("vertices=2; edges=1-2,1*2,1-2")
         assert "1*2" in str(err.value)
         assert err.value.position > 0
+
+    def test_positions_point_past_earlier_copies(self):
+        with pytest.raises(GraphParseError) as err:
+            parse_colored_graph("vertices=1; edges=1-1, 1-")
+        assert err.value.token == "1-"
+        assert err.value.position == 23
+        with pytest.raises(GraphParseError) as err:
+            parse_colored_graph("vertices=1; edges=1-1; edges")
+        assert err.value.token == "edges"
+        assert err.value.position == 22
 
     def test_bad_section(self):
         with pytest.raises(GraphParseError):

@@ -171,6 +171,19 @@ class TestEvenCertificate:
         others = [c for c in cert.even.cases if c.resolution == SCALAR_OBSTRUCTED]
         assert len(others) == len(cert.even.cases) - 1
 
+    def test_span_case_covers_every_certified_level_up_to_2000(self):
+        """Only the span case ever resolves by indefiniteness."""
+        uncertified = set()
+        for p in range(16, 2001, 4):
+            cert = even_certificate(p)
+            if not cert.certified:
+                uncertified.add(p)
+                continue
+            resolutions = [c.resolution for c in cert.even.cases]
+            assert set(resolutions) <= {SCALAR_OBSTRUCTED, FORM_INDEFINITE_ON_SPAN}, p
+            assert resolutions.count(FORM_INDEFINITE_ON_SPAN) == 1, p
+        assert uncertified == {20, 24, 60}
+
 
 class TestCertifyLevel:
     def test_odd_route_preferred(self):

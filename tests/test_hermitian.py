@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from quantcert.errors import NonPrimitiveRoot
+from quantcert import hermitian
+from quantcert.errors import InvariantViolation, NonPrimitiveRoot
 from quantcert.hermitian import (
     find_indefinite_ell,
     gram_profile,
@@ -103,3 +104,14 @@ class TestFindIndefiniteEll:
             ell = find_indefinite_ell(p)
             assert ell is not None
             assert gram_profile(p, ell).indefinite
+
+    def test_first_window_selector_up_to_2000(self):
+        """Every window selector is indefinite, so the first one is taken."""
+        for p in range(16, 2001, 4):
+            assert find_indefinite_ell(p) == selector_window(p)[0]
+
+    def test_window_without_indefinite_profile_raises(self, monkeypatch):
+        definite = gram_profile(16, 1)
+        monkeypatch.setattr(hermitian, "gram_profile", lambda p, ell: definite)
+        with pytest.raises(InvariantViolation):
+            find_indefinite_ell(16)
