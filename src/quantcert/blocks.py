@@ -12,12 +12,18 @@ degree three, counting loops twice and boundary tails once.  Its dimension
 is the number of colorings of the internal edges making every vertex
 admissible.  The tadpole graph (one vertex, one loop, one tail) is the
 basic example; its basis is indexed by the admissible loop colors.
+
+``block_dimension`` counts them by a sum-product over arrays of Python ints:
+one admissibility table per vertex, edges summed out in smallest-scope order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import GraphParseError, InvalidColor, InvalidGraph
 
@@ -45,15 +51,17 @@ def admissible_bound(p: int) -> int:
     return 2 * p - 4 if p % 2 else p - 4
 
 
+def _fits(a, b, c, p: int):
+    """Even sum, level bound and triangle inequalities; elementwise on arrays."""
+    s = a + b + c
+    triangle = (abs(a - b) <= c) & (c <= a + b)
+    return (s % 2 == 0) & (s <= admissible_bound(p)) & triangle
+
+
 def _admissible(a: int, b: int, c: int, p: int) -> bool:
     """Admissibility with out-of-palette colors treated as inadmissible."""
-    if not (in_palette(a, p) and in_palette(b, p) and in_palette(c, p)):
-        return False
-    if (a + b + c) % 2:
-        return False
-    if a + b + c > admissible_bound(p):
-        return False
-    return abs(a - b) <= c <= a + b
+    in_range = in_palette(a, p) and in_palette(b, p) and in_palette(c, p)
+    return in_range and _fits(a, b, c, p)
 
 
 def is_admissible(a: int, b: int, c: int, p: int) -> bool:
@@ -171,48 +179,41 @@ def block_dimension_bruteforce(graph: ColoredGraph, p: int) -> int:
 def block_dimension(graph: ColoredGraph, p: int) -> int:
     """Number of admissible colorings of the free edges of ``graph``.
 
-    Computed by eliminating edge variables one at a time (sum-product over
-    the vertex constraints), which handles loops, parallel edges and
-    disconnected graphs uniformly.
+    A sum-product over arrays of Python ints, so counts stay exact: each
+    vertex contributes its admissibility table over its sorted edge
+    variables, and edges are summed out one at a time, always the one whose
+    merged scope is smallest (ties to the lowest edge index).  Loops,
+    parallel edges and disconnected graphs need no special case.
     """
-    cols = level_colors(p)
-    factors: list[tuple[tuple[int, ...], dict]] = []
+    cols = np.array(level_colors(p), dtype=object)
+    n = len(cols)
+    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
     for v in graph.vertices:
         tails, slots = graph.vertex_slots(v)
-        vars_v = tuple(sorted(set(slots)))
-        table: dict[tuple[int, ...], int] = {}
-        for assign in itertools.product(cols, repeat=len(vars_v)):
-            lookup = dict(zip(vars_v, assign))
-            colors3 = tails + [lookup[i] for i in slots]
-            if _admissible(colors3[0], colors3[1], colors3[2], p):
-                table[assign] = 1
-        factors.append((vars_v, table))
+        scope = tuple(sorted(set(slots)))
+        axes = [cols.reshape([n if x == e else 1 for x in scope]) for e in slots]
+        tails_ok = all(in_palette(t, p) for t in tails)
+        table = np.array(_fits(*tails, *axes, p) & tails_ok, dtype=object)
+        factors.append((scope, table))
 
-    remaining = set(range(len(graph.edges)))
+    remaining = list(range(len(graph.edges)))
     while remaining:
-        var = min(remaining, key=lambda x: sum(x in f[0] for f in factors))
-        involved = [f for f in factors if var in f[0]]
-        rest = [f for f in factors if var not in f[0]]
-        merged = sorted(set().union(*(f[0] for f in involved)))
-        out_vars = tuple(x for x in merged if x != var)
-        new_table: dict[tuple[int, ...], int] = {}
-        for assign in itertools.product(cols, repeat=len(merged)):
-            amap = dict(zip(merged, assign))
-            w = 1
-            for fvars, ftab in involved:
-                w *= ftab.get(tuple(amap[x] for x in fvars), 0)
-                if not w:
-                    break
-            if w:
-                key = tuple(amap[x] for x in out_vars)
-                new_table[key] = new_table.get(key, 0) + w
-        factors = rest + [(out_vars, new_table)]
-        remaining.discard(var)
-
-    result = 1
-    for _vars, table in factors:
-        result *= table.get((), 0)
-    return result
+        scopes = {
+            x: sorted(set().union(*(s for s, _t in factors if x in s)))
+            for x in remaining
+        }
+        var = min(remaining, key=lambda x: len(scopes[x]))
+        merged = scopes[var]
+        product = 1
+        for scope, table in factors:
+            if var in scope:
+                shape = [n if x in scope else 1 for x in merged]
+                product = product * table.reshape(shape)
+        summed = np.array(product.sum(axis=merged.index(var)), dtype=object)
+        factors = [f for f in factors if var not in f[0]]
+        factors.append((tuple(x for x in merged if x != var), summed))
+        remaining.remove(var)
+    return math.prod(int(table) for _scope, table in factors)
 
 
 def cut_graph(

@@ -24,6 +24,7 @@ assertion is available.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import blocks, hermitian
@@ -232,62 +233,14 @@ def _distinct_submultisets(
     case analysis is well-posed even with repeats; complements of sizes 4
     and 3 are covered by these via orthogonality.
     """
-    distinct: list[RootOfUnity] = []
-    counts: list[int] = []
-    for lam in lams:
-        for i, seen in enumerate(distinct):
-            if seen == lam:
-                counts[i] += 1
-                break
-        else:
-            distinct.append(lam)
-            counts.append(1)
-    order = sorted(range(len(distinct)), key=lambda i: (distinct[i].order, distinct[i].exponent))
-    cases: list[tuple[RootOfUnity, ...]] = []
-    for i in order:
-        cases.append((distinct[i],))
-    for ai, i in enumerate(order):
-        for j in order[ai:]:
-            if i == j and counts[i] < 2:
-                continue
-            cases.append((distinct[i], distinct[j]))
-    return cases
-
-
-def _value_indices(lams: tuple[RootOfUnity, ...], value: RootOfUnity) -> tuple[int, ...]:
-    return tuple(i for i, lam in enumerate(lams) if lam == value)
-
-
-def _multiset_eq(a: tuple[RootOfUnity, ...], b: tuple[RootOfUnity, ...]) -> bool:
-    rem = list(b)
-    for x in a:
-        for i, y in enumerate(rem):
-            if x == y:
-                del rem[i]
-                break
-        else:
-            return False
-    return not rem
-
-
-def _signs_on_classes(
-    subset: tuple[RootOfUnity, ...],
-    lams: tuple[RootOfUnity, ...],
-    diagonal: tuple[int, ...],
-) -> list[int] | None:
-    """Diagonal signs contributed by each eigenvalue class in ``subset``.
-
-    Requires every class to carry a uniform diagonal sign (so the sign of a
-    norm does not depend on which vector of the eigenspace realizes the
-    subspace); returns None when a class is mixed.
-    """
-    out = []
-    for value in subset:
-        signs = {diagonal[i] for i in _value_indices(lams, value)}
-        if len(signs) != 1:
-            return None
-        out.append(signs.pop())
-    return out
+    counts = Counter(lams)
+    distinct = sorted(counts, key=lambda lam: (lam.order, lam.exponent))
+    return [(lam,) for lam in distinct] + [
+        (a, b)
+        for i, a in enumerate(distinct)
+        for b in distinct[i:]
+        if a != b or counts[a] > 1
+    ]
 
 
 def even_certificate(p: int) -> InfinitenessCertificate:
@@ -319,7 +272,10 @@ def even_certificate(p: int) -> InfinitenessCertificate:
         raise InvariantViolation(f"z = A^(2k+1) is not primitive at level {p}")
 
     licensed, license_note = _irreducibility_asserted(p)
-    span_pattern = (lams[0], lams[2])
+    span_pattern = Counter((lams[0], lams[2]))
+    class_signs: dict[RootOfUnity, set[int]] = {}
+    for lam, sign in zip(lams, profile.diagonal_signs):
+        class_signs.setdefault(lam, set()).add(sign)
     cases: list[SubspaceCase] = []
     failures: list[str] = []
     notes: list[str] = []
@@ -333,16 +289,20 @@ def even_certificate(p: int) -> InfinitenessCertificate:
         # {z, -z} would need (prod lambda)^12 = (-z^2)^30, i.e. z^120 = z^60,
         # i.e. z^60 = 1; but z is a primitive 2p = 8k-th root and 8 does not
         # divide 60, so that pair is always scalar_obstructed.
-        if len(subset) == 2 and _multiset_eq(subset, span_pattern):
-            signs = _signs_on_classes(subset, lams, profile.diagonal_signs)
-            if signs is not None and 1 in signs and -1 in signs and licensed:
+        if Counter(subset) == span_pattern:
+            # The sign of a norm must not depend on which vector of an
+            # eigenspace realizes the subspace, so each class needs one sign.
+            signs = [class_signs[lam] for lam in subset]
+            uniform = all(len(s) == 1 for s in signs)
+            indefinite = uniform and set().union(*signs) == {1, -1}
+            if indefinite and licensed:
                 cases.append(
                     SubspaceCase(subset, FORM_INDEFINITE_ON_SPAN, note=license_note)
                 )
                 if license_note not in notes:
                     notes.append(license_note)
                 continue
-            if signs is not None and 1 in signs and -1 in signs:
+            if indefinite:
                 failures.append(
                     f"case {label} survives the scalar identity; the span is "
                     f"indefinite but {license_note}"

@@ -14,7 +14,6 @@ Its sign is decided exactly by the position of the residue n*ell mod p in
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,17 +62,10 @@ class RootOfUnity:
     def multiplicative_order(self) -> int:
         return self.order // math.gcd(self.order, self.exponent)
 
-    def as_complex(self) -> complex:
-        return cmath.exp(2j * math.pi * self.exponent / self.order)
-
     def __str__(self) -> str:
         if self.exponent == 0:
             return "1"
         return f"zeta_{self.order}^{self.exponent}"
-
-    @classmethod
-    def one(cls, order: int = 1) -> "RootOfUnity":
-        return cls(order, 0)
 
     @classmethod
     def minus_one(cls, order: int) -> "RootOfUnity":

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quantcert.blocks import (
@@ -176,6 +178,74 @@ class TestBlockDimension:
             len(tadpole_basis(c, p)) ** 2 for c in level_colors(p)
         )
         assert block_dimension(dumbbell_graph(), p) == expected
+
+
+def _ring_of_tadpoles(k: int) -> ColoredGraph:
+    """A k-cycle whose every vertex carries a pendant tadpole."""
+    ring = tuple((i, i % k + 1) for i in range(1, k + 1))
+    pendants = tuple((i, k + i) for i in range(1, k + 1))
+    loops = tuple((k + i, k + i) for i in range(1, k + 1))
+    return ColoredGraph(tuple(range(1, 2 * k + 1)), ring + pendants + loops)
+
+
+def _random_trivalent(rng: random.Random, p: int) -> ColoredGraph:
+    """Random pairing of half-edges on 1-5 vertices, some left as tails.
+
+    One tail in five gets a color from -3..14, mostly outside the palette.
+    """
+    n = rng.randint(1, 5)
+    half = [v for v in range(1, n + 1) for _ in range(3)]
+    rng.shuffle(half)
+    t = rng.choice(range(n % 2, 3 * n + 1, 2))
+    colors = [rng.choice(level_colors(p)) for _ in range(4)] + [rng.randint(-3, 14)]
+    tails = tuple((v, rng.choice(colors)) for v in half[:t])
+    rest = half[t:]
+    return ColoredGraph(tuple(range(1, n + 1)), tuple(zip(rest[::2], rest[1::2])), tails)
+
+
+class TestEliminationOrder:
+    def test_ring_of_tadpoles_is_a_transfer_matrix_trace(self):
+        """dim = trace(M^k), M[a][b] = sum_c [(a, b, c) admissible] * |tadpole(c)|.
+
+        An order blind to scope can build a table spanning the whole ring;
+        the count has 121 bits, so it also pins exactness past int64.
+        """
+        k, p = 16, 30
+        cols = level_colors(p)
+        m = [
+            [
+                sum(len(tadpole_basis(c, p)) for c in cols if _admissible(a, b, c, p))
+                for b in cols
+            ]
+            for a in cols
+        ]
+        power = [[int(i == j) for j in range(len(cols))] for i in range(len(cols))]
+        for _ in range(k):
+            power = [
+                [sum(row[x] * m[x][j] for x in range(len(cols))) for j in range(len(cols))]
+                for row in power
+            ]
+        expected = sum(power[i][i] for i in range(len(cols)))
+        assert expected.bit_length() > 63
+        assert block_dimension(_ring_of_tadpoles(k), p) == expected
+
+    def test_random_graphs_match_bruteforce(self):
+        rng = random.Random(4)
+        corpus = [
+            (ColoredGraph((1,), (), ((1, 0), (1, 2), (1, 2))), 7),
+            (ColoredGraph((1,), (), ((1, 2), (1, 2), (1, -2))), 9),
+            (ColoredGraph((1, 2), ((1, 1),), ((1, -1), (2, 0), (2, 1), (2, 1))), 8),
+            (ColoredGraph((1, 2), ((1, 1), (2, 2)), ((1, 2), (2, 99))), 11),
+            (ColoredGraph((1, 2, 3), ((1, 2),) * 3 + ((3, 3),), ((3, 2),)), 6),
+        ]
+        for p in (rng.randint(5, 14) for _ in range(400)):
+            corpus.append((_random_trivalent(rng, p), p))
+        checked = 0
+        for g, p in corpus:
+            if len(level_colors(p)) ** len(g.edges) <= 4096:
+                assert block_dimension(g, p) == block_dimension_bruteforce(g, p), (g, p)
+                checked += 1
+        assert checked >= 300
 
 
 class TestCutIdentity:
