@@ -215,15 +215,14 @@ def _print_veech_table(report: dict, quiet: bool) -> None:
 def cmd_orbits(args) -> dict:
     try:
         curve_types = orbits.enumerate_orbits(args.g, args.n, labeled=args.labeled)
-        count = orbits.count_orbits(args.g, args.n, labeled=args.labeled)
         bounds = orbits.h2_bounds(args.g, args.n)
-    except NonHyperbolic as exc:
+    except (NonHyperbolic, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     result = {
         "g": args.g,
         "n": args.n,
         "labeled": args.labeled,
-        "count": count,
+        "count": len(curve_types),
         "orbits": [orbits.curve_type_to_json(ct) for ct in curve_types],
         "h2": {
             "lower_rank": bounds.lower_rank,

@@ -61,31 +61,20 @@ def _side_ok(genus: int, count: int) -> bool:
     return (genus, count) not in _FORBIDDEN_SIDES
 
 
-def _ordered_pair(a: Side, b: Side) -> tuple[Side, Side]:
-    return (a, b) if a.sort_key() <= b.sort_key() else (b, a)
-
-
-def _separating_types(g: int, n: int, labeled: bool) -> set[tuple[Side, Side]]:
-    types: set[tuple[Side, Side]] = set()
-    if labeled:
-        for g1 in range(g + 1):
-            for r in range(n + 1):
-                for subset in itertools.combinations(range(n), r):
-                    a_set = frozenset(subset)
-                    b_set = frozenset(range(n)) - a_set
-                    if not _side_ok(g1, len(a_set)) or not _side_ok(g - g1, len(b_set)):
-                        continue
-                    side_a = Side(g1, a_set, len(a_set))
-                    side_b = Side(g - g1, b_set, len(b_set))
-                    types.add(_ordered_pair(side_a, side_b))
-    else:
-        for g1 in range(g + 1):
-            for n1 in range(n + 1):
-                if not _side_ok(g1, n1) or not _side_ok(g - g1, n - n1):
-                    continue
-                side_a = Side(g1, None, n1)
-                side_b = Side(g - g1, None, n - n1)
-                types.add(_ordered_pair(side_a, side_b))
+def _separating_types(g: int, n: int, labeled: bool) -> list[tuple[Side, Side]]:
+    """Each unordered pair of complementary sides once, as (a, b) in sort-key order."""
+    types: list[tuple[Side, Side]] = []
+    everyone = frozenset(range(n))
+    for g1 in range(g + 1):
+        for n1 in range(n + 1):
+            if not _side_ok(g1, n1) or not _side_ok(g - g1, n - n1):
+                continue
+            subsets = map(frozenset, itertools.combinations(range(n), n1))
+            for a_set in subsets if labeled else [None]:
+                b_set = None if a_set is None else everyone - a_set
+                side_a, side_b = Side(g1, a_set, n1), Side(g - g1, b_set, n - n1)
+                if side_a.sort_key() <= side_b.sort_key():
+                    types.append((side_a, side_b))
     return types
 
 

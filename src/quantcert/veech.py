@@ -28,7 +28,7 @@ the stabilizer of the flat surface precisely in the first two classes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +55,10 @@ DEFAULT_TOL = 1e-12
 PARABOLIC_TOL = 1e-9
 DET_TOL = 1e-12
 
+#: Most vertices (m + k) a parsed configuration graph may have; every report
+#: holds dense (m + k)^2 matrices and one eigensolve of that size.
+VERTEX_BUDGET = 2000
+
 
 @dataclass(frozen=True)
 class ConfigurationGraph:
@@ -68,6 +72,7 @@ class ConfigurationGraph:
 
     intersections: tuple[tuple[int, ...], ...]
     multiplicities: tuple[int, ...]
+    _adjacency: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.intersections)
@@ -84,7 +89,20 @@ class ConfigurationGraph:
             )
         if any(d < 1 for d in self.multiplicities):
             raise InvalidGraph("multiplicities must be positive")
-        if not self._connected():
+        inter = np.array(self.intersections, dtype=np.int64)
+        adj = np.zeros((m + k, m + k), dtype=np.int64)
+        adj[:m, m:] = inter
+        adj[m:, :m] = inter.T
+        adj.flags.writeable = False
+        object.__setattr__(self, "_adjacency", adj)
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in np.flatnonzero(adj[stack.pop()]).tolist():
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != m + k:
             raise DisconnectedGraph("configuration graph is not connected")
 
     @property
@@ -103,28 +121,9 @@ class ConfigurationGraph:
     def unit_multiplicities(self) -> bool:
         return all(d == 1 for d in self.multiplicities)
 
-    def adjacency(self) -> list[list[int]]:
-        """Unweighted (multiplicity-free) multigraph adjacency, size m + k."""
-        n = self.size
-        adj = [[0] * n for _ in range(n)]
-        for i in range(self.m):
-            for j in range(self.k):
-                adj[i][self.m + j] = self.intersections[i][j]
-                adj[self.m + j][i] = self.intersections[i][j]
-        return adj
-
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        n = self.size
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in range(n):
-                if adj[u][w] and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
+    def adjacency(self) -> np.ndarray:
+        """Unweighted multigraph adjacency, size m + k: read-only, built once."""
+        return self._adjacency
 
 
 def intersection_matrix(g: ConfigurationGraph) -> np.ndarray:
@@ -133,13 +132,7 @@ def intersection_matrix(g: ConfigurationGraph) -> np.ndarray:
     Zero on the two diagonal blocks; not symmetric in general, since each
     row is scaled by its own multiplicity.
     """
-    n = g.size
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(g.m):
-        for j in range(g.k):
-            out[i, g.m + j] = g.multiplicities[i] * g.intersections[i][j]
-            out[g.m + j, i] = g.multiplicities[g.m + j] * g.intersections[i][j]
-    return out
+    return np.asarray(g.multiplicities, dtype=np.int64)[:, None] * g.adjacency()
 
 
 @dataclass(frozen=True)
@@ -159,7 +152,7 @@ def perron(g: ConfigurationGraph) -> PerronData:
     and v > 0, else InvariantViolation.
     """
     root = np.sqrt(np.asarray(g.multiplicities, dtype=float))
-    adj = np.asarray(g.adjacency(), dtype=float)
+    adj = g.adjacency().astype(float)
     eigenvalues, eigenvectors = np.linalg.eigh(root[:, None] * adj * root[None, :])
     mu = float(eigenvalues[-1])
     v = root * eigenvectors[:, -1]
@@ -245,7 +238,7 @@ def classify_graph(g: ConfigurationGraph) -> str:
     d = g.multiplicities
     adj = g.adjacency()
     rows = [
-        {j: -d[i] * d[j] * adj[i][j] for j in range(g.size) if adj[i][j]}
+        {j: -d[i] * d[j] * int(adj[i, j]) for j in np.flatnonzero(adj[i]).tolist()}
         for i in range(g.size)
     ]
     for i, row in enumerate(rows):
@@ -320,9 +313,13 @@ def flat_surface(g: ConfigurationGraph, data: PerronData) -> FlatSurfaceData:
     """
     v = data.v
     rectangles: list[Rectangle] = []
+    by_c: list[list[int]] = [[] for _ in range(g.m)]
+    by_d: list[list[int]] = [[] for _ in range(g.k)]
     for i in range(g.m):
         for j in range(g.k):
             for _ in range(g.intersections[i][j]):
+                by_c[i].append(len(rectangles))
+                by_d[j].append(len(rectangles))
                 rectangles.append(
                     Rectangle(
                         point_id=len(rectangles),
@@ -332,17 +329,16 @@ def flat_surface(g: ConfigurationGraph, data: PerronData) -> FlatSurfaceData:
                         height=v[g.m + j],
                     )
                 )
-    def cyclic(ids: list[int]) -> list[tuple[int, int]]:
-        if len(ids) < 2:
-            return []
-        return [(ids[t], ids[(t + 1) % len(ids)]) for t in range(len(ids))]
 
-    horizontal: list[tuple[int, int]] = []
-    for i in range(g.m):
-        horizontal.extend(cyclic([r.point_id for r in rectangles if r.c_index == i]))
-    vertical: list[tuple[int, int]] = []
-    for j in range(g.k):
-        vertical.extend(cyclic([r.point_id for r in rectangles if r.d_index == j]))
+    def cyclic(groups: list[list[int]]) -> list[tuple[int, int]]:
+        return [
+            (ids[t], ids[(t + 1) % len(ids)])
+            for ids in groups
+            if len(ids) >= 2
+            for t in range(len(ids))
+        ]
+
+    horizontal, vertical = cyclic(by_c), cyclic(by_d)
     area = sum(r.width * r.height for r in rectangles)
     if not area > 0:
         raise InvalidGraph("flat surface has no area")
@@ -357,87 +353,86 @@ def flat_surface(g: ConfigurationGraph, data: PerronData) -> FlatSurfaceData:
 # ---------------------------------------------------------------------------
 # construction helpers and the input DSL
 
-def _from_adjacency(adj: list[list[int]]) -> ConfigurationGraph:
-    """Split a bipartite multigraph into the two-sided intersection form."""
-    n = len(adj)
+def _from_edges(n: int, edges: list[tuple[int, int]]) -> ConfigurationGraph:
+    """Split a connected bipartite multigraph on vertices 0..n-1, given by its
+    edge list, into the two-sided intersection form (vertex 0 on the first
+    side, each side in increasing vertex order)."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for u, w in edges:
+        neighbours[u].append(w)
+        neighbours[w].append(u)
     color = [-1] * n
     color[0] = 0
     stack = [0]
     while stack:
         u = stack.pop()
-        for w in range(n):
-            if adj[u][w]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    raise InvalidGraph(
-                        "graph is not bipartite: two crossing multicurves must "
-                        "alternate"
-                    )
+        for w in neighbours[u]:
+            if color[w] == -1:
+                color[w] = 1 - color[u]
+                stack.append(w)
+            elif color[w] == color[u]:
+                raise InvalidGraph(
+                    "graph is not bipartite: two crossing multicurves must "
+                    "alternate"
+                )
     c_side = [v for v in range(n) if color[v] == 0]
     d_side = [v for v in range(n) if color[v] == 1]
-    if not c_side or not d_side:
-        raise InvalidGraph("each side needs at least one component")
-    inter = tuple(
-        tuple(adj[u][w] for w in d_side) for u in c_side
-    )
-    return ConfigurationGraph(inter, (1,) * n)
+    index = {v: t for side in (c_side, d_side) for t, v in enumerate(side)}
+    inter = [[0] * len(d_side) for _ in c_side]
+    for u, w in edges:
+        if color[u]:
+            u, w = w, u
+        inter[index[u]][index[w]] += 1
+    return ConfigurationGraph(tuple(map(tuple, inter)), (1,) * n)
 
 
 def path_family(n: int) -> ConfigurationGraph:
     """The A-family: a path on n vertices."""
     if n < 2:
         raise InvalidGraph("path family needs at least 2 vertices")
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        adj[i][i + 1] = adj[i + 1][i] = 1
-    return _from_adjacency(adj)
+    return _from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _forked_path(n: int, fork: int) -> ConfigurationGraph:
+    """A path on n - 1 vertices with an extra leaf n - 1 on vertex ``fork``."""
+    return _from_edges(n, [(i, i + 1) for i in range(n - 2)] + [(fork, n - 1)])
 
 
 def forked_path_family(n: int) -> ConfigurationGraph:
     """The D-family: a path on n - 1 vertices with one extra fork leaf."""
     if n < 4:
         raise InvalidGraph("forked path family needs at least 4 vertices")
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n - 2):
-        adj[i][i + 1] = adj[i + 1][i] = 1
-    adj[n - 1][1] = adj[1][n - 1] = 1
-    return _from_adjacency(adj)
+    return _forked_path(n, 1)
 
 
 def exceptional_family(n: int) -> ConfigurationGraph:
     """The E-family trees for n in {6, 7, 8}: arms (1, 2, n - 4)."""
     if n not in (6, 7, 8):
         raise InvalidGraph("exceptional family exists for 6, 7, 8 only")
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n - 2):
-        adj[i][i + 1] = adj[i + 1][i] = 1
-    adj[n - 1][2] = adj[2][n - 1] = 1
-    return _from_adjacency(adj)
+    return _forked_path(n, 2)
 
 
 def cycle_family(n: int) -> ConfigurationGraph:
     """A cycle on n vertices; n must be even to admit a bipartition."""
     if n < 3:
         raise InvalidGraph("cycle family needs at least 3 vertices")
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        j = (i + 1) % n
-        adj[i][j] += 1
-        adj[j][i] += 1
-    return _from_adjacency(adj)
+    return _from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_family(leaves: int) -> ConfigurationGraph:
     """A star with the given number of leaves."""
     if leaves < 1:
         raise InvalidGraph("star family needs at least 1 leaf")
-    n = leaves + 1
-    adj = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        adj[0][i] = adj[i][0] = 1
-    return _from_adjacency(adj)
+    return _from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def _check_budget(vertices: int, token: str) -> None:
+    if vertices > VERTEX_BUDGET:
+        raise GraphParseError(
+            f"configuration graph has {vertices} vertices, over the vertex budget "
+            f"VERTEX_BUDGET = {VERTEX_BUDGET}",
+            token=token,
+        )
 
 
 _FAMILY_BUILDERS = {
@@ -464,6 +459,7 @@ def parse_family(spec: str) -> ConfigurationGraph:
         raise GraphParseError(
             f"invalid family size {arg.strip()!r} in {spec!r}", token=arg.strip()
         ) from None
+    _check_budget(n + 1 if name == "star" else n, spec)
     try:
         return _FAMILY_BUILDERS[name](n)
     except InvalidGraph as exc:
@@ -503,6 +499,7 @@ def parse_intersections(
         raise GraphParseError("no intersections given", token=inter_text)
     m = max(m, max(e[0] for e in entries))
     k = max(k, max(e[1] for e in entries))
+    _check_budget(m + k, inter_text)
     inter = [[0] * k for _ in range(m)]
     for i, j, count in entries:
         if i < 1 or j < 1:
@@ -550,6 +547,13 @@ def parse_config_spec(text: str) -> ConfigurationGraph:
         )
     if "inter" not in fields:
         raise GraphParseError("missing inter=... section", token="inter")
-    m = int(fields["c"]) if "c" in fields else 0
-    k = int(fields["d"]) if "d" in fields else 0
+    sizes = []
+    for key in ("c", "d"):
+        try:
+            sizes.append(int(fields.get(key, "0")))
+        except ValueError:
+            raise GraphParseError(
+                f"invalid side size {key}={fields[key]!r}", token=fields[key]
+            ) from None
+    m, k = sizes
     return parse_intersections(fields["inter"], fields.get("mult", ""), m=m, k=k)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -185,3 +186,31 @@ class TestExitCodes:
         code, _, err = run(capsys, "orbits", "4", "0")
         assert code == 3
         assert "internal error" in err
+
+
+class TestContract:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("veech", "c=x;inter=(1,1,1)"), "c='x'"),
+            (("orbits", "-1", "5"), "nonnegative"),
+            (("veech", "A:100000"), "VERTEX_BUDGET = 2000"),
+            (("veech", "--inter", "(100000,100000,1)"), "VERTEX_BUDGET = 2000"),
+            (("veech", "c=100000; inter=(1,1,1)"), "VERTEX_BUDGET = 2000"),
+            (("veech", "F:4"), "unknown family"),
+            (("veech", "A:x"), "invalid family size"),
+            (("orbits", "2", "x"), "invalid int value"),
+        ],
+    )
+    def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):
+        start = time.perf_counter()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects a non-integer itself
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert message in err
+        assert "Traceback" not in err
+        assert elapsed < 0.5

@@ -31,6 +31,22 @@ def bruteforce_labeled_count(g, n):
     return (1 if g >= 1 else 0) + len(types)
 
 
+def bruteforce_pairs(g, n, labeled):
+    """Unordered pairs of complementary sides, collected from every ordered split."""
+    pairs = set()
+    for g1 in range(g + 1):
+        for r in range(n + 1):
+            for subset in itertools.combinations(range(n), r):
+                rest = tuple(sorted(set(range(n)) - set(subset)))
+                sides = [(g1, subset), (g - g1, rest)]
+                if any((genus, len(p)) in {(0, 0), (0, 1)} for genus, p in sides):
+                    continue
+                if not labeled:
+                    sides = [(genus, len(p)) for genus, p in sides]
+                pairs.add(frozenset(sides))
+    return pairs
+
+
 class TestCountOrbits:
     def test_closed_surface_formula(self):
         for g in range(2, 21):
@@ -98,6 +114,25 @@ class TestEnumerateOrbits:
                     assert len(set(types)) == len(types)
                     if g >= 1:
                         assert types[0].kind == NONSEPARATING
+
+    def test_separating_types_match_bruteforce_pairs(self):
+        for g in range(0, 5):
+            for n in range(0, 7):
+                if 2 - 2 * g - n >= 0:
+                    continue
+                for labeled in (False, True):
+                    found = [
+                        frozenset(
+                            (s.genus, s.puncture_count if s.punctures is None
+                             else tuple(sorted(s.punctures)))
+                            for s in t.sides
+                        )
+                        for t in enumerate_orbits(g, n, labeled=labeled)
+                        if t.kind == SEPARATING
+                    ]
+                    case = (g, n, labeled)
+                    assert len(set(found)) == len(found), case
+                    assert set(found) == bruteforce_pairs(g, n, labeled), case
 
     def test_sides_are_canonically_ordered(self):
         for ct in enumerate_orbits(3, 2, labeled=True):

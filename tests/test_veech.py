@@ -20,6 +20,7 @@ from quantcert.veech import (
     NOT_FINITE_INDEX,
     PARABOLIC,
     RECESSIVE,
+    VERTEX_BUDGET,
     ConfigurationGraph,
     SL2Mat,
     classify_graph,
@@ -49,6 +50,14 @@ class TestConfigurationGraph:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             ConfigurationGraph(((1, 0), (0, 1)), (1, 1, 1, 1))
+
+    def test_adjacency_built_once_and_read_only(self):
+        g = ConfigurationGraph(((2, 1),), (1, 1, 1))
+        adj = g.adjacency()
+        assert adj is g.adjacency()
+        assert adj.tolist() == [[0, 2, 1], [2, 0, 0], [1, 0, 0]]
+        with pytest.raises(ValueError):
+            adj[0, 1] = 5
 
     def test_bad_multiplicities(self):
         with pytest.raises(InvalidGraph):
@@ -323,6 +332,28 @@ class TestFlatSurface:
         assert len(surface.horizontal_gluing) == 3
         assert len(surface.vertical_gluing) == 3
 
+    @pytest.mark.parametrize(
+        "inter, horizontal, vertical",
+        [
+            (((2, 1), (1, 0)), ((0, 1), (1, 2), (2, 0)), ((0, 1), (1, 3), (3, 0))),
+            (
+                ((2, 1), (1, 1)),
+                ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3)),
+                ((0, 1), (1, 3), (3, 0), (2, 4), (4, 2)),
+            ),
+        ],
+    )
+    def test_gluing_is_cyclic_in_point_id_order(self, inter, horizontal, vertical):
+        # points 0 and 1 are the two (1, 1) intersections; a component that
+        # meets a single point is glued to nothing
+        g = ConfigurationGraph(inter, (1,) * 4)
+        surface = flat_surface(g, perron(g))
+        assert [(r.c_index, r.d_index) for r in surface.rectangles][:4] == [
+            (0, 0), (0, 0), (0, 1), (1, 0)
+        ]
+        assert surface.horizontal_gluing == horizontal
+        assert surface.vertical_gluing == vertical
+
     def test_area_invariant_under_relabeling(self):
         inter = ((1, 1, 0), (0, 1, 1))
         g = ConfigurationGraph(inter, (1,) * 5)
@@ -343,6 +374,37 @@ class TestParsing:
         d5 = parse_family("D:5")
         assert d5.size == 5
         assert classify_graph(d5) == RECESSIVE
+
+    @pytest.mark.parametrize(
+        "spec, m, k, intersections",
+        [
+            # vertex 0's side first, each side in vertex order
+            ("A:5", 3, 2, ((1, 0), (1, 1), (0, 1))),
+            ("D:5", 3, 2, ((1, 0), (1, 1), (1, 0))),
+            ("E:6", 3, 3, ((1, 0, 0), (1, 1, 1), (0, 1, 0))),
+            ("cycle:6", 3, 3, ((1, 0, 1), (1, 1, 0), (0, 1, 1))),
+            ("star:3", 1, 3, ((1, 1, 1),)),
+        ],
+    )
+    def test_family_sides(self, spec, m, k, intersections):
+        g = parse_family(spec)
+        assert (g.m, g.k, g.intersections) == (m, k, intersections)
+
+    def test_vertex_budget(self):
+        assert parse_family(f"star:{VERTEX_BUDGET - 1}").size == VERTEX_BUDGET
+        over = (f"A:{VERTEX_BUDGET + 1}", f"star:{VERTEX_BUDGET}", "cycle:1000000")
+        for spec in over:
+            with pytest.raises(GraphParseError, match="VERTEX_BUDGET"):
+                parse_family(spec)
+        with pytest.raises(GraphParseError, match="VERTEX_BUDGET"):
+            parse_intersections(f"(1,{VERTEX_BUDGET},1)")
+        with pytest.raises(GraphParseError, match="VERTEX_BUDGET"):
+            parse_config_spec(f"c={VERTEX_BUDGET}; inter=(1,1,1)")
+
+    def test_non_integer_side_size(self):
+        for spec in ("c=x; inter=(1,1,1)", "c=1; d=; inter=(1,1,1)"):
+            with pytest.raises(GraphParseError, match="invalid side size"):
+                parse_config_spec(spec)
 
     def test_unknown_family(self):
         with pytest.raises(GraphParseError):
