@@ -13,19 +13,26 @@ is the number of colorings of the internal edges making every vertex
 admissible.  The tadpole graph (one vertex, one loop, one tail) is the
 basic example; its basis is indexed by the admissible loop colors.
 
-``block_dimension`` counts them by a sum-product over arrays of Python ints:
-one admissibility table per vertex, edges summed out in smallest-scope order.
+``block_dimension`` counts them in the fusion ring (Blanchet, Habegger,
+Masbaum and Vogel, 1995): a connected component with first Betti number g and
+tail colors a_1..a_n gives (H^g N_{a_1} ... N_{a_n})_00, where over the palette
+N_b[x, y] = [(x, b, y) admissible] and H = sum_b N_b^2; components multiply.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GraphParseError, InvalidColor, InvalidGraph
+
+#: Most vertices of a parsed graph and highest level the CLI accepts.  A count
+#: costs |palette|^2 per handle and tail, plus |palette|^3 once if some g >= 3.
+VERTEX_BUDGET = 100
+LEVEL_BUDGET = 800
 
 
 def level_colors(p: int) -> tuple[int, ...]:
@@ -122,20 +129,15 @@ class ColoredGraph:
             if v not in vset:
                 raise InvalidGraph(f"tail at unknown vertex {v}")
             degree[v] += 1
-        bad = {v: d for v, d in degree.items() if d != 3}
+        bad = [(v, d) for v, d in degree.items() if d != 3]
         if bad:
-            raise InvalidGraph(f"graph is not trivalent at vertices {bad}")
+            more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+            raise InvalidGraph(f"graph is not trivalent at vertices {dict(bad[:5])}{more}")
 
     def vertex_slots(self, v: int) -> tuple[list[int], list[int]]:
         """Tail colors and edge indices (loops repeated) incident to v."""
         tails = [c for (w, c) in self.tails if w == v]
-        slots = []
-        for idx, (a, b) in enumerate(self.edges):
-            if a == v:
-                slots.append(idx)
-            if b == v:
-                slots.append(idx)
-        return tails, slots
+        return tails, [idx for idx, edge in enumerate(self.edges) for w in edge if w == v]
 
 
 def tadpole_graph(tail_color: int) -> ColoredGraph:
@@ -168,8 +170,7 @@ def block_dimension_bruteforce(graph: ColoredGraph, p: int) -> int:
     count = 0
     for assign in itertools.product(cols, repeat=len(graph.edges)):
         for tails, slots in per_vertex:
-            colors3 = tails + [assign[i] for i in slots]
-            if not _admissible(colors3[0], colors3[1], colors3[2], p):
+            if not _admissible(*tails, *(assign[i] for i in slots), p):
                 break
         else:
             count += 1
@@ -179,41 +180,43 @@ def block_dimension_bruteforce(graph: ColoredGraph, p: int) -> int:
 def block_dimension(graph: ColoredGraph, p: int) -> int:
     """Number of admissible colorings of the free edges of ``graph``.
 
-    A sum-product over arrays of Python ints, so counts stay exact: each
-    vertex contributes its admissibility table over its sorted edge
-    variables, and edges are summed out one at a time, always the one whose
-    merged scope is smallest (ties to the lowest edge index).  Loops,
-    parallel edges and disconnected graphs need no special case.
+    Uses the fusion-ring product of the module docstring.  The matrices
+    commute, H = sum_c h_c N_c with h_c the tadpole loop count of c,
+    e_0 N_a = e_a and H e_0 = h, so a component is one dot product around
+    matrix-vector products in Python ints.
     """
-    cols = np.array(level_colors(p), dtype=object)
-    n = len(cols)
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for v in graph.vertices:
-        tails, slots = graph.vertex_slots(v)
-        scope = tuple(sorted(set(slots)))
-        axes = [cols.reshape([n if x == e else 1 for x in scope]) for e in slots]
-        tails_ok = all(in_palette(t, p) for t in tails)
-        table = np.array(_fits(*tails, *axes, p) & tails_ok, dtype=object)
-        factors.append((scope, table))
+    cols = np.array(level_colors(p))
+    if not all(in_palette(c, p) for _v, c in graph.tails):
+        return 0
+    root = {v: v for v in graph.vertices}
 
-    remaining = list(range(len(graph.edges)))
-    while remaining:
-        scopes = {
-            x: sorted(set().union(*(s for s, _t in factors if x in s)))
-            for x in remaining
-        }
-        var = min(remaining, key=lambda x: len(scopes[x]))
-        merged = scopes[var]
-        product = 1
-        for scope, table in factors:
-            if var in scope:
-                shape = [n if x in scope else 1 for x in merged]
-                product = product * table.reshape(shape)
-        summed = np.array(product.sum(axis=merged.index(var)), dtype=object)
-        factors = [f for f in factors if var not in f[0]]
-        factors.append((tuple(x for x in merged if x != var), summed))
-        remaining.remove(var)
-    return math.prod(int(table) for _scope, table in factors)
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in graph.edges:
+        root[find(u)] = find(v)
+    excess = Counter(find(u) for u, _v in graph.edges)
+    excess.subtract(find(v) for v in graph.vertices)  # E - V = g - 1 per component
+    ops = {r: [None] * (e + 1) for r, e in excess.items()}  # None stands for H
+    for v, c in graph.tails:
+        ops[find(v)].append(c)
+
+    def fusion(b: int) -> np.ndarray:
+        return _fits(cols[:, None], b, cols[None, :], p)
+
+    h = _fits(cols, cols, cols[:, None], p).sum(axis=1)
+    if max(excess.values(), default=0) >= 2:
+        handle = sum(int(hc) * fusion(c) for c, hc in zip(cols.tolist(), h))
+    dim = 1
+    for first, last, *middle in ops.values():
+        v = (h if last is None else cols == last).astype(object)
+        for op in middle:
+            v = (handle if op is None else fusion(op)) @ v
+        dim *= int((h if first is None else cols == first) @ v)
+    return dim
 
 
 def cut_graph(
@@ -274,6 +277,7 @@ def parse_colored_graph(text: str) -> ColoredGraph:
     vertices: tuple[int, ...] | None = None
     edges: list[tuple[int, int]] = []
     tails: list[tuple[int, int]] = []
+    sections = {"edges": ("-", edges), "tails": (":", tails)}
     offset = 0
     for part in text.split(";"):
         pos, offset = offset, offset + len(part) + 1
@@ -297,26 +301,19 @@ def parse_colored_graph(text: str) -> ColoredGraph:
                     token=value.strip(),
                     position=pos,
                 ) from None
+            if n > VERTEX_BUDGET:
+                message = f"graph has {n} vertices, over VERTEX_BUDGET = {VERTEX_BUDGET}"
+                raise GraphParseError(message, token=value.strip(), position=pos)
             vertices = tuple(range(1, n + 1))
-        elif key == "edges":
+        elif key in sections:
+            sep, pairs = sections[key]
             for tok, tpos in _tokens(value, value_pos):
                 try:
-                    u, _, v = tok.partition("-")
-                    edges.append((int(u), int(v)))
+                    a, _, b = tok.partition(sep)
+                    pairs.append((int(a), int(b)))
                 except ValueError:
                     raise GraphParseError(
-                        f"invalid edge token {tok!r} at position {tpos}",
-                        token=tok,
-                        position=tpos,
-                    ) from None
-        elif key == "tails":
-            for tok, tpos in _tokens(value, value_pos):
-                try:
-                    v, _, c = tok.partition(":")
-                    tails.append((int(v), int(c)))
-                except ValueError:
-                    raise GraphParseError(
-                        f"invalid tail token {tok!r} at position {tpos}",
+                        f"invalid {key[:-1]} token {tok!r} at position {tpos}",
                         token=tok,
                         position=tpos,
                     ) from None

@@ -14,7 +14,9 @@ N-th cyclotomic polynomial, so equality of matrices is exact and hashable.
 The closure probe runs a breadth-first multiplication closure of the two
 generators and their inverses; it either exhausts the group (finite image)
 or overruns a caller-supplied cap.  The image is finite precisely when -q
-has multiplicative order 1, 2, 3, 4 or 5.
+has multiplicative order 2, 3, 4 or 5 (Coxeter's finite quotients of the
+three-strand braid group).  At q = -1 both generators are unipotent and
+generate SL_2(Z), which is infinite.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 from .errors import InvariantViolation
 from .roots import RootOfUnity
 
-FINITE_MINUS_Q_ORDERS = frozenset({1, 2, 3, 4, 5})
+FINITE_MINUS_Q_ORDERS = frozenset({2, 3, 4, 5})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from . import __version__, blocks, certify, orbits, veech
 from .errors import (
     GraphParseError,
     InvalidColor,
-    InvalidGraph,
     NonHyperbolic,
     QuantcertError,
 )
@@ -112,6 +111,8 @@ def _print_certify_table(report: dict, quiet: bool) -> None:
 # blocks
 
 def cmd_blocks(args) -> dict:
+    if args.level > blocks.LEVEL_BUDGET:
+        raise UsageError(f"level {args.level} is over LEVEL_BUDGET = {blocks.LEVEL_BUDGET}")
     if args.graph == "tadpole":
         if args.tail is None:
             raise UsageError("the tadpole graph needs --tail")
@@ -123,12 +124,6 @@ def cmd_blocks(args) -> dict:
             graph = blocks.parse_colored_graph(args.graph)
         except GraphParseError as exc:
             raise UsageError(str(exc)) from exc
-    try:
-        dim = blocks.block_dimension(graph, args.level)
-        if args.graph == "tadpole":
-            loop_colors = blocks.tadpole_basis(args.tail, args.level)
-    except (InvalidColor, InvalidGraph, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
     result: dict = {
         "graph": {
             "vertices": len(graph.vertices),
@@ -136,10 +131,15 @@ def cmd_blocks(args) -> dict:
             "tails": [list(t) for t in graph.tails],
         },
         "level": args.level,
-        "dimension": dim,
     }
-    if args.graph == "tadpole":
-        result["loop_colors"] = list(loop_colors)
+    try:
+        if args.graph == "tadpole":
+            result["loop_colors"] = list(blocks.tadpole_basis(args.tail, args.level))
+            result["dimension"] = len(result["loop_colors"])
+        else:
+            result["dimension"] = blocks.block_dimension(graph, args.level)
+    except (InvalidColor, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
     return _report("blocks", {"graph": args.graph, "level": args.level}, result, [])
 
 

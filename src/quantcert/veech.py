@@ -58,6 +58,11 @@ DET_TOL = 1e-12
 #: Most vertices (m + k) a parsed configuration graph may have; every report
 #: holds dense (m + k)^2 matrices and one eigensolve of that size.
 VERTEX_BUDGET = 2000
+#: Most intersection points (one flat-surface rectangle each) a parsed graph
+#: may have in total, which also caps each count, and the largest parsed
+#: multiplicity; both are checked on Python ints, before any int64 array.
+POINT_BUDGET = 20000
+MULTIPLICITY_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -480,7 +485,7 @@ def parse_intersections(
     """
     entries = []
     cleaned = inter_text.replace(" ", "")
-    pos = 0
+    pos = points = 0
     while pos < len(cleaned):
         if cleaned[pos] == ",":
             pos += 1
@@ -494,6 +499,14 @@ def parse_intersections(
                 position=pos,
             )
         entries.append((int(match.group(1)), int(match.group(2)), int(match.group(3))))
+        points += entries[-1][2]
+        if points > POINT_BUDGET:
+            raise GraphParseError(
+                f"more than POINT_BUDGET = {POINT_BUDGET} intersection points, "
+                f"at {match.group(0)!r}",
+                token=match.group(0),
+                position=pos,
+            )
         pos = match.end()
     if not entries:
         raise GraphParseError("no intersections given", token=inter_text)
@@ -517,6 +530,11 @@ def parse_intersections(
         if len(mult) != m + k:
             raise GraphParseError(
                 f"expected {m + k} multiplicities, got {len(mult)}", token=mult_text
+            )
+        if max(mult) > MULTIPLICITY_CAP:
+            raise GraphParseError(
+                f"multiplicity {max(mult)} is over MULTIPLICITY_CAP = {MULTIPLICITY_CAP}",
+                token=mult_text,
             )
     else:
         mult = (1,) * (m + k)

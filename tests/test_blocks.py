@@ -1,10 +1,14 @@
+import math
 import random
+import time
 
+import numpy as np
 import pytest
 
 from quantcert.blocks import (
     ColoredGraph,
     _admissible,
+    _fits,
     block_dimension,
     block_dimension_bruteforce,
     chain_graph,
@@ -180,6 +184,49 @@ class TestBlockDimension:
         assert block_dimension(dumbbell_graph(), p) == expected
 
 
+def _eliminate(graph: ColoredGraph, p: int) -> int:
+    """Sum-product oracle: admissibility tables summed out edge by edge.
+
+    Each vertex contributes its admissibility table over its sorted edge
+    variables (object arrays of Python ints); edges are summed out one at a
+    time, always the one whose merged scope is smallest.  It counts the same
+    colorings as the brute force without enumerating whole assignments.
+    """
+    cols = np.array(level_colors(p), dtype=object)
+    n = len(cols)
+    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
+    for v in graph.vertices:
+        tails, slots = graph.vertex_slots(v)
+        scope = tuple(sorted(set(slots)))
+        axes = [cols.reshape([n if x == e else 1 for x in scope]) for e in slots]
+        tails_ok = all(in_palette(t, p) for t in tails)
+        table = np.array(_fits(*tails, *axes, p) & tails_ok, dtype=object)
+        factors.append((scope, table))
+    remaining = list(range(len(graph.edges)))
+    while remaining:
+        scopes = {
+            x: sorted(set().union(*(s for s, _t in factors if x in s)))
+            for x in remaining
+        }
+        var = min(remaining, key=lambda x: len(scopes[x]))
+        merged = scopes[var]
+        product = 1
+        for scope, table in factors:
+            if var in scope:
+                shape = [n if x in scope else 1 for x in merged]
+                product = product * table.reshape(shape)
+        summed = np.array(product.sum(axis=merged.index(var)), dtype=object)
+        factors = [f for f in factors if var not in f[0]]
+        factors.append((tuple(x for x in merged if x != var), summed))
+        remaining.remove(var)
+    return math.prod(int(table) for _scope, table in factors)
+
+
+def _k4() -> ColoredGraph:
+    """The complete graph on four vertices: closed, first Betti number 3."""
+    return ColoredGraph((1, 2, 3, 4), ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+
+
 def _ring_of_tadpoles(k: int) -> ColoredGraph:
     """A k-cycle whose every vertex carries a pendant tadpole."""
     ring = tuple((i, i % k + 1) for i in range(1, k + 1))
@@ -203,12 +250,13 @@ def _random_trivalent(rng: random.Random, p: int) -> ColoredGraph:
     return ColoredGraph(tuple(range(1, n + 1)), tuple(zip(rest[::2], rest[1::2])), tails)
 
 
-class TestEliminationOrder:
+class TestAgainstOracles:
     def test_ring_of_tadpoles_is_a_transfer_matrix_trace(self):
         """dim = trace(M^k), M[a][b] = sum_c [(a, b, c) admissible] * |tadpole(c)|.
 
-        An order blind to scope can build a table spanning the whole ring;
-        the count has 121 bits, so it also pins exactness past int64.
+        The trace walks the ring, an oracle independent of the fusion-ring
+        product (17 handles); the count has 121 bits, so it also pins
+        exactness past int64.
         """
         k, p = 16, 30
         cols = level_colors(p)
@@ -242,10 +290,26 @@ class TestEliminationOrder:
             corpus.append((_random_trivalent(rng, p), p))
         checked = 0
         for g, p in corpus:
+            dim = block_dimension(g, p)
+            assert dim == _eliminate(g, p), (g, p)
             if len(level_colors(p)) ** len(g.edges) <= 4096:
-                assert block_dimension(g, p) == block_dimension_bruteforce(g, p), (g, p)
+                assert dim == block_dimension_bruteforce(g, p), (g, p)
                 checked += 1
         assert checked >= 300
+
+    def test_random_graphs_at_higher_levels_match_elimination(self):
+        """Levels past the brute force's reach, against the elimination alone."""
+        rng = random.Random(5)
+        for _ in range(60):
+            p = rng.randint(15, 40)
+            g = _random_trivalent(rng, p)
+            assert block_dimension(g, p) == _eliminate(g, p), (g, p)
+
+    @pytest.mark.parametrize("p, expected", [(81, 196430508), (121, 2180952642)])
+    def test_k4_at_high_level_is_pinned_and_fast(self, p, expected):
+        start = time.perf_counter()
+        assert block_dimension(_k4(), p) == expected
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCutIdentity:

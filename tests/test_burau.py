@@ -100,11 +100,11 @@ class TestMinusQOrder:
 
 class TestBurauIsFinite:
     def test_finite_orders(self):
-        for n in (1, 2, 3, 4, 5):
+        for n in (2, 3, 4, 5):
             assert burau_is_finite(n)
 
     def test_infinite_orders(self):
-        for n in (6, 7, 9, 11, 100):
+        for n in (1, 6, 7, 9, 11, 100):
             assert not burau_is_finite(n)
 
     def test_rejects_nonpositive(self):
@@ -131,6 +131,13 @@ class TestClosureOracle:
         result = burau_closure_oracle(parameter_with_minus_q_order(n), 5000)
         assert isinstance(result, ExceedsCap)
         assert not burau_is_finite(n)
+
+    def test_minus_one_generates_sl2z(self):
+        """q = -1 gives -q of order 1: unipotent generators of SL_2(Z)."""
+        q = RootOfUnity(2, 1)
+        assert minus_q_order(q) == 1
+        assert isinstance(burau_closure_oracle(q, 5000), ExceedsCap)
+        assert not burau_is_finite(1)
 
     def test_cap_validated(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,17 @@ class TestBlocksCommand:
         assert "palette" in err
 
 
+    def test_budgets_admit_their_bounds(self, capsys):
+        code, out, _ = run(capsys, "blocks", "tadpole", "--tail", "0", "--level", "800")
+        assert code == EXIT_OK
+        assert "dimension 399" in out
+        ring = ",".join(f"{i}-{i % 100 + 1}" for i in range(1, 101))
+        rungs = ",".join(f"{i}-{i + 1}" for i in range(1, 101, 2))
+        spec = f"vertices=100; edges={ring},{rungs}"
+        code, out, _ = run(capsys, "blocks", spec, "--level", "7")
+        assert code == EXIT_OK
+
+
 class TestVeechCommand:
     def test_path_family(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "veech", "A:3")
@@ -200,6 +211,13 @@ class TestContract:
             (("veech", "F:4"), "unknown family"),
             (("veech", "A:x"), "invalid family size"),
             (("orbits", "2", "x"), "invalid int value"),
+            (("veech", "--inter", "(1,1,99999999999999999999)"), "POINT_BUDGET = 20000"),
+            (("veech", "--inter", "(1,1,300000)"), "POINT_BUDGET = 20000"),
+            (("veech", "--inter", "(1,1,1)", "--mult", "1,10000000"), "MULTIPLICITY_CAP"),
+            (("blocks", "vertices=300000", "--level", "7"), "VERTEX_BUDGET = 100"),
+            (("blocks", "vertices=1000000000", "--level", "7"), "VERTEX_BUDGET = 100"),
+            (("blocks", "tadpole", "--tail", "0", "--level", "801"), "LEVEL_BUDGET = 800"),
+            (("blocks", "vertices=100", "--level", "7"), "and 95 more"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):
