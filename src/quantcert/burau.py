@@ -17,6 +17,14 @@ or overruns a caller-supplied cap.  The image is finite precisely when -q
 has multiplicative order 2, 3, 4 or 5 (Coxeter's finite quotients of the
 three-strand braid group).  At q = -1 both generators are unipotent and
 generate SL_2(Z), which is infinite.
+
+The closure works a whole BFS layer at a time on int32 coefficient arrays.
+Every generator entry is 0, 1, +-q or +-q^-1, so a product with a generator
+is one integer matmul by the fixed "times q" or "times q^-1" matrix on one
+column plus an add on the other.  Elements are deduplicated by their exact
+bytes, and a guard checked on Python ints before each layer raises
+InvariantViolation where the next layer could overflow int32; no float
+arithmetic is involved.
 """
 
 from __future__ import annotations
@@ -24,10 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InvariantViolation
 from .roots import RootOfUnity
 
 FINITE_MINUS_Q_ORDERS = frozenset({2, 3, 4, 5})
+
+#: closure layers are int32; every partial sum must stay below this in size
+INT32_BOUND = 2**31
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +198,13 @@ def mat_identity(order: int) -> Mat2:
 
 @dataclass(frozen=True)
 class BurauImage:
-    """Images of the two braid generators at parameter q, with inverses.
-
-    ``degenerate`` flags -q = 1 (that is q = -1), where both generators are
-    unipotent with eigenvalues {1, 1} instead of {1, -q}.
-    """
+    """Images of the two braid generators at parameter q, with inverses."""
 
     parameter: RootOfUnity
     sigma1: Mat2
     sigma2: Mat2
     sigma1_inv: Mat2
     sigma2_inv: Mat2
-    degenerate: bool
 
 
 def burau_matrices(q: RootOfUnity) -> BurauImage:
@@ -235,7 +243,6 @@ def burau_matrices(q: RootOfUnity) -> BurauImage:
         sigma2=sigma2,
         sigma1_inv=sigma1_inv,
         sigma2_inv=sigma2_inv,
-        degenerate=minus_q_order(q) == 1,
     )
 
 
@@ -263,30 +270,84 @@ class ExceedsCap:
     explored: int
 
 
+def _times_root(n: int, exponent: int) -> np.ndarray:
+    """The integer matrix of "multiply by zeta_n^exponent" on coefficient rows.
+
+    Row i holds zeta_n^(i + exponent) reduced modulo Phi_n, so a coefficient
+    row c maps to c @ Z.
+    """
+    rows = _reduction_rows(n)
+    deg = len(cyclotomic_polynomial(n)) - 1
+    out = np.zeros((deg, deg), dtype=np.int32)
+    for i in range(deg):
+        k = (i + exponent) % n
+        if k < deg:
+            out[i, k] = 1
+        else:
+            out[i] = rows[k - deg]
+    return out
+
+
+def _row_keys(block: np.ndarray) -> list[bytes]:
+    """The bytes of each (4, deg) element of ``block``, as hashable keys."""
+    flat = block.reshape(len(block), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+
+
+#: Right multiplication of [[a, b], [c, d]] by each generator, as
+#: (source column, use Z- instead of Z+, twisted).  The source column becomes
+#: new = -(source @ Z); the other column becomes other - new when twisted and
+#: other + source otherwise.  In order: sigma1, sigma2, sigma1^-1, sigma2^-1.
+_GENERATORS = ((0, 0, False), (1, 0, True), (0, 1, True), (1, 1, False))
+
+
 def burau_closure_oracle(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap:
     """Breadth-first closure of the generator matrices and their inverses.
 
-    Multiplies outward from the identity with exact cyclotomic entries.
-    Returns the exact group order when the closure stabilizes within
-    ``cap`` elements, and ExceedsCap otherwise (which for an infinite
-    image is the only possible answer).
+    Multiplies outward from the identity with exact cyclotomic entries, one
+    whole BFS layer at a time.  Returns the exact group order when the
+    closure stabilizes within ``cap`` elements, and ExceedsCap at the first
+    element past the cap otherwise (which for an infinite image is the only
+    possible answer).
+
+    A layer of F matrices [[a, b], [c, d]] is an int32 array of shape
+    (F, 4, deg) holding the coefficient rows of a, b, c, d.  Raises
+    InvariantViolation where the next layer could reach ``INT32_BOUND``.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    image = burau_matrices(q)
-    gens = (image.sigma1, image.sigma2, image.sigma1_inv, image.sigma2_inv)
-    ident = mat_identity(q.order)
-    seen: set[Mat2] = {ident}
-    frontier: list[Mat2] = [ident]
-    while frontier:
-        new: list[Mat2] = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
+    burau_matrices(q)  # the contract of the generators _GENERATORS encodes
+    n = q.order
+    deg = len(cyclotomic_polynomial(n)) - 1
+    times = (_times_root(n, q.exponent), _times_root(n, -q.exponent))
+    growth = 1 + max(int(np.abs(z).sum(axis=0).max()) for z in times)
+    frontier = np.zeros((1, 4, deg), dtype=np.int32)
+    frontier[0, 0, 0] = frontier[0, 3, 0] = 1
+    seen: set[bytes] = set(_row_keys(frontier))
+    while len(frontier):
+        largest = max(int(frontier.max()), -int(frontier.min()))
+        if largest * growth >= INT32_BOUND:
+            raise InvariantViolation(
+                f"closure entries reach {largest}; the next layer could pass int32"
+            )
+        block = np.empty_like(frontier)
+        layer: list[np.ndarray] = []
+        for source, inverse, twisted in _GENERATORS:
+            col, new_col = frontier[:, source::2], block[:, source::2]
+            other, new_other = frontier[:, 1 - source::2], block[:, 1 - source::2]
+            np.matmul(col, times[inverse], out=new_col)
+            np.negative(new_col, out=new_col)
+            if twisted:
+                np.subtract(other, new_col, out=new_other)
+            else:
+                np.add(other, col, out=new_other)
+            fresh: list[int] = []
+            for i, key in enumerate(_row_keys(block)):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
                     if len(seen) > cap:
                         return ExceedsCap(cap=cap, explored=len(seen))
-        frontier = new
+            layer.append(block[fresh])
+        frontier = np.concatenate(layer)
     return FiniteOfOrder(order=len(seen))

@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+#: most levels one ``certify N..M`` may ask for
+RANGE_BUDGET = 100000
+
 
 class UsageError(QuantcertError):
     """Bad command-line input (maps to exit code 2)."""
@@ -55,6 +58,8 @@ def _parse_level_range(text: str) -> tuple[int, int]:
         raise UsageError(f"invalid level range {text!r}; expected N or N..M") from None
     if lo < 1 or hi < lo:
         raise UsageError(f"invalid level range {text!r}; need 1 <= N <= M")
+    if hi - lo + 1 > RANGE_BUDGET:
+        raise UsageError(f"level range {text!r} is over RANGE_BUDGET = {RANGE_BUDGET} levels")
     return lo, hi
 
 

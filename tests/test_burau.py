@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from quantcert import burau
 from quantcert.burau import (
     CyclotomicInt,
     ExceedsCap,
@@ -12,12 +15,37 @@ from quantcert.burau import (
     mat_mul,
     minus_q_order,
 )
+from quantcert.errors import InvariantViolation
 from quantcert.roots import RootOfUnity
+
+#: group orders of the finite images, by the order of -q (Coxeter)
+FINITE_GROUP_ORDERS = {2: 6, 3: 24, 4: 96, 5: 600}
 
 
 def parameter_with_minus_q_order(n: int) -> RootOfUnity:
     """q = -zeta_n, so that -q is a primitive n-th root of unity."""
     return RootOfUnity(2 * n, n + 2)
+
+
+def _scalar_closure(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap:
+    """Element-at-a-time closure over tuples of CyclotomicInt: the oracle."""
+    image = burau_matrices(q)
+    gens = (image.sigma1, image.sigma2, image.sigma1_inv, image.sigma2_inv)
+    ident = mat_identity(q.order)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(m, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+                    if len(seen) > cap:
+                        return ExceedsCap(cap=cap, explored=len(seen))
+        frontier = new
+    return FiniteOfOrder(order=len(seen))
 
 
 class TestCyclotomic:
@@ -86,11 +114,6 @@ class TestBurauMatrices:
         assert mat_mul(image.sigma1, image.sigma1_inv) == ident
         assert mat_mul(image.sigma2, image.sigma2_inv) == ident
 
-    def test_degenerate_flag(self):
-        assert burau_matrices(RootOfUnity(2, 1)).degenerate  # q = -1, -q = 1
-        assert not burau_matrices(RootOfUnity(1, 0)).degenerate  # q = 1, -q = -1
-        assert not burau_matrices(RootOfUnity(5, 1)).degenerate
-
 
 class TestMinusQOrder:
     def test_construction_helper(self):
@@ -139,6 +162,39 @@ class TestClosureOracle:
         assert isinstance(burau_closure_oracle(q, 5000), ExceedsCap)
         assert not burau_is_finite(1)
 
+    def test_cap_20000_probe_at_zeta_14(self):
+        assert burau_closure_oracle(RootOfUnity(14, 1), 20000) == ExceedsCap(20000, 20001)
+
+    def test_guard_raises_instead_of_wrapping(self, monkeypatch):
+        # at q = -1 the entries grow along Fibonacci-like words, so a low
+        # bound is passed after a few layers rather than at the identity
+        monkeypatch.setattr(burau, "INT32_BOUND", 16)
+        with pytest.raises(InvariantViolation, match="int32"):
+            burau_closure_oracle(RootOfUnity(2, 1), 10**6)
+
     def test_cap_validated(self):
         with pytest.raises(ValueError):
             burau_closure_oracle(RootOfUnity(5, 1), 0)
+
+
+class TestClosureAgainstScalarOracle:
+    """The layer closure equals the element-at-a-time closure exactly."""
+
+    #: every cyclotomic order n with phi(n) <= 8 (the largest is 30)
+    ORDERS = [n for n in range(1, 31) if sum(math.gcd(k, n) == 1 for k in range(n)) <= 8]
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_every_exponent(self, n):
+        for e in range(n):  # e = 0 is q = 1; (2, 1) is q = -1
+            q = RootOfUnity(n, e)
+            caps = [1, 700]
+            order = FINITE_GROUP_ORDERS.get(minus_q_order(q))
+            if order is not None:
+                caps += [order, order - 1]
+            for cap in caps:
+                expected = _scalar_closure(q, cap)
+                assert burau_closure_oracle(q, cap) == expected, (n, e, cap)
+                if order is not None and cap >= order:
+                    assert expected == FiniteOfOrder(order)
+                else:
+                    assert expected == ExceedsCap(cap, cap + 1)

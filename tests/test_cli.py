@@ -218,6 +218,8 @@ class TestContract:
             (("blocks", "vertices=1000000000", "--level", "7"), "VERTEX_BUDGET = 100"),
             (("blocks", "tadpole", "--tail", "0", "--level", "801"), "LEVEL_BUDGET = 800"),
             (("blocks", "vertices=100", "--level", "7"), "and 95 more"),
+            (("certify", "1..100001"), "RANGE_BUDGET = 100000"),
+            (("certify", "1..1000000000"), "RANGE_BUDGET = 100000"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):
@@ -232,3 +234,11 @@ class TestContract:
         assert message in err
         assert "Traceback" not in err
         assert elapsed < 0.5
+
+    def test_range_budget_edge_at_the_parser(self):
+        from quantcert import cli
+
+        assert cli._parse_level_range(f"1..{cli.RANGE_BUDGET}") == (1, cli.RANGE_BUDGET)
+        assert cli._parse_level_range("5..100004") == (5, 100004)
+        with pytest.raises(cli.UsageError, match="RANGE_BUDGET"):
+            cli._parse_level_range("5..100005")
