@@ -7,8 +7,9 @@ Submodules:
              trivalent graphs
   hermitian  diagonal signs and signature of the invariant Hermitian form
              on the 5-dimensional block
-  burau      exact cyclotomic braid-generator matrices and the finite-
-             closure probe
+  burau      braid-generator matrices on exact cyclotomic coefficient
+             arrays (their one representation, with the generator
+             contract checked on them) and the finite-closure probe
   certify    per-level infiniteness certificates (odd and even routes)
   veech      configuration graphs, Perron data, multitwist matrices and
              flat surfaces

@@ -8,8 +8,9 @@ space; at parameter q (a root of unity) we take
 Both have characteristic polynomial (x - 1)(x + q) and they satisfy the
 braid relation; any other matrix model with those two properties generates
 the same group up to conjugacy.  Matrix entries live in Z[zeta_N] with
-N = order(q), represented by integer coefficient vectors reduced modulo the
-N-th cyclotomic polynomial, so equality of matrices is exact and hashable.
+N = order(q).  Their one representation is an integer coefficient row of
+length phi(N), reduced modulo the N-th cyclotomic polynomial, so equality
+of matrices is exact and hashable.
 
 The closure probe runs a breadth-first multiplication closure of the two
 generators and their inverses; it either exhausts the group (finite image)
@@ -21,10 +22,12 @@ generate SL_2(Z), which is infinite.
 The closure works a whole BFS layer at a time on int32 coefficient arrays.
 Every generator entry is 0, 1, +-q or +-q^-1, so a product with a generator
 is one integer matmul by the fixed "times q" or "times q^-1" matrix on one
-column plus an add on the other.  Elements are deduplicated by their exact
-bytes, and a guard checked on Python ints before each layer raises
-InvariantViolation where the next layer could overflow int32; no float
-arithmetic is involved.
+column plus an add on the other.  The generators' contract (eigenvalues
+{1, -q}, inverses, braid relation) is checked exactly on every call,
+through the same step function the layers use.  Elements are deduplicated
+by their exact bytes, and a guard checked on Python ints before each layer
+raises InvariantViolation where the next layer could overflow int32; no
+float arithmetic is involved.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ INT32_BOUND = 2**31
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and the ring Z[zeta_N]
+# cyclotomic polynomials and coefficient rows of Z[zeta_N]
 
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials (den monic up to sign)."""
@@ -81,17 +84,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row j holds the coefficients of x^(deg+j) reduced mod Phi_n.
 
-    Enough rows are provided to reduce any product of two reduced elements
-    and any monomial x^e with e < n.
+    Rows run up to x^(n-1), enough to reduce any monomial x^e with e < n.
     """
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    top = max(2 * deg - 2, n - 1)
     rows: list[tuple[int, ...]] = []
     # x^deg = -(phi[0] + phi[1] x + ...)/phi[deg]; Phi_n is monic
     current = [-c for c in phi[:deg]]
     rows.append(tuple(current))
-    for _ in range(deg + 1, top + 1):
+    for _ in range(deg + 1, n):
         shifted = [0] + current[:-1]
         overflow = current[-1]
         if overflow:
@@ -99,151 +100,6 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
         current = shifted
         rows.append(tuple(current))
     return tuple(rows)
-
-
-def _reduce(coeffs: list[int], n: int, deg: int) -> tuple[int, ...]:
-    rows = None
-    for j in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[j]
-        if c:
-            if rows is None:
-                rows = _reduction_rows(n)
-            row = rows[j - deg]
-            for i, r in enumerate(row):
-                coeffs[i] += c * r
-            coeffs[j] = 0
-    out = coeffs[:deg]
-    out += [0] * (deg - len(out))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CyclotomicInt:
-    """An element of Z[zeta_order], reduced modulo the cyclotomic polynomial."""
-
-    order: int
-    coeffs: tuple[int, ...]
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        return CyclotomicInt(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        return CyclotomicInt(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        a, b = self.coeffs, other.coeffs
-        deg = len(a)
-        conv = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CyclotomicInt(self.order, _reduce(conv, self.order, deg))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicInt":
-        deg = len(cyclotomic_polynomial(order)) - 1
-        return cls(order, (0,) * deg)
-
-    @classmethod
-    def integer(cls, order: int, value: int) -> "CyclotomicInt":
-        deg = len(cyclotomic_polynomial(order)) - 1
-        return cls(order, (value,) + (0,) * (deg - 1))
-
-    @classmethod
-    def root(cls, order: int, exponent: int) -> "CyclotomicInt":
-        """The monomial zeta_order^exponent, reduced."""
-        deg = len(cyclotomic_polynomial(order)) - 1
-        e = exponent % order
-        coeffs = [0] * (e + 1)
-        coeffs[e] = 1
-        return cls(order, _reduce(coeffs, order, deg))
-
-    @classmethod
-    def from_root_of_unity(cls, z: RootOfUnity) -> "CyclotomicInt":
-        return cls.root(z.order, z.exponent)
-
-
-Mat2 = tuple[CyclotomicInt, CyclotomicInt, CyclotomicInt, CyclotomicInt]
-
-
-def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
-
-
-def mat_identity(order: int) -> Mat2:
-    one = CyclotomicInt.integer(order, 1)
-    zero = CyclotomicInt.zero(order)
-    return (one, zero, zero, one)
-
-
-# ---------------------------------------------------------------------------
-# the generator images
-
-@dataclass(frozen=True)
-class BurauImage:
-    """Images of the two braid generators at parameter q, with inverses."""
-
-    parameter: RootOfUnity
-    sigma1: Mat2
-    sigma2: Mat2
-    sigma1_inv: Mat2
-    sigma2_inv: Mat2
-
-
-def burau_matrices(q: RootOfUnity) -> BurauImage:
-    """Build the generator images at parameter q and verify their contract.
-
-    Each generator must have trace 1 - q and determinant -q (equivalently
-    eigenvalues 1 and -q), and the braid relation must hold exactly.
-    """
-    n = q.order
-    one = CyclotomicInt.integer(n, 1)
-    zero = CyclotomicInt.zero(n)
-    qc = CyclotomicInt.from_root_of_unity(q)
-    qinv = CyclotomicInt.root(n, -q.exponent)
-
-    sigma1: Mat2 = (-qc, one, zero, one)
-    sigma2: Mat2 = (one, zero, qc, -qc)
-    sigma1_inv: Mat2 = (-qinv, qinv, zero, one)
-    sigma2_inv: Mat2 = (one, zero, one, -qinv)
-
-    ident = mat_identity(n)
-    for m, m_inv in ((sigma1, sigma1_inv), (sigma2, sigma2_inv)):
-        trace = m[0] + m[3]
-        det = m[0] * m[3] - m[1] * m[2]
-        if not (trace - (one - qc)).is_zero() or not (det + qc).is_zero():
-            raise InvariantViolation("generator eigenvalues are not {1, -q}")
-        if mat_mul(m, m_inv) != ident:
-            raise InvariantViolation("generator inverse is wrong")
-    lhs = mat_mul(mat_mul(sigma1, sigma2), sigma1)
-    rhs = mat_mul(mat_mul(sigma2, sigma1), sigma2)
-    if lhs != rhs:
-        raise InvariantViolation("braid relation fails")
-
-    return BurauImage(
-        parameter=q,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        sigma1_inv=sigma1_inv,
-        sigma2_inv=sigma2_inv,
-    )
 
 
 def minus_q_order(q: RootOfUnity) -> int:
@@ -301,6 +157,51 @@ def _row_keys(block: np.ndarray) -> list[bytes]:
 _GENERATORS = ((0, 0, False), (1, 0, True), (0, 1, True), (1, 1, False))
 
 
+def _step(block: np.ndarray, g: int, times, out: np.ndarray | None = None) -> np.ndarray:
+    """Right-multiply every element of a (F, 4, deg) block by generator ``g``.
+
+    ``g`` indexes _GENERATORS and ``times`` holds the "times q" and "times
+    q^-1" matrices.  The products are written to ``out`` (a new array by
+    default), which is returned.
+    """
+    source, inverse, twisted = _GENERATORS[g]
+    if out is None:
+        out = np.empty_like(block)
+    col, new_col = block[:, source::2], out[:, source::2]
+    other, new_other = block[:, 1 - source::2], out[:, 1 - source::2]
+    np.matmul(col, times[inverse], out=new_col)
+    np.negative(new_col, out=new_col)
+    if twisted:
+        np.subtract(other, new_col, out=new_other)
+    else:
+        np.add(other, col, out=new_other)
+    return out
+
+
+def _check_generators(ident: np.ndarray, times) -> None:
+    """The contract of _GENERATORS, checked exactly through ``_step``.
+
+    Each generator has trace 1 - q and satisfies sigma^2 = (1 - q) sigma + q,
+    so by Cayley-Hamilton its determinant is -q and its eigenvalues are
+    {1, -q}; each inverse rule inverts its generator; and the braid relation
+    sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 holds.  ``ident`` is the
+    identity as a (1, 4, deg) block.
+    """
+    s1, s2 = (_step(ident, g, times) for g in (0, 1))
+    q_ident = ident @ times[0]
+    for g, m in enumerate((s1, s2)):
+        if not (
+            np.array_equal(m[:, 0] + m[:, 3], ident[:, 0] - q_ident[:, 0])
+            and np.array_equal(_step(m, g, times), m - m @ times[0] + q_ident)
+        ):
+            raise InvariantViolation("generator eigenvalues are not {1, -q}")
+        if not np.array_equal(_step(m, g + 2, times), ident):
+            raise InvariantViolation("generator inverse is wrong")
+    s121 = _step(_step(s1, 1, times), 0, times)
+    if not np.array_equal(s121, _step(_step(s2, 0, times), 1, times)):
+        raise InvariantViolation("braid relation fails")
+
+
 def burau_closure_oracle(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap:
     """Breadth-first closure of the generator matrices and their inverses.
 
@@ -312,17 +213,18 @@ def burau_closure_oracle(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap
 
     A layer of F matrices [[a, b], [c, d]] is an int32 array of shape
     (F, 4, deg) holding the coefficient rows of a, b, c, d.  Raises
-    InvariantViolation where the next layer could reach ``INT32_BOUND``.
+    InvariantViolation when the generators break their contract, and where
+    the next layer could reach ``INT32_BOUND``.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    burau_matrices(q)  # the contract of the generators _GENERATORS encodes
     n = q.order
     deg = len(cyclotomic_polynomial(n)) - 1
     times = (_times_root(n, q.exponent), _times_root(n, -q.exponent))
     growth = 1 + max(int(np.abs(z).sum(axis=0).max()) for z in times)
     frontier = np.zeros((1, 4, deg), dtype=np.int32)
     frontier[0, 0, 0] = frontier[0, 3, 0] = 1
+    _check_generators(frontier, times)
     seen: set[bytes] = set(_row_keys(frontier))
     while len(frontier):
         largest = max(int(frontier.max()), -int(frontier.min()))
@@ -332,15 +234,8 @@ def burau_closure_oracle(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap
             )
         block = np.empty_like(frontier)
         layer: list[np.ndarray] = []
-        for source, inverse, twisted in _GENERATORS:
-            col, new_col = frontier[:, source::2], block[:, source::2]
-            other, new_other = frontier[:, 1 - source::2], block[:, 1 - source::2]
-            np.matmul(col, times[inverse], out=new_col)
-            np.negative(new_col, out=new_col)
-            if twisted:
-                np.subtract(other, new_col, out=new_other)
-            else:
-                np.add(other, col, out=new_other)
+        for g in range(len(_GENERATORS)):
+            _step(frontier, g, times, out=block)
             fresh: list[int] = []
             for i, key in enumerate(_row_keys(block)):
                 if key not in seen:

@@ -26,6 +26,10 @@ SEPARATING = "separating"
 
 _FORBIDDEN_SIDES = {(0, 0), (0, 1)}
 
+#: Most (genus, puncture set) side pairs one orbit count may scan:
+#: (g + 1) * 2^n with labeled punctures, (g + 1) * (n + 1) without.
+PAIR_BUDGET = 10**5
+
 
 @dataclass(frozen=True)
 class Side:
@@ -61,8 +65,19 @@ def _side_ok(genus: int, count: int) -> bool:
     return (genus, count) not in _FORBIDDEN_SIDES
 
 
+def _check_budget(g: int, n: int, labeled: bool) -> None:
+    # past 2^64 any budget is broken, so the labeled count stays a small int
+    pairs = (g + 1) * (2 ** min(n, 64) if labeled else n + 1)
+    if pairs > PAIR_BUDGET:
+        kind = "labeled" if labeled else "unlabeled"
+        raise ValueError(
+            f"{kind} (g, n) = ({g}, {n}) has more side pairs than PAIR_BUDGET = {PAIR_BUDGET}"
+        )
+
+
 def _separating_types(g: int, n: int, labeled: bool) -> list[tuple[Side, Side]]:
     """Each unordered pair of complementary sides once, as (a, b) in sort-key order."""
+    _check_budget(g, n, labeled)
     types: list[tuple[Side, Side]] = []
     everyone = frozenset(range(n))
     for g1 in range(g + 1):

@@ -1,18 +1,20 @@
+import cmath
 import math
+import random
+import re
 
+import numpy as np
 import pytest
 
 from quantcert import burau
 from quantcert.burau import (
-    CyclotomicInt,
     ExceedsCap,
     FiniteOfOrder,
+    _step,
+    _times_root,
     burau_closure_oracle,
     burau_is_finite,
-    burau_matrices,
     cyclotomic_polynomial,
-    mat_identity,
-    mat_mul,
     minus_q_order,
 )
 from quantcert.errors import InvariantViolation
@@ -21,24 +23,76 @@ from quantcert.roots import RootOfUnity
 #: group orders of the finite images, by the order of -q (Coxeter)
 FINITE_GROUP_ORDERS = {2: 6, 3: 24, 4: 96, 5: 600}
 
+EIGENVALUES = "generator eigenvalues are not {1, -q}"
+INVERSE = "generator inverse is wrong"
+BRAID = "braid relation fails"
+
 
 def parameter_with_minus_q_order(n: int) -> RootOfUnity:
     """q = -zeta_n, so that -q is a primitive n-th root of unity."""
     return RootOfUnity(2 * n, n + 2)
 
 
+# ---------------------------------------------------------------------------
+# the scalar oracle: Z[zeta_n] as tuples of ints, reduced by long division
+# against cyclotomic_polynomial(n), which TestCyclotomic pins to literals
+
+def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
+    """``coeffs`` (low to high) modulo the monic Phi_n, by long division."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    coeffs = list(coeffs) + [0] * (deg - len(coeffs))
+    for j in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[j]
+        if c:
+            for i, p in enumerate(phi):
+                coeffs[j - deg + i] -= c * p
+    return tuple(coeffs[:deg])
+
+
+def _root(n: int, e: int) -> tuple[int, ...]:
+    return _reduce([0] * (e % n) + [1], n)
+
+
+def _mul(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return _reduce(conv, n)
+
+
+def _mat_mul(m, g, n):
+    def dot(x, y, z, w):
+        return tuple(s + t for s, t in zip(_mul(x, y, n), _mul(z, w, n)))
+
+    a, b, c, d = m
+    e, f, h, k = g
+    return (dot(a, e, b, h), dot(a, f, b, k), dot(c, e, d, h), dot(c, f, d, k))
+
+
+def _generators(q: RootOfUnity):
+    """sigma1, sigma2, sigma1^-1, sigma2^-1 as in the burau module docstring."""
+    n = q.order
+    one, zero = _reduce([1], n), _reduce([], n)
+    qq, qi = _root(n, q.exponent), _root(n, -q.exponent)
+    mq, mqi = tuple(-c for c in qq), tuple(-c for c in qi)
+    return (mq, one, zero, one), (one, zero, qq, mq), (mqi, qi, zero, one), (one, zero, one, mqi)
+
+
 def _scalar_closure(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap:
-    """Element-at-a-time closure over tuples of CyclotomicInt: the oracle."""
-    image = burau_matrices(q)
-    gens = (image.sigma1, image.sigma2, image.sigma1_inv, image.sigma2_inv)
-    ident = mat_identity(q.order)
+    """Element-at-a-time closure over 4-tuples of coefficient tuples: the oracle."""
+    gens = _generators(q)
+    one, zero = _reduce([1], q.order), _reduce([], q.order)
+    ident = (one, zero, zero, one)
     seen = {ident}
     frontier = [ident]
     while frontier:
         new = []
         for m in frontier:
             for g in gens:
-                prod = mat_mul(m, g)
+                prod = _mat_mul(m, g, q.order)
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
@@ -46,6 +100,20 @@ def _scalar_closure(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap:
                         return ExceedsCap(cap=cap, explored=len(seen))
         frontier = new
     return FiniteOfOrder(order=len(seen))
+
+
+def _identity_block(n: int) -> np.ndarray:
+    ident = np.zeros((1, 4, len(cyclotomic_polynomial(n)) - 1), dtype=np.int32)
+    ident[0, 0, 0] = ident[0, 3, 0] = 1
+    return ident
+
+
+def _times(q: RootOfUnity):
+    return _times_root(q.order, q.exponent), _times_root(q.order, -q.exponent)
+
+
+def _embed(coeffs, n: int) -> complex:
+    return sum(int(c) * cmath.exp(2j * cmath.pi * e / n) for e, c in enumerate(coeffs))
 
 
 class TestCyclotomic:
@@ -58,61 +126,118 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
     def test_root_has_right_order(self):
+        # Z = "times zeta": Z^m != I for 0 < m < n, Z^n = I
         for n in (5, 7, 10, 12, 14):
-            z = CyclotomicInt.root(n, 1)
-            power = CyclotomicInt.integer(n, 1)
+            z = _times_root(n, 1).astype(np.int64)
+            ident = np.eye(len(z), dtype=np.int64)
+            power = ident
             for m in range(1, n):
-                power = power * z
-                assert not (power - CyclotomicInt.integer(n, 1)).is_zero(), (n, m)
-            power = power * z
-            assert (power - CyclotomicInt.integer(n, 1)).is_zero()
+                power = power @ z
+                assert not np.array_equal(power, ident), (n, m)
+            assert np.array_equal(power @ z, ident), n
 
     def test_ring_arithmetic(self):
-        z = CyclotomicInt.root(5, 1)
-        total = z
-        for e in (2, 3, 4):
-            total = total + CyclotomicInt.root(5, e)
-        # 1 + z + z^2 + z^3 + z^4 = 0
-        assert (total + CyclotomicInt.integer(5, 1)).is_zero()
+        # 1 + z + z^2 + z^3 + z^4 = 0, summing the rows of 1 times Z^k
+        z = _times_root(5, 1).astype(np.int64)
+        one = np.array([1, 0, 0, 0])
+        assert not sum(one @ np.linalg.matrix_power(z, k) for k in range(5)).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12, 30])
+    def test_times_inverse_root_is_identity(self, n):
+        for e in range(-n, 2 * n):
+            prod = _times_root(n, e) @ _times_root(n, -e)
+            assert np.array_equal(prod, np.eye(len(prod), dtype=prod.dtype)), (n, e)
 
     @pytest.mark.parametrize("n", [5, 7, 12, 14, 22])
     def test_complex_embedding_homomorphism(self, n):
-        """Exact products agree with the complex embedding zeta -> e^(2 pi i/n)."""
-        import cmath
-        import random
+        """Exact products agree with the complex embedding zeta -> e^(2 pi i/n).
 
-        def embed(x):
-            return sum(
-                c * cmath.exp(2j * cmath.pi * e / n) for e, c in enumerate(x.coeffs)
-            )
-
+        Checked for "times zeta^e" on coefficient rows, and for the scalar
+        oracle's products.
+        """
         rng = random.Random(n)
         deg = len(cyclotomic_polynomial(n)) - 1
         for _ in range(40):
-            a = CyclotomicInt(n, tuple(rng.randint(-3, 3) for _ in range(deg)))
-            b = CyclotomicInt(n, tuple(rng.randint(-3, 3) for _ in range(deg)))
-            assert abs(embed(a * b) - embed(a) * embed(b)) < 1e-8
-            assert abs(embed(a + b) - (embed(a) + embed(b))) < 1e-12
+            a = tuple(rng.randint(-3, 3) for _ in range(deg))
+            b = tuple(rng.randint(-3, 3) for _ in range(deg))
+            e = rng.randrange(-n, 2 * n)
+            shifted = np.array(a) @ _times_root(n, e)
+            root = cmath.exp(2j * cmath.pi * e / n)
+            assert abs(_embed(shifted, n) - _embed(a, n) * root) < 1e-8
+            assert abs(_embed(_mul(a, b, n), n) - _embed(a, n) * _embed(b, n)) < 1e-8
 
 
 class TestBurauMatrices:
+    """The generator rules that the closure runs, and their contract check."""
+
+    @pytest.mark.parametrize(
+        "q", [RootOfUnity(1, 0), RootOfUnity(2, 1), RootOfUnity(7, 3), RootOfUnity(48, 5)]
+    )
+    def test_rules_step_identity_to_docstring_matrices(self, q):
+        ident, times = _identity_block(q.order), _times(q)
+        for g, expected in enumerate(_generators(q)):
+            assert _step(ident, g, times)[0].tolist() == [list(row) for row in expected], g
+
     @pytest.mark.parametrize("q", [RootOfUnity(5, 1), RootOfUnity(7, 3), RootOfUnity(10, 7)])
     def test_braid_relation(self, q):
-        image = burau_matrices(q)
-        lhs = mat_mul(mat_mul(image.sigma1, image.sigma2), image.sigma1)
-        rhs = mat_mul(mat_mul(image.sigma2, image.sigma1), image.sigma2)
-        assert lhs == rhs
+        times = _times(q)
+
+        def word(*gens):
+            out = _identity_block(q.order)
+            for g in gens:
+                out = _step(out, g, times)
+            return out
+
+        assert np.array_equal(word(0, 1, 0), word(1, 0, 1))
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            # sigma1 multiplies by q^-1: trace 1 - q^-1
+            (((0, 1, False), (1, 0, True), (0, 1, True), (1, 1, False)), EIGENVALUES),
+            # sigma2^-1 twisted: [[1, 0], [q^-1, -q^-1]]
+            (((0, 0, False), (1, 0, True), (0, 1, True), (1, 1, True)), INVERSE),
+            # one flipped field always breaks an eigenvalue or inverse check
+            # first, so sigma1 and its inverse change together, to the
+            # conjugate [[-q, q], [0, 1]] and its true inverse
+            (((0, 0, True), (1, 0, True), (0, 1, False), (1, 1, False)), BRAID),
+        ],
+        ids=["eigenvalues", "inverse", "braid"],
+    )
+    def test_corrupted_rule_raises_its_own_message(self, monkeypatch, rules, message):
+        q = RootOfUnity(7, 3)
+        assert burau_closure_oracle(q, 1) == ExceedsCap(1, 2)
+        monkeypatch.setattr(burau, "_GENERATORS", rules)
+        # cap 1 stops at the first product, so the check runs before any layer
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            burau_closure_oracle(q, 1)
+
+    @pytest.mark.parametrize("rule", range(4))
+    @pytest.mark.parametrize("field", range(3))
+    def test_every_single_field_corruption_raises(self, monkeypatch, rule, field):
+        rules = [list(r) for r in burau._GENERATORS]
+        rules[rule][field] = not rules[rule][field] if field == 2 else 1 - rules[rule][field]
+        monkeypatch.setattr(burau, "_GENERATORS", tuple(map(tuple, rules)))
+        with pytest.raises(InvariantViolation, match="^(generator|braid)"):
+            burau_closure_oracle(RootOfUnity(7, 3), 10**6)
 
     def test_eigenvalue_contract_checked_on_build(self):
-        # trace 1 - q and determinant -q, i.e. eigenvalues {1, -q};
-        # burau_matrices raises if this fails, so construction is the test
-        burau_matrices(RootOfUnity(7, 3))
+        # trace 1 - q and sigma^2 = (1 - q) sigma + q, on the stepped rows
+        q = RootOfUnity(7, 3)
+        ident, times = _identity_block(7), _times(q)
+        one_minus_q = tuple(a - b for a, b in zip(_reduce([1], 7), _root(7, 3)))
+        q_ident = ident @ times[0]
+        for g in (0, 1):
+            m = _step(ident, g, times)
+            assert tuple(m[0, 0] + m[0, 3]) == one_minus_q
+            assert np.array_equal(_step(m, g, times), m - m @ times[0] + q_ident)
 
     def test_inverses(self):
-        image = burau_matrices(RootOfUnity(9, 2))
-        ident = mat_identity(9)
-        assert mat_mul(image.sigma1, image.sigma1_inv) == ident
-        assert mat_mul(image.sigma2, image.sigma2_inv) == ident
+        q = RootOfUnity(9, 2)
+        ident, times = _identity_block(9), _times(q)
+        for g in (0, 1):
+            assert np.array_equal(_step(_step(ident, g, times), g + 2, times), ident)
+            assert np.array_equal(_step(_step(ident, g + 2, times), g, times), ident)
 
 
 class TestMinusQOrder:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
 
@@ -220,6 +224,9 @@ class TestContract:
             (("blocks", "vertices=100", "--level", "7"), "and 95 more"),
             (("certify", "1..100001"), "RANGE_BUDGET = 100000"),
             (("certify", "1..1000000000"), "RANGE_BUDGET = 100000"),
+            (("orbits", "1", "16", "--labeled"), "PAIR_BUDGET = 100000"),
+            (("orbits", "1", "18", "--labeled"), "PAIR_BUDGET = 100000"),
+            (("orbits", "2000", "2000"), "PAIR_BUDGET = 100000"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):
@@ -242,3 +249,18 @@ class TestContract:
         assert cli._parse_level_range("5..100004") == (5, 100004)
         with pytest.raises(cli.UsageError, match="RANGE_BUDGET"):
             cli._parse_level_range("5..100005")
+
+
+class TestContractProperty:
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(g=st.integers(-2, 30), n=st.integers(-2, 30), labeled=st.booleans())
+    def test_orbits_exits_0_or_2_with_consistent_json(self, g, n, labeled):
+        argv = ["--format", "json", "orbits", str(g), str(n)] + (["--labeled"] if labeled else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE)
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_OK:
+            result = json.loads(out.getvalue())["results"]
+            assert result["count"] == len(result["orbits"])

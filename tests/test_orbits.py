@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from quantcert.errors import NonHyperbolic
+from quantcert import orbits
 from quantcert.orbits import (
     NONSEPARATING,
+    PAIR_BUDGET,
     SEPARATING,
     count_orbits,
     curve_type_to_json,
@@ -81,6 +83,16 @@ class TestCountOrbits:
         for g, n in ((0, 0), (0, 2), (1, 0)):
             with pytest.raises(NonHyperbolic):
                 count_orbits(g, n)
+
+    def test_pair_budget_edge(self):
+        # (g + 1)(n + 1) unlabeled, (g + 1) 2^n labeled side pairs
+        orbits._check_budget(99, 999, labeled=False)
+        orbits._check_budget(0, 16, labeled=True)
+        for g, n, labeled in ((99, 1000, False), (1, 16, True), (0, 10**30, True)):
+            with pytest.raises(ValueError, match=f"PAIR_BUDGET = {PAIR_BUDGET}"):
+                orbits._check_budget(g, n, labeled)
+        with pytest.raises(ValueError, match="PAIR_BUDGET"):
+            count_orbits(1, 17, labeled=True)
 
     def test_thrice_punctured_sphere_has_no_essential_curves(self):
         assert count_orbits(0, 3) == 0
