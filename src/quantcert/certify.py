@@ -8,7 +8,8 @@ color 2k - 6 carries an indefinite invariant Hermitian form; infiniteness
 follows once every potential invariant subspace is excluded (even route).
 
 Invariant subspaces of dimension 1 or 2 (complements reduce to these) are
-indexed by sub-multisets of the twist-eigenvalue multiset
+indexed by sub-multisets of the twist-eigenvalue ratios
+lambda_i = mu_(k-3+i) / mu_(k-1), mu_a = (-1)^a A^(a(a+2)) as in ``roots``:
 
     (lambda_0, ..., lambda_4) = (-z^4, z, 1, -z, -z^4),   z = A^(2k+1),
 
@@ -24,13 +25,14 @@ assertion is available.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 from . import blocks, hermitian
 from .burau import burau_is_finite, minus_q_order
 from .errors import InvariantViolation
-from .roots import RootOfUnity, is_one
+from .roots import RootOfUnity, twist_eigenvalue
 
 ROUTE_ODD = "odd_burau"
 ROUTE_EVEN = "even_coxeter"
@@ -58,30 +60,23 @@ def odd_part(p: int) -> int:
 
 
 def eigenvalue_tuple(p: int, ell: int) -> tuple[RootOfUnity, ...]:
-    """The five rescaled twist eigenvalues on the 5-dimensional block.
+    """Twist eigenvalues of loop colors k-3..k+1 over that of color k-1.
 
-    All live in the roots of unity of order 2p; z = A^(2k+1) with
-    A = zeta_2p^ell, and the list is (-z^4, z, 1, -z, -z^4) in basis order.
+    Needs p = 4k, k >= 4, a primitive ell.  The ratios are (-z^4, z, 1, -z,
+    -z^4) in order 2p, with z = A^(2k+1) and A = zeta_2p^ell.
     """
-    if p % 4:
-        raise ValueError(f"level must be divisible by 4, got {p}")
-    k = p // 4
-    n = 2 * p
-    e = (ell * (2 * k + 1)) % n
-    minus = n // 2  # -1 = zeta_2p^p
-    return (
-        RootOfUnity(n, 4 * e + minus),
-        RootOfUnity(n, e),
-        RootOfUnity(n, 0),
-        RootOfUnity(n, e + minus),
-        RootOfUnity(n, 4 * e + minus),
-    )
+    k = hermitian._check_level(p, ell)
+    mus = [twist_eigenvalue(a, p, ell).value for a in range(k - 3, k + 2)]
+    base = mus[2].inverse()
+    return tuple(mu * base for mu in mus)
 
 
-def rescaling_root(p: int, ell: int) -> RootOfUnity:
-    """z = A^(2k+1); a primitive 2p-th root whenever gcd(ell, 2p) = 1."""
-    k = p // 4
-    return RootOfUnity(2 * p, ell * (2 * k + 1))
+def _scalar_obstruction(product: RootOfUnity, subset: tuple[RootOfUnity, ...]) -> str:
+    if len(subset) not in (1, 2):
+        raise ValueError("subspace case must have size 1 or 2")
+    lhs = product ** (6 * len(subset))
+    rhs = math.prod(subset[1:], start=subset[0]) ** 30
+    return SURVIVES if lhs == rhs else SCALAR_OBSTRUCTED
 
 
 def scalar_obstruction(
@@ -93,18 +88,8 @@ def scalar_obstruction(
     Returns SCALAR_OBSTRUCTED when the identity fails (the subspace cannot
     exist) and SURVIVES when it holds identically.
     """
-    if len(subset) not in (1, 2):
-        raise ValueError("subspace case must have size 1 or 2")
     lams = eigenvalue_tuple(p, ell)
-    product = lams[0]
-    for lam in lams[1:]:
-        product = product * lam
-    lhs = product ** (6 * len(subset))
-    rhs_base = subset[0]
-    for lam in subset[1:]:
-        rhs_base = rhs_base * lam
-    rhs = rhs_base ** 30
-    return SURVIVES if is_one(lhs * rhs.inverse()) else SCALAR_OBSTRUCTED
+    return _scalar_obstruction(math.prod(lams[1:], start=lams[0]), subset)
 
 
 @dataclass(frozen=True)
@@ -179,11 +164,8 @@ def odd_certificate(p: int) -> InfinitenessCertificate:
         raise InvariantViolation(
             f"expected a 2-dimensional block at (level {q}, tail {q - 5}), got {basis}"
         )
-    # parameter: -A^(-2) when q = 1 mod 4, -A^2 when q = 3 mod 4, A = zeta_2q;
-    # either way -parameter = A^(-+2) is a primitive q-th root.
-    two_q = 2 * q
-    exp = (q - 2) if q % 4 == 1 else (q + 2)
-    parameter = RootOfUnity(two_q, exp)
+    mu_a, mu_b = (twist_eigenvalue(a, q).value for a in basis)
+    parameter = RootOfUnity.minus_one(2 * q) * mu_b * mu_a.inverse()
     order = minus_q_order(parameter)
     if order != q:
         raise InvariantViolation(f"-parameter has order {order}, expected {q}")
@@ -260,15 +242,15 @@ def even_certificate(p: int) -> InfinitenessCertificate:
     ell = hermitian.find_indefinite_ell(p)
     boundary = 2 * k - 6
     basis = blocks.tadpole_basis(boundary, p)
-    if len(basis) != hermitian.BASIS_SIZE or basis != tuple(range(k - 3, k + 2)):
+    if basis != tuple(range(k - 3, k + 2)):
         raise InvariantViolation(
             f"expected loop colors {tuple(range(k - 3, k + 2))} at (level {p}, "
             f"tail {boundary}), got {basis}"
         )
     profile = hermitian.gram_profile(p, ell)
     lams = eigenvalue_tuple(p, ell)
-    zeta = rescaling_root(p, ell)
-    if zeta.multiplicative_order() != 2 * p:
+    product = math.prod(lams[1:], start=lams[0])
+    if lams[1].multiplicative_order() != 2 * p:
         raise InvariantViolation(f"z = A^(2k+1) is not primitive at level {p}")
 
     licensed, license_note = _irreducibility_asserted(p)
@@ -282,7 +264,7 @@ def even_certificate(p: int) -> InfinitenessCertificate:
 
     for subset in _distinct_submultisets(lams):
         label = "{" + ", ".join(str(lam) for lam in subset) + "}"
-        if scalar_obstruction(p, ell, subset) == SCALAR_OBSTRUCTED:
+        if _scalar_obstruction(product, subset) == SCALAR_OBSTRUCTED:
             cases.append(SubspaceCase(subset, SCALAR_OBSTRUCTED))
             continue
         # Only the span case can survive the scalar test.  Its partner

@@ -9,8 +9,9 @@ u_0, ..., u_4 of colored tadpoles.  The successive norm ratios
     s = 2:      2 sin(3*pi*ell/2k) cos(pi*ell/2k).
 
 Each factor is a sine evaluated at a rational multiple of pi on the grid
-pi/(4k), so its sign is decided exactly by residue position; no floating
-point enters the signature.  On the window 4k/3 < ell < 2k both middle
+pi/(4k), so its sign is decided exactly by the residue rule of ``roots``;
+no floating point enters the signature.  For k >= 4 and a primitive
+selector no factor vanishes.  On the window 4k/3 < ell < 2k both middle
 ratios are negative, the diagonal signs come out (+, +, -, +, +), and the
 form is indefinite with signature (4, 1).
 """
@@ -20,18 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominator, InvariantViolation, NonPrimitiveRoot
+from .errors import InvariantViolation
+from .roots import _check_selector, _sin_sign
 
 RATIO_COUNT = 4
-BASIS_SIZE = 5
-
-
-def _sin_sign_pi(a: int, m: int) -> int:
-    """Sign of sin(pi * a / m), decided from the residue a mod 2m."""
-    r = a % (2 * m)
-    if r == 0 or r == m:
-        return 0
-    return 1 if r < m else -1
 
 
 def _check_level(p: int, ell: int) -> int:
@@ -40,8 +33,7 @@ def _check_level(p: int, ell: int) -> int:
     k = p // 4
     if k < 4:
         raise ValueError(f"the 5-dimensional block needs k = p/4 >= 4, got k = {k}")
-    if math.gcd(ell, 2 * p) != 1:
-        raise NonPrimitiveRoot(f"gcd({ell}, {2 * p}) != 1: selector is not primitive")
+    _check_selector(ell, p)
     return k
 
 
@@ -49,23 +41,17 @@ def gram_ratio_sign(s: int, p: int, ell: int) -> int:
     """Exact sign of <u_{s+1}, u_{s+1}> / <u_s, u_s> at level p = 4k."""
     if s not in range(RATIO_COUNT):
         raise ValueError(f"s must be one of 0..3, got {s}")
-    k = _check_level(p, ell)
-    if _sin_sign_pi(2 * ell, 4 * k) == 0:
-        raise DegenerateDenominator(f"sin(pi*{ell}/{2 * k}) = 0")
+    _check_level(p, ell)
     if s in (0, 3):
         return 1
-    sin3 = _sin_sign_pi(6 * ell, 4 * k)       # sin(3*pi*ell/2k)
-    cos1 = _sin_sign_pi(2 * ell + 2 * k, 4 * k)  # cos(pi*ell/2k)
-    if sin3 == 0 or cos1 == 0:
-        raise DegenerateDenominator(
-            f"a ratio factor vanishes at (s={s}, p={p}, ell={ell})"
-        )
+    # Each factor is sin(pi*a/4k) = sin(2*pi*a/2p).  ell is odd and prime to
+    # k >= 4, so none vanishes: that would need 2k | 3*ell, 4k | ell or
+    # ell = k mod 2k.
+    sin3 = _sin_sign(6 * ell, 2 * p)           # sin(3*pi*ell/2k)
+    cos1 = _sin_sign(2 * ell + p // 2, 2 * p)  # cos(pi*ell/2k)
     if s == 2:
         return sin3 * cos1
-    half = _sin_sign_pi(ell, 4 * k)           # sin(pi*ell/4k)
-    if half == 0:
-        raise DegenerateDenominator(f"sin(pi*{ell}/{4 * k}) = 0")
-    return sin3 * cos1 * half
+    return sin3 * cos1 * _sin_sign(ell, 2 * p)  # times sin(pi*ell/4k)
 
 
 def gram_ratio_float(s: int, p: int, ell: int) -> float | None:
@@ -133,20 +119,20 @@ def selector_window(p: int) -> tuple[int, ...]:
 
 
 def find_indefinite_ell(p: int) -> int | None:
-    """Smallest odd coprime selector in the window with an indefinite profile.
+    """The first window selector, checked to give an indefinite profile.
 
     Returns None when k = p/4 < 4 (no 5-dimensional block with positive
     boundary color exists there).  For k >= 4 the window is never empty
     (ell = 2k - 1 lies in it), and on it sin(3*pi*ell/2k) > 0,
     cos(pi*ell/2k) < 0 and sin(pi*ell/4k) > 0, so every window selector
-    gives the diagonal signs (+, +, -, +, +); a window without an
+    gives the diagonal signs (+, +, -, +, +); a first selector without an
     indefinite profile raises InvariantViolation.
     """
     if p % 4:
         raise ValueError(f"level must be divisible by 4, got {p}")
     if p // 4 < 4:
         return None
-    for ell in selector_window(p):
-        if gram_profile(p, ell).indefinite:
-            return ell
-    raise InvariantViolation(f"no selector in the window is indefinite at level {p}")
+    ell = selector_window(p)[0]
+    if not gram_profile(p, ell).indefinite:
+        raise InvariantViolation(f"window selector {ell} is not indefinite at level {p}")
+    return ell

@@ -47,12 +47,6 @@ class CurveType:
     kind: str
     sides: tuple[Side, Side] | None = None
 
-    def sort_key(self):
-        if self.kind == NONSEPARATING:
-            return (0,)
-        lo, hi = self.sides
-        return (1, min(lo.genus, hi.genus), lo.sort_key(), hi.sort_key())
-
 
 def _check_hyperbolic(g: int, n: int) -> None:
     if g < 0 or n < 0:
@@ -76,7 +70,8 @@ def _check_budget(g: int, n: int, labeled: bool) -> None:
 
 
 def _separating_types(g: int, n: int, labeled: bool) -> list[tuple[Side, Side]]:
-    """Each unordered pair of complementary sides once, as (a, b) in sort-key order."""
+    """Each unordered pair of complementary sides once, as (a, b) in sort-key
+    order; a's sort key strictly increases, so the list comes out sorted."""
     _check_budget(g, n, labeled)
     types: list[tuple[Side, Side]] = []
     everyone = frozenset(range(n))
@@ -110,8 +105,7 @@ def enumerate_orbits(g: int, n: int, labeled: bool = False) -> tuple[CurveType, 
     out: list[CurveType] = []
     if g >= 1:
         out.append(CurveType(kind=NONSEPARATING))
-    seps = [CurveType(kind=SEPARATING, sides=pair) for pair in _separating_types(g, n, labeled)]
-    out.extend(sorted(seps, key=CurveType.sort_key))
+    out.extend(CurveType(kind=SEPARATING, sides=pair) for pair in _separating_types(g, n, labeled))
     return tuple(out)
 
 

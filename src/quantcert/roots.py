@@ -91,6 +91,12 @@ def _sin_sign(m: int, p: int) -> int:
     return 1 if 2 * r < p else -1
 
 
+def _check_selector(ell: int, p: int) -> None:
+    """Raise NonPrimitiveRoot unless A = zeta_2p^ell is a primitive 2p-th root."""
+    if math.gcd(ell, 2 * p) != 1:
+        raise NonPrimitiveRoot(f"gcd({ell}, {2 * p}) != 1: selector is not primitive")
+
+
 def quantum_integer_sign(n: int, p: int, ell: int) -> int:
     """Exact sign of [n] at level p with root selector ell.
 
@@ -99,8 +105,7 @@ def quantum_integer_sign(n: int, p: int, ell: int) -> int:
     """
     if p < 1:
         raise ValueError(f"level must be positive, got {p}")
-    if math.gcd(ell, 2 * p) != 1:
-        raise NonPrimitiveRoot(f"gcd({ell}, {2 * p}) != 1: selector is not primitive")
+    _check_selector(ell, p)
     den = _sin_sign(ell, p)
     if den == 0:
         raise DegenerateDenominator(f"sin(2*pi*{ell}/{p}) = 0")
@@ -136,8 +141,7 @@ def twist_eigenvalue(a: int, p: int, ell: int = 1) -> TwistEigenvalue:
     """
     if not in_palette(a, p):
         raise InvalidColor(f"color {a} is not in the level-{p} palette")
-    if math.gcd(ell, 2 * p) != 1:
-        raise NonPrimitiveRoot(f"gcd({ell}, {2 * p}) != 1: selector is not primitive")
+    _check_selector(ell, p)
     shift = p if a % 2 else 0
     value = RootOfUnity(2 * p, ell * a * (a + 2) + shift)
     return TwistEigenvalue(value=value, parity_sign=-1 if a % 2 else 1)

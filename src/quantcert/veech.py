@@ -27,6 +27,7 @@ the stabilizer of the flat surface precisely in the first two classes.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -233,12 +234,12 @@ def classify_graph(g: ConfigurationGraph) -> str:
     """Recessive / critical / dominant: mu below, equal to or above 2, exactly.
 
     Symmetric elimination in rationals on M = 2D - DAD, which is congruent
-    to 2I - D^(1/2) A D^(1/2), taking at each step the remaining row with the
-    fewest nonzeros (so trees never fill in).  All pivots positive: M is
-    definite, mu < 2.  Only the last pivot zero: M is semidefinite of
-    nullity one, mu = 2 (every proper principal submatrix of a connected
-    critical graph is definite, so an earlier zero pivot rules that out).
-    Any other non-positive pivot: mu > 2.
+    to 2I - D^(1/2) A D^(1/2), taking from a lazy heap the row with fewest
+    nonzeros, then lowest index (so trees never fill in).  All pivots
+    positive: M is definite, mu < 2.  Only the last pivot zero: M is
+    semidefinite of nullity one, mu = 2 (every proper principal submatrix
+    of a connected critical graph is definite, so an earlier zero pivot
+    rules that out).  Any other non-positive pivot: mu > 2.
     """
     d = g.multiplicities
     adj = g.adjacency()
@@ -248,16 +249,20 @@ def classify_graph(g: ConfigurationGraph) -> str:
     ]
     for i, row in enumerate(rows):
         row[i] = Fraction(2 * d[i])
+    heap = sorted((len(row), i) for i, row in enumerate(rows))
     remaining = set(range(g.size))
     while remaining:
-        pivot_row = min(remaining, key=lambda v: (len(rows[v]), v))
-        remaining.remove(pivot_row)
+        length, pivot_row = heapq.heappop(heap)
         row = rows[pivot_row]
+        if pivot_row not in remaining or length != len(row):
+            continue  # stale: eliminated, or pushed again with a new length
+        remaining.remove(pivot_row)
         pivot = row.pop(pivot_row, 0)
         if pivot <= 0:
             return CRITICAL if pivot == 0 and not remaining else DOMINANT
         for i, a in row.items():
             target = rows[i]
+            before = len(target)
             del target[pivot_row]
             for j, b in row.items():
                 value = target.get(j, 0) - a * b / pivot
@@ -265,6 +270,8 @@ def classify_graph(g: ConfigurationGraph) -> str:
                     target[j] = value
                 else:
                     target.pop(j, None)
+            if len(target) != before:
+                heapq.heappush(heap, (len(target), i))
     return RECESSIVE
 
 

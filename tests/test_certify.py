@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from quantcert import certify
 from quantcert.certify import (
     FORM_INDEFINITE_ON_SPAN,
     ROUTE_EVEN,
@@ -16,10 +17,29 @@ from quantcert.certify import (
     even_certificate,
     odd_certificate,
     odd_part,
-    rescaling_root,
     scalar_obstruction,
 )
+from quantcert.errors import NonPrimitiveRoot
+from quantcert.hermitian import selector_window
 from quantcert.roots import RootOfUnity, is_one, root_pow
+
+
+def closed_form_tuple(p, ell):
+    """(-z^4, z, 1, -z, -z^4) with z = A^(2k+1), written out by hand."""
+    k = p // 4
+    n, e = 2 * p, ell * (2 * k + 1)  # -1 = zeta_2p^p
+    return (
+        RootOfUnity(n, 4 * e + p),
+        RootOfUnity(n, e),
+        RootOfUnity(n, 0),
+        RootOfUnity(n, e + p),
+        RootOfUnity(n, 4 * e + p),
+    )
+
+
+def assert_same_tuple(got, want):
+    assert got == want
+    assert [str(lam) for lam in got] == [str(lam) for lam in want]
 
 
 class TestEigenvalueTuple:
@@ -50,7 +70,7 @@ class TestEigenvalueTuple:
                 product = lams[0]
                 for lam in lams[1:]:
                     product = product * lam
-                zeta = rescaling_root(p, ell)
+                zeta = lams[1]
                 assert root_pow(product, 6) == root_pow(zeta, 60)
 
     def test_rescaling_root_is_primitive(self):
@@ -58,7 +78,43 @@ class TestEigenvalueTuple:
         for k in range(1, 61):
             assert math.gcd(8 * k, 2 * k + 1) == 1
             p = 4 * k
-            assert rescaling_root(p, 1).multiplicative_order() == 2 * p
+            if k >= 4:
+                assert eigenvalue_tuple(p, 1)[1].multiplicative_order() == 2 * p
+
+    def test_matches_closed_form_for_every_primitive_selector(self):
+        for p in range(16, 201, 4):
+            for ell in range(1, 2 * p, 2):
+                if math.gcd(ell, 2 * p) == 1:
+                    assert_same_tuple(eigenvalue_tuple(p, ell), closed_form_tuple(p, ell))
+
+    def test_matches_closed_form_at_the_first_window_selector(self):
+        for p in range(16, 2001, 4):
+            ell = selector_window(p)[0]
+            assert_same_tuple(eigenvalue_tuple(p, ell), closed_form_tuple(p, ell))
+
+    @pytest.mark.parametrize("p", [12, 8, 4, 18, 30, 17])
+    def test_level_must_be_4k_with_k_at_least_4(self, p):
+        with pytest.raises(ValueError):
+            eigenvalue_tuple(p, 1)
+
+    @pytest.mark.parametrize("ell", [0, 2, 4, 16, 34])
+    def test_selector_must_be_primitive(self, ell):
+        with pytest.raises(NonPrimitiveRoot):
+            eigenvalue_tuple(16, ell)
+
+    def test_even_certificate_builds_the_tuple_once(self, monkeypatch):
+        calls = []
+        real = certify.eigenvalue_tuple
+
+        def counting(p, ell):
+            calls.append((p, ell))
+            return real(p, ell)
+
+        monkeypatch.setattr(certify, "eigenvalue_tuple", counting)
+        for p in (16, 40, 96, 200):
+            calls.clear()
+            assert even_certificate(p).route == ROUTE_EVEN
+            assert len(calls) == 1, p
 
 
 class TestScalarObstruction:
@@ -100,6 +156,13 @@ class TestScalarObstruction:
 
 
 class TestOddCertificate:
+    def test_parameter_matches_closed_form(self):
+        # -A^(-2) when q = 1 mod 4, -A^2 when q = 3 mod 4, with A = zeta_2q
+        for q in range(7, 2000, 2):
+            want = RootOfUnity(2 * q, q - 2 if q % 4 == 1 else q + 2)
+            got = odd_certificate(q).odd.burau_parameter
+            assert got == want and str(got) == str(want), q
+
     def test_p7(self):
         cert = odd_certificate(7)
         assert cert.route == ROUTE_ODD

@@ -251,16 +251,54 @@ class TestContract:
             cli._parse_level_range("5..100005")
 
 
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects "-5..3" as an option
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Levels -5..3000; the even-route levels 2^a * {1, 3, 5} are rare, so they
+#: are also drawn by name.
+LEVELS = st.integers(-5, 3000) | st.sampled_from(
+    [c << a for a in range(2, 12) for c in (1, 3, 5) if c << a <= 3000]
+)
+
+
 class TestContractProperty:
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(lo=LEVELS, hi=LEVELS, as_range=st.booleans())
+    def test_certify_exits_0_or_2_with_consistent_output(self, lo, hi, as_range):
+        if as_range:
+            argv = ["--format", "json", "certify", f"{lo}..{hi}"]
+        else:
+            argv = ["certify", str(lo)]
+        code, out, err = run_quietly(argv)
+        assert code in (EXIT_OK, EXIT_USAGE)
+        assert "Traceback" not in err
+        if code != EXIT_OK:
+            return
+        if as_range:
+            doc = json.loads(out)
+            assert json.dumps(doc, sort_keys=True, indent=2) == out.rstrip("\n")
+            for cert in doc["results"]:
+                if cert["route"] == "even_coxeter":
+                    assert cert["signature"] == [4, 1]
+        else:
+            for line in out.splitlines():
+                if "even_coxeter" in line:
+                    assert "signature (4, 1)" in line
+
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(g=st.integers(-2, 30), n=st.integers(-2, 30), labeled=st.booleans())
     def test_orbits_exits_0_or_2_with_consistent_json(self, g, n, labeled):
         argv = ["--format", "json", "orbits", str(g), str(n)] + (["--labeled"] if labeled else [])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = run_quietly(argv)
         assert code in (EXIT_OK, EXIT_USAGE)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
         if code == EXIT_OK:
-            result = json.loads(out.getvalue())["results"]
+            result = json.loads(out)["results"]
             assert result["count"] == len(result["orbits"])

@@ -32,6 +32,14 @@ class TestGramRatioSign:
         with pytest.raises(NonPrimitiveRoot):
             gram_ratio_sign(1, 16, 4)
 
+    def test_no_factor_vanishes(self):
+        """For k >= 4 and a primitive selector every ratio sign is +-1."""
+        for p in range(16, 801, 4):
+            for ell in range(1, 2 * p, 2):
+                if math.gcd(ell, 2 * p) == 1:
+                    for s in range(4):
+                        assert gram_ratio_sign(s, p, ell) in (1, -1), (s, p, ell)
+
     def test_level_must_be_4k_with_k_at_least_4(self):
         with pytest.raises(ValueError):
             gram_ratio_sign(1, 18, 1)

@@ -146,6 +146,20 @@ class TestEnumerateOrbits:
                     assert len(set(found)) == len(found), case
                     assert set(found) == bruteforce_pairs(g, n, labeled), case
 
+    def test_separating_types_come_out_sorted(self):
+        """The enumeration order is the (lo, hi) side-key order, with no sort."""
+        for g in range(0, 7):
+            for n in range(0, 10):
+                if 2 - 2 * g - n >= 0:
+                    continue
+                for labeled in (False, True):
+                    seps = [
+                        t for t in enumerate_orbits(g, n, labeled=labeled)
+                        if t.kind == SEPARATING
+                    ]
+                    key = lambda t: (t.sides[0].sort_key(), t.sides[1].sort_key())
+                    assert sorted(seps, key=key) == seps, (g, n, labeled)
+
     def test_sides_are_canonically_ordered(self):
         for ct in enumerate_orbits(3, 2, labeled=True):
             if ct.kind == SEPARATING:

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from quantcert import veech
 from quantcert.errors import (
     DisconnectedGraph,
     GraphParseError,
@@ -187,6 +189,23 @@ class TestClassifyGraph:
         assert classify_graph(star_family(5)) == DOMINANT
         complete_23 = ConfigurationGraph(((1, 1, 1), (1, 1, 1)), (1,) * 5)
         assert classify_graph(complete_23) == DOMINANT
+
+    @pytest.mark.parametrize("n", [250, 500, 1000])
+    def test_pivot_selection_is_linear(self, monkeypatch, n):
+        """At most 3 heap pops per vertex on paths, stars and cycles."""
+        pops = 0
+        real_pop = heapq.heappop
+
+        def counting_pop(heap):
+            nonlocal pops
+            pops += 1
+            return real_pop(heap)
+
+        monkeypatch.setattr(veech.heapq, "heappop", counting_pop)
+        for g in (path_family(n), star_family(n), cycle_family(2 * n)):
+            pops = 0
+            classify_graph(g)
+            assert 0 < pops <= 3 * g.size, (g.size, pops)
 
     def test_critical_eigenvalues_are_exactly_two(self):
         for g in (cycle_family(6), cycle_family(10), star_family(4)):
