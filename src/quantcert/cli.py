@@ -5,6 +5,10 @@ provenance notes, tool version) and renders it as a table or as canonically
 ordered JSON.  Exit codes: 0 on success (an uncertified level is a result,
 not an error), 2 on usage or parse errors, 3 on internal invariant
 violations.
+
+The argument parser is built once, at import; ``main(argv)`` may be called
+any number of times in one process, and each call parses into a fresh
+namespace, so no flag or default carries over from one request to the next.
 """
 
 from __future__ import annotations
@@ -322,6 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once at import; parse_args leaves it unchanged, so every request reuses it
+_PARSER = build_parser()
+
 _COMMANDS = {
     "certify": cmd_certify,
     "blocks": cmd_blocks,
@@ -331,8 +338,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     out_format = args.format_sub or args.format or "table"
     quiet = args.quiet_sub or args.quiet
     try:

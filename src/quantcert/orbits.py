@@ -29,6 +29,9 @@ _FORBIDDEN_SIDES = {(0, 0), (0, 1)}
 #: Most (genus, puncture set) side pairs one orbit count may scan:
 #: (g + 1) * 2^n with labeled punctures, (g + 1) * (n + 1) without.
 PAIR_BUDGET = 10**5
+#: Most puncture labels in the side pairs a labeled orbit list scans,
+#: (g + 1) * 2^n pairs of n labels each; every labeled type prints its labels.
+LABEL_BUDGET = 5 * 10**5
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,16 @@ def _check_budget(g: int, n: int, labeled: bool) -> None:
         )
 
 
+def _check_label_budget(g: int, n: int) -> None:
+    _check_budget(g, n, labeled=True)  # bounds 2^n before it is computed
+    labels = (g + 1) * 2**n * n
+    if labels > LABEL_BUDGET:
+        raise ValueError(
+            f"labeled (g, n) = ({g}, {n}) has (g + 1) * 2^n * n = {labels} side-pair "
+            f"labels, over LABEL_BUDGET = {LABEL_BUDGET}"
+        )
+
+
 def _separating_types(g: int, n: int, labeled: bool) -> list[tuple[Side, Side]]:
     """Each unordered pair of complementary sides once, as (a, b) in sort-key
     order; a's sort key strictly increases, so the list comes out sorted."""
@@ -102,6 +115,8 @@ def enumerate_orbits(g: int, n: int, labeled: bool = False) -> tuple[CurveType, 
     """Deterministic orbit list: the nonseparating type first, then the
     separating types ordered by (smaller side genus, side data)."""
     _check_hyperbolic(g, n)
+    if labeled:
+        _check_label_budget(g, n)
     out: list[CurveType] = []
     if g >= 1:
         out.append(CurveType(kind=NONSEPARATING))

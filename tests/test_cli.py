@@ -1,7 +1,12 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +208,10 @@ class TestExitCodes:
         assert "internal error" in err
 
 
+#: K_{64,64}: exactly EDGE_BUDGET distinct intersecting pairs
+COMPLETE_64 = ",".join(f"({i},{j},1)" for i in range(1, 65) for j in range(1, 65))
+
+
 class TestContract:
     @pytest.mark.parametrize(
         "argv, message",
@@ -227,6 +236,10 @@ class TestContract:
             (("orbits", "1", "16", "--labeled"), "PAIR_BUDGET = 100000"),
             (("orbits", "1", "18", "--labeled"), "PAIR_BUDGET = 100000"),
             (("orbits", "2000", "2000"), "PAIR_BUDGET = 100000"),
+            (("orbits", "5", "14", "--labeled"), "LABEL_BUDGET = 500000"),
+            (("orbits", "2", "15", "--labeled", "--format", "json"), "LABEL_BUDGET = 500000"),
+            (("veech", "--inter", COMPLETE_64 + ",(65,1,1)"), "EDGE_BUDGET = 4096"),
+            (("veech", f"inter={COMPLETE_64},(1,65,1)"), "EDGE_BUDGET = 4096"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):
@@ -249,6 +262,20 @@ class TestContract:
         assert cli._parse_level_range("5..100004") == (5, 100004)
         with pytest.raises(cli.UsageError, match="RANGE_BUDGET"):
             cli._parse_level_range("5..100005")
+
+    def test_edge_budget_edge_at_the_parser(self):
+        from quantcert import veech
+        from quantcert.errors import GraphParseError
+
+        assert veech.EDGE_BUDGET == 4096
+        graph = veech.parse_intersections(COMPLETE_64)
+        assert (graph.m, graph.k) == (64, 64)
+        # repeated pairs and zero counts add no pair
+        veech.parse_intersections(COMPLETE_64 + ",(1,1,2),(64,64,1)")
+        with pytest.raises(GraphParseError, match="not connected"):
+            veech.parse_intersections(COMPLETE_64 + ",(65,1,0)")
+        with pytest.raises(GraphParseError, match="EDGE_BUDGET = 4096"):
+            veech.parse_intersections(COMPLETE_64 + ",(65,1,1)")
 
 
 def run_quietly(argv):
@@ -302,3 +329,199 @@ class TestContractProperty:
         if code == EXIT_OK:
             result = json.loads(out)["results"]
             assert result["count"] == len(result["orbits"])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: one process, in order: each request's flags must not reach the next
+JSON_BEFORE = ["--format", "json", "certify", "7"]
+TABLE = ["certify", "7"]
+QUIET = ["--quiet", "certify", "7"]
+ARGPARSE_ERROR = ["orbits", "x", "3"]
+HELP = ["--help"]
+USAGE_ERROR = ["certify", "0"]
+TAIL_JSON_AFTER = ["blocks", "tadpole", "--tail", "2", "--level", "16", "--format", "json"]
+GRAPH_NO_TAIL = ["blocks", "vertices=2; edges=1-2,1-2,1-2", "--level", "5"]
+SEQUENCE = [
+    JSON_BEFORE, TABLE, ARGPARSE_ERROR, QUIET, TABLE, HELP, USAGE_ERROR,
+    TAIL_JSON_AFTER, GRAPH_NO_TAIL, JSON_BEFORE, QUIET, GRAPH_NO_TAIL, TABLE,
+]
+
+
+def fresh_process_results(argvs, env):
+    """(exit code, stdout, stderr) of each distinct argv in its own new interpreter."""
+    procs = {
+        argv: subprocess.Popen(
+            [sys.executable, "-m", "quantcert.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        for argv in dict.fromkeys(map(tuple, argvs))
+    }
+    results = {}
+    for argv, proc in procs.items():
+        out, err = proc.communicate(timeout=60)
+        results[argv] = (proc.returncode, out, err)
+    return results
+
+
+class TestSharedParser:
+    def test_main_builds_no_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        requests = SEQUENCE + [
+            ["veech", "A:3"],
+            ["veech", "--inter", "(1,1,3)", "--mult", "1,1", "--format", "json"],
+            ["orbits", "3", "2", "--labeled"],
+            ["blocks", "tadpole", "--level", "7"],
+            ["certify", "--help"],
+            ["nosuchcommand"],
+            ["certify", "1..40", "--quiet", "--format", "table"],
+        ]
+        for argv in requests:
+            assert run_quietly(argv)[0] in (EXIT_OK, EXIT_USAGE)
+        assert len(requests) >= 20
+        assert built == []
+
+    def test_requests_carry_no_state(self, monkeypatch):
+        # the fresh processes are the oracle: none has served an earlier request
+        monkeypatch.setenv("COLUMNS", "80")  # the same help layout in and out of process
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        expected = fresh_process_results(SEQUENCE, env)
+        assert len(expected) == 8
+        for argv in SEQUENCE:
+            assert run_quietly(argv) == expected[tuple(argv)], argv
+
+
+def check_contract(argv):
+    """Exit 0 or 2, no traceback, and JSON that round-trips byte for byte."""
+    code, out, err = run_quietly(argv)
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert "Traceback" not in err
+    if code == EXIT_OK and "json" in argv:
+        doc = json.loads(out)
+        assert json.dumps(doc, sort_keys=True, indent=2) == out.rstrip("\n")
+    return code
+
+
+def with_format(command, args, where):
+    if where == "before":
+        return ["--format", "json", command, *args]
+    if where == "after":
+        return [command, *args, "--format", "json"]
+    return [command, *args]
+
+
+FORMAT_PLACES = st.sampled_from(["before", "after", "table"])
+SMALL = st.integers(-2, 12)
+SIZE_TEXT = st.integers(-3, 40).map(str) | st.sampled_from(["x", "", "2.5", "2001", "99999999999"])
+
+FAMILY_SPECS = st.builds(
+    "{}:{}".format, st.sampled_from(["A", "D", "E", "cycle", "star"]), st.integers(1, 40)
+) | st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["A", "D", "E", "cycle", "star", "F", "", " A"]),
+    st.sampled_from([":", " : ", "", "::"]),
+    SIZE_TEXT,
+)
+TRIPLES = st.lists(
+    st.builds("({},{},{})".format, st.integers(0, 6), st.integers(0, 6), st.integers(0, 4))
+    | st.sampled_from(["(1,1)", "(a,1,1)", "1,1,1", "(1,1,1", "(-1,1,1)", "( 1 , 2 , 2 )", ""]),
+    max_size=8,
+).map(",".join)
+MULTS = st.lists(SMALL.map(str) | st.sampled_from(["x", "", "10000000"]), max_size=9).map(",".join)
+
+
+@st.composite
+def connected_intersections(draw):
+    """A connected m x k pattern (row 1 and column 1 full) plus extra counts,
+    with matching multiplicities, the default, or a drawn list."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pairs = [(i, 1) for i in range(1, m + 1)] + [(1, j) for j in range(2, k + 1)]
+    triples = [(i, j, draw(st.integers(1, 3))) for i, j in pairs]
+    extra = st.tuples(st.integers(1, m), st.integers(1, k), st.integers(0, 3))
+    triples += draw(st.lists(extra, max_size=6))
+    inter = ",".join(f"({i},{j},{c})" for i, j, c in triples)
+    matching = st.lists(st.integers(1, 4), min_size=m + k, max_size=m + k)
+    mult = draw(st.none() | matching.map(lambda x: ",".join(map(str, x))) | MULTS)
+    if draw(st.booleans()):
+        return ["--inter", inter] + ([] if mult is None else ["--mult", mult])
+    return [f"c={m}; d={k}; inter={inter}" + ("" if mult is None else f"; mult={mult}")]
+
+
+VEECH_ARGS = st.one_of(
+    FAMILY_SPECS.map(lambda spec: [spec]),
+    connected_intersections(),
+    st.builds(
+        lambda c, d, inter, mult: [f"c={c}; d={d}; inter={inter}; mult={mult}"],
+        SIZE_TEXT, SIZE_TEXT, TRIPLES, MULTS,
+    ),
+    st.builds(lambda inter, mult: ["--inter", inter, "--mult", mult], TRIPLES, MULTS),
+    st.builds(lambda inter: [f"inter={inter}; e=1"], TRIPLES),
+    st.just([]),
+)
+
+COLOR = st.integers(-2, 14)
+TRIVALENT_SPECS = st.one_of(
+    st.sampled_from(
+        [
+            "vertices=2; edges=1-2,1-2,1-2",
+            "vertices=2; edges=1-1,1-2,2-2",
+            "vertices=4; edges=1-2,1-3,1-4,2-3,2-4,3-4",
+            "vertices=1; edges=1-1; tails=1:2",
+            "vertices=2; edges=1*2",
+            "edges=1-2",
+            "vertices=x",
+            "vertices=101",
+        ]
+    ),
+    st.builds("vertices=1; tails=1:{},1:{},1:{}".format, COLOR, COLOR, COLOR),
+    st.builds("vertices=2; edges=1-2,1-2; tails=1:{},2:{}".format, COLOR, COLOR),
+    st.builds(
+        "vertices=2; edges=1-2; tails=1:{},1:{},2:{},2:{}".format, COLOR, COLOR, COLOR, COLOR
+    ),
+    st.builds(
+        "vertices={}; edges={}".format,
+        st.integers(-1, 6),
+        st.lists(st.builds("{}-{}".format, st.integers(0, 7), st.integers(0, 7)), max_size=9).map(
+            ",".join
+        ),
+    ),
+)
+LEVEL = st.integers(3, 40) | st.sampled_from([-3, 0, 801])
+BLOCKS_ARGS = st.one_of(
+    st.builds(
+        lambda tail, level: ["tadpole", "--tail", str(tail), "--level", str(level)],
+        st.integers(-3, 30),
+        LEVEL | st.just(800),
+    ),
+    st.builds(lambda graph, level: [graph, "--level", str(level)], TRIVALENT_SPECS, LEVEL),
+    st.builds(
+        lambda graph, tail, level: [graph]
+        + ([] if tail is None else ["--tail", str(tail)])
+        + ([] if level is None else ["--level", level]),
+        st.just("tadpole") | TRIVALENT_SPECS,
+        st.none() | st.integers(-3, 30),
+        st.none() | LEVEL.map(str) | st.just("x"),
+    ),
+)
+
+
+class TestVeechBlocksProperty:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(args=VEECH_ARGS, where=FORMAT_PLACES)
+    def test_veech_exits_0_or_2_with_consistent_json(self, args, where):
+        check_contract(with_format("veech", args, where))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(args=BLOCKS_ARGS, where=FORMAT_PLACES)
+    def test_blocks_exits_0_or_2_with_consistent_json(self, args, where):
+        check_contract(with_format("blocks", args, where))

@@ -5,6 +5,7 @@ import pytest
 from quantcert.errors import NonHyperbolic
 from quantcert import orbits
 from quantcert.orbits import (
+    LABEL_BUDGET,
     NONSEPARATING,
     PAIR_BUDGET,
     SEPARATING,
@@ -93,6 +94,21 @@ class TestCountOrbits:
                 orbits._check_budget(g, n, labeled)
         with pytest.raises(ValueError, match="PAIR_BUDGET"):
             count_orbits(1, 17, labeled=True)
+
+    def test_label_budget_edge(self):
+        # (g + 1) 2^n n labels: the (4, 12) anchor is 245760, (9, 12) 491520
+        assert LABEL_BUDGET == 5 * 10**5
+        for g, n in [(4, 12), (9, 12), (0, 15)] + [(g, n) for g in range(5) for n in range(10)]:
+            orbits._check_label_budget(g, n)
+        for g, n in ((5, 14), (2, 15), (10, 12), (1, 15)):
+            with pytest.raises(ValueError, match=f"LABEL_BUDGET = {LABEL_BUDGET}"):
+                orbits._check_label_budget(g, n)
+        with pytest.raises(ValueError, match="LABEL_BUDGET"):
+            enumerate_orbits(5, 14, labeled=True)
+        # the pair budget is checked first; unlabeled lists carry no labels
+        with pytest.raises(ValueError, match="PAIR_BUDGET"):
+            orbits._check_label_budget(1, 16)
+        assert len(enumerate_orbits(2, 15)) == 23
 
     def test_thrice_punctured_sphere_has_no_essential_curves(self):
         assert count_orbits(0, 3) == 0
