@@ -14,8 +14,9 @@ namespace, so no flag or default carries over from one request to the next.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, blocks, certify, orbits, veech
 from .errors import (
@@ -38,7 +39,75 @@ class UsageError(QuantcertError):
 
 
 def _dump(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+    """``report`` as canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2)``.
+
+    json turns its C encoder off when ``indent`` is given and builds the text
+    from nested pure-Python generators.  This walks the report once, appends
+    every piece to one flat list and joins the list once; per-container joins
+    would be faster per call but hold more memory at peak.
+    """
+    out: list[str] = []
+    _write(report, "\n", out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` indents the line it is on.
+
+    Scalars render as json renders them, subclasses of str, int and float
+    included (a numpy float64 prints as its float).  Any other type raises
+    TypeError, and so does a dict key that is not a str (json would coerce
+    it), from ``encode_basestring_ascii``.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        elif value == math.inf:
+            out.append("Infinity")
+        elif value == -math.inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        out.append("[")
+        lead = inner
+        for item in value:
+            out.append(lead)
+            lead = separator
+            _write(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        out.append("{")
+        lead = inner
+        for key, item in sorted(value.items()):
+            out.append(lead)
+            lead = separator
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(item, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _report(command: str, inputs: dict, results, provenance: list[str]) -> dict:

@@ -54,26 +54,6 @@ def gram_ratio_sign(s: int, p: int, ell: int) -> int:
     return sin3 * cos1 * _sin_sign(ell, 2 * p)  # times sin(pi*ell/4k)
 
 
-def gram_ratio_float(s: int, p: int, ell: int) -> float | None:
-    """Float evaluation of the closed product forms; None for s in {0, 3}.
-
-    Cross-check oracle only: sign decisions always use gram_ratio_sign.
-    """
-    k = p // 4
-    if s == 1:
-        return (
-            4.0
-            * math.sin(3 * math.pi * ell / (2 * k))
-            * math.cos(math.pi * ell / (2 * k))
-            * math.sin(math.pi * ell / (4 * k))
-        )
-    if s == 2:
-        return 2.0 * math.sin(3 * math.pi * ell / (2 * k)) * math.cos(
-            math.pi * ell / (2 * k)
-        )
-    return None
-
-
 @dataclass(frozen=True)
 class GramProfile:
     p: int

@@ -227,14 +227,6 @@ def classify_sl2(mat: SL2Mat) -> str:
 # ---------------------------------------------------------------------------
 # exact classification
 
-def spectral_radius(adj) -> float:
-    """Float spectral radius; the cross-check oracle for the exact classifier."""
-    mat = np.asarray(adj, dtype=float)
-    if np.allclose(mat, mat.T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
-
-
 def classify_graph(g: ConfigurationGraph) -> str:
     """Recessive / critical / dominant: mu below, equal to or above 2, exactly.
 

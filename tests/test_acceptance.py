@@ -7,6 +7,7 @@ lines.  Tolerances are stated inline; timed criteria assert their budget.
 import math
 import time
 
+from oracles import gram_ratio_float, spectral_radius
 from quantcert import blocks, burau, certify, hermitian, orbits, veech
 from quantcert.roots import RootOfUnity
 
@@ -71,7 +72,7 @@ def test_criterion_03_signature_anchor():
             assert prof.ratios[0] == 1 and prof.ratios[3] == 1
             assert prof.ratios[1] == -1 and prof.ratios[2] == -1
             for s in (1, 2):
-                value = hermitian.gram_ratio_float(s, p, ell)
+                value = gram_ratio_float(s, p, ell)
                 if abs(value) > 1e-6:
                     assert prof.ratios[s] == (1 if value > 0 else -1)
     _report(3, "signature anchor and window signs up to p = 400")
@@ -157,7 +158,7 @@ def test_criterion_06_perron_anchors():
             g = veech.ConfigurationGraph(tuple(map(tuple, inter)), (1,) * (m + k))
         except Exception:
             continue
-        radius = veech.spectral_radius(g.adjacency())
+        radius = spectral_radius(g.adjacency())
         if radius < 2 - 1e-9:
             expected = veech.RECESSIVE
         elif radius <= 2 + 1e-9:

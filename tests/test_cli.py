@@ -1,17 +1,21 @@
 import argparse
 import contextlib
+import enum
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantcert import cli
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -161,21 +165,89 @@ class TestOrbitsCommand:
         assert code == EXIT_USAGE
 
 
-class TestJsonDiscipline:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--format", "json", "certify", "1..20"),
-            ("--format", "json", "blocks", "tadpole", "--tail", "2", "--level", "16"),
-            ("--format", "json", "veech", "A:5"),
-            ("--format", "json", "orbits", "4", "2", "--labeled"),
-        ],
+#: one JSON request per subcommand
+JSON_REQUESTS = [
+    ("--format", "json", "certify", "1..20"),
+    ("--format", "json", "blocks", "tadpole", "--tail", "2", "--level", "16"),
+    ("--format", "json", "veech", "A:5"),
+    ("--format", "json", "orbits", "4", "2", "--labeled"),
+]
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = -7
+
+
+class Label(str):
+    pass
+
+
+#: text json must escape: quotes, backslashes, controls, non-ASCII, astral
+#: characters, and the brackets and separators the writer itself emits
+TRICKY_TEXT = st.text(st.sampled_from('"\\[]{},: \x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a'))
+TEXT = st.text() | TRICKY_TEXT | TRICKY_TEXT.map(Label)
+FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.sampled_from([True, False, 1, 0, 1.0, 0.0])
+    | FLOATS
+    | FLOATS.map(np.float64)
+    | st.sampled_from(list(Colour))
+    | TEXT
+)
+
+
+def json_trees(children):
+    return (
+        st.lists(children, max_size=6)
+        | st.lists(children, max_size=6).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=6)
     )
+
+
+@st.composite
+def deep_trees(draw):
+    """A chain of up to 100 nested lists and dicts around one leaf."""
+    tree = draw(SCALARS | st.just([]) | st.just({}))
+    for wrap_in_dict in draw(st.lists(st.booleans(), max_size=100)):
+        tree = {draw(TEXT): tree} if wrap_in_dict else [tree]
+    return tree
+
+
+class TestJsonDiscipline:
+    @pytest.mark.parametrize("argv", JSON_REQUESTS)
     def test_round_trip_byte_identical(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         doc = json.loads(out)
         assert json.dumps(doc, sort_keys=True, indent=2) == out.rstrip("\n")
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(doc=st.recursive(SCALARS, json_trees, max_leaves=40) | deep_trees())
+    def test_writer_matches_json_dumps(self, doc):
+        assert cli._dump(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{1: "a"}, {"a": [{"b": 0, 2: 0}]}, [np.int64(3)], {"a": {1, 2}}, b"x", 1j],
+    )
+    def test_non_json_input_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli._dump(doc)
+
+    def test_reports_are_written_without_json_dumps(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps was called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        for argv in JSON_REQUESTS:
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert json.loads(out)["command"] == argv[2]
 
     def test_exact_fields_are_integers(self, capsys):
         _, out, _ = run(capsys, "--format", "json", "certify", "16")
@@ -196,7 +268,6 @@ class TestExitCodes:
         assert json.loads(out)["results"][0]["p"] == 7
 
     def test_internal_invariant_violation_exits_3(self, capsys, monkeypatch):
-        from quantcert import cli
         from quantcert.errors import InvariantViolation
 
         def broken(args):
@@ -256,8 +327,6 @@ class TestContract:
         assert elapsed < 0.5
 
     def test_range_budget_edge_at_the_parser(self):
-        from quantcert import cli
-
         assert cli._parse_level_range(f"1..{cli.RANGE_BUDGET}") == (1, cli.RANGE_BUDGET)
         assert cli._parse_level_range("5..100004") == (5, 100004)
         with pytest.raises(cli.UsageError, match="RANGE_BUDGET"):

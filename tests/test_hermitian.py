@@ -2,12 +2,12 @@ import math
 
 import pytest
 
+from oracles import gram_ratio_float
 from quantcert import hermitian
 from quantcert.errors import InvariantViolation, NonPrimitiveRoot
 from quantcert.hermitian import (
     find_indefinite_ell,
     gram_profile,
-    gram_ratio_float,
     gram_ratio_sign,
     selector_window,
 )

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import spectral_radius
 from quantcert import veech
 from quantcert.errors import (
     DisconnectedGraph,
@@ -39,7 +40,6 @@ from quantcert.veech import (
     parse_intersections,
     path_family,
     perron,
-    spectral_radius,
     star_family,
 )
 
