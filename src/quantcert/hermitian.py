@@ -88,31 +88,25 @@ def gram_profile(p: int, ell: int) -> GramProfile:
     )
 
 
-def selector_window(p: int) -> tuple[int, ...]:
-    """Odd selectors coprime to 2p in the open window (4k/3, 2k), ascending."""
-    k = p // 4
-    out = []
-    for ell in range(1, 2 * k, 2):
-        if 3 * ell > 4 * k and math.gcd(ell, 2 * p) == 1:
-            out.append(ell)
-    return tuple(out)
-
-
 def find_indefinite_ell(p: int) -> int | None:
     """The first window selector, checked to give an indefinite profile.
 
     Returns None when k = p/4 < 4 (no 5-dimensional block with positive
-    boundary color exists there).  For k >= 4 the window is never empty
-    (ell = 2k - 1 lies in it), and on it sin(3*pi*ell/2k) > 0,
-    cos(pi*ell/2k) < 0 and sin(pi*ell/4k) > 0, so every window selector
-    gives the diagonal signs (+, +, -, +, +); a first selector without an
-    indefinite profile raises InvariantViolation.
+    boundary color exists there).  For k >= 4 the scan runs upward from
+    floor(4k/3) + 1 to the first ell coprime to 2p; it ends by ell = 2k - 1,
+    since gcd(2k - 1, 8k) = gcd(2k - 1, 4) = 1.  On the window
+    sin(3*pi*ell/2k) > 0, cos(pi*ell/2k) < 0 and sin(pi*ell/4k) > 0, so
+    every window selector gives the diagonal signs (+, +, -, +, +); a first
+    selector without an indefinite profile raises InvariantViolation.
     """
     if p % 4:
         raise ValueError(f"level must be divisible by 4, got {p}")
-    if p // 4 < 4:
+    k = p // 4
+    if k < 4:
         return None
-    ell = selector_window(p)[0]
+    ell = 4 * k // 3 + 1
+    while math.gcd(ell, 2 * p) != 1:
+        ell += 1
     if not gram_profile(p, ell).indefinite:
         raise InvariantViolation(f"window selector {ell} is not indefinite at level {p}")
     return ell

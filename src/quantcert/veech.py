@@ -20,7 +20,9 @@ is decided exactly, with no tolerance, for every multiplicity vector.  With
 D the diagonal of multiplicities and A the adjacency matrix, N = DA is
 similar to the symmetric D^(1/2) A D^(1/2), so mu < 2, mu = 2 or mu > 2 as
 the integer matrix 2D - DAD (congruent to 2D^-1 - A) is definite, singular
-semidefinite or indefinite; a rational LDL^T factorization decides which.
+semidefinite or indefinite.  A graph with more intersection points than
+vertices is dominant by counting; on the rest, trees and graphs with one
+cycle, a rational LDL^T factorization decides, with no fill-in.
 The two-multitwist group of a unit-multiplicity graph has finite index in
 the stabilizer of the flat surface precisely in the first two classes.
 """
@@ -64,11 +66,6 @@ VERTEX_BUDGET = 2000
 #: multiplicity; both are checked on Python ints, before any int64 array.
 POINT_BUDGET = 20000
 MULTIPLICITY_CAP = 10**6
-#: Most distinct (i, j) pairs with a nonzero count a parsed graph may have.
-#: The exact classification fills in a dense clique on one side of K_{a,b};
-#: the worst case inside every budget, K_{64,64}, classifies in about 1.5 s
-#: on a 2-vCPU Xeon VM.
-EDGE_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -230,14 +227,19 @@ def classify_sl2(mat: SL2Mat) -> str:
 def classify_graph(g: ConfigurationGraph) -> str:
     """Recessive / critical / dominant: mu below, equal to or above 2, exactly.
 
-    Symmetric elimination in rationals on M = 2D - DAD, which is congruent
-    to 2I - D^(1/2) A D^(1/2), taking from a lazy heap the row with fewest
-    nonzeros, then lowest index (so trees never fill in).  All pivots
-    positive: M is definite, mu < 2.  Only the last pivot zero: M is
-    semidefinite of nullity one, mu = 2 (every proper principal submatrix
-    of a connected critical graph is definite, so an earlier zero pivot
-    rules that out).  Any other non-positive pivot: mu > 2.
+    With E intersection points on V = m + k vertices, rho(A) >= 2E/V (the
+    all-ones Rayleigh quotient) and mu >= rho(A) (DA >= A), so E > V is
+    dominant at once.  Otherwise the connected graph is a tree or has one
+    cycle, and symmetric elimination in rationals on M = 2D - DAD, congruent
+    to 2I - D^(1/2) A D^(1/2), never fills in: it takes from a lazy heap the
+    row with fewest nonzeros, then lowest index.  All pivots positive: M is
+    definite, mu < 2.  Only the last pivot zero: M is semidefinite of
+    nullity one, mu = 2 (every proper principal submatrix of a connected
+    critical graph is definite, so an earlier zero pivot rules that out).
+    Any other non-positive pivot: mu > 2.
     """
+    if sum(map(sum, g.intersections)) > g.size:
+        return DOMINANT
     d = g.multiplicities
     adj = g.adjacency()
     rows = [
@@ -488,7 +490,6 @@ def parse_intersections(
     ``mult_text`` is a comma list of m + k multiplicities (default all 1).
     """
     entries = []
-    pairs = set()
     cleaned = inter_text.replace(" ", "")
     pos = points = 0
     while pos < len(cleaned):
@@ -513,15 +514,6 @@ def parse_intersections(
                 token=match.group(0),
                 position=pos,
             )
-        if count:
-            pairs.add((i, j))
-            if len(pairs) > EDGE_BUDGET:
-                raise GraphParseError(
-                    f"more than EDGE_BUDGET = {EDGE_BUDGET} intersecting pairs, "
-                    f"at {match.group(0)!r}",
-                    token=match.group(0),
-                    position=pos,
-                )
         pos = match.end()
     if not entries:
         raise GraphParseError("no intersections given", token=inter_text)

@@ -1,7 +1,8 @@
-"""Float cross-check oracles that only the tests read.
+"""Cross-check oracles that only the tests read.
 
-The package decides every sign and class exactly; these float evaluations
-are the independent references the exact code is compared against.
+The package decides every sign and class exactly, and finds its selectors
+by a short scan; these float evaluations and whole-window enumerations are
+the independent references the package code is compared against.
 """
 
 import math
@@ -35,3 +36,14 @@ def gram_ratio_float(s: int, p: int, ell: int) -> float | None:
             math.pi * ell / (2 * k)
         )
     return None
+
+
+def selector_window(p: int) -> tuple[int, ...]:
+    """Odd selectors coprime to 2p in the open window (4k/3, 2k), ascending.
+
+    The oracle for ``hermitian.find_indefinite_ell``, which takes the first.
+    """
+    k = p // 4
+    return tuple(
+        ell for ell in range(1, 2 * k, 2) if 3 * ell > 4 * k and math.gcd(ell, 2 * p) == 1
+    )

@@ -7,7 +7,7 @@ lines.  Tolerances are stated inline; timed criteria assert their budget.
 import math
 import time
 
-from oracles import gram_ratio_float, spectral_radius
+from oracles import gram_ratio_float, selector_window, spectral_radius
 from quantcert import blocks, burau, certify, hermitian, orbits, veech
 from quantcert.roots import RootOfUnity
 
@@ -67,7 +67,7 @@ def test_criterion_03_signature_anchor():
     assert profile.diagonal_signs == (1, 1, -1, 1, 1)
     assert profile.signature == (4, 1)
     for p in range(16, 401, 4):
-        for ell in hermitian.selector_window(p):
+        for ell in selector_window(p):
             prof = hermitian.gram_profile(p, ell)
             assert prof.ratios[0] == 1 and prof.ratios[3] == 1
             assert prof.ratios[1] == -1 and prof.ratios[2] == -1

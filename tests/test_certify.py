@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import selector_window
 from quantcert import certify
 from quantcert.certify import (
     FORM_INDEFINITE_ON_SPAN,
@@ -20,7 +21,6 @@ from quantcert.certify import (
     scalar_obstruction,
 )
 from quantcert.errors import NonPrimitiveRoot
-from quantcert.hermitian import selector_window
 from quantcert.roots import RootOfUnity, is_one, root_pow
 
 

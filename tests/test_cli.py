@@ -279,8 +279,10 @@ class TestExitCodes:
         assert "internal error" in err
 
 
-#: K_{64,64}: exactly EDGE_BUDGET distinct intersecting pairs
+#: K_{64,64} and K_{141,141}: more intersection points than vertices, so
+#: dominant by counting; the second has 19881 points, inside POINT_BUDGET
 COMPLETE_64 = ",".join(f"({i},{j},1)" for i in range(1, 65) for j in range(1, 65))
+COMPLETE_141 = ",".join(f"({i},{j},1)" for i in range(1, 142) for j in range(1, 142))
 
 
 class TestContract:
@@ -309,8 +311,6 @@ class TestContract:
             (("orbits", "2000", "2000"), "PAIR_BUDGET = 100000"),
             (("orbits", "5", "14", "--labeled"), "LABEL_BUDGET = 500000"),
             (("orbits", "2", "15", "--labeled", "--format", "json"), "LABEL_BUDGET = 500000"),
-            (("veech", "--inter", COMPLETE_64 + ",(65,1,1)"), "EDGE_BUDGET = 4096"),
-            (("veech", f"inter={COMPLETE_64},(1,65,1)"), "EDGE_BUDGET = 4096"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):
@@ -332,19 +332,42 @@ class TestContract:
         with pytest.raises(cli.UsageError, match="RANGE_BUDGET"):
             cli._parse_level_range("5..100005")
 
-    def test_edge_budget_edge_at_the_parser(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("veech", "--inter", COMPLETE_64 + ",(65,1,1)"),
+            ("veech", f"inter={COMPLETE_64},(1,65,1)"),
+            ("veech", "--inter", COMPLETE_141),
+        ],
+        ids=["K64_64_plus_c", "K64_64_plus_d", "K141_141"],
+    )
+    def test_dense_graph_is_dominant_at_once(self, argv):
+        start = time.perf_counter()
+        code, out, err = run_quietly(["--format", "json", *argv])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK, err
+        assert '"graph_class": "dominant"' in out
+        assert elapsed < 0.5
+
+    def test_dense_graph_parses_without_a_pair_budget(self):
         from quantcert import veech
         from quantcert.errors import GraphParseError
 
-        assert veech.EDGE_BUDGET == 4096
-        graph = veech.parse_intersections(COMPLETE_64)
-        assert (graph.m, graph.k) == (64, 64)
-        # repeated pairs and zero counts add no pair
-        veech.parse_intersections(COMPLETE_64 + ",(1,1,2),(64,64,1)")
+        graph = veech.parse_intersections(COMPLETE_64 + ",(65,1,1)")
+        assert (graph.m, graph.k) == (65, 64)
+        graph = veech.parse_intersections(f"{COMPLETE_64},(1,1,2),(64,64,1)")
+        assert graph.intersections[0][0] == 3
         with pytest.raises(GraphParseError, match="not connected"):
             veech.parse_intersections(COMPLETE_64 + ",(65,1,0)")
-        with pytest.raises(GraphParseError, match="EDGE_BUDGET = 4096"):
-            veech.parse_intersections(COMPLETE_64 + ",(65,1,1)")
+
+    @pytest.mark.parametrize("level", [1 << 40, 3 << 40, 5 << 40])
+    def test_even_route_level_certifies_at_once(self, level):
+        start = time.perf_counter()
+        code, out, err = run_quietly(["--format", "json", "certify", str(level)])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK, err
+        assert json.loads(out)["results"][0]["route"] == "even_coxeter"
+        assert elapsed < 0.5
 
 
 def run_quietly(argv):
@@ -358,9 +381,9 @@ def run_quietly(argv):
 
 
 #: Levels -5..3000; the even-route levels 2^a * {1, 3, 5} are rare, so they
-#: are also drawn by name.
+#: are also drawn by name, for a up to 200.
 LEVELS = st.integers(-5, 3000) | st.sampled_from(
-    [c << a for a in range(2, 12) for c in (1, 3, 5) if c << a <= 3000]
+    [c << a for a in range(2, 201) for c in (1, 3, 5)]
 )
 
 

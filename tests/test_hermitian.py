@@ -2,15 +2,10 @@ import math
 
 import pytest
 
-from oracles import gram_ratio_float
+from oracles import gram_ratio_float, selector_window
 from quantcert import hermitian
 from quantcert.errors import InvariantViolation, NonPrimitiveRoot
-from quantcert.hermitian import (
-    find_indefinite_ell,
-    gram_profile,
-    gram_ratio_sign,
-    selector_window,
-)
+from quantcert.hermitian import find_indefinite_ell, gram_profile, gram_ratio_sign
 
 
 class TestGramRatioSign:

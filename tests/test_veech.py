@@ -207,6 +207,19 @@ class TestClassifyGraph:
             classify_graph(g)
             assert 0 < pops <= 3 * g.size, (g.size, pops)
 
+    def test_more_points_than_vertices_needs_no_elimination(self, monkeypatch):
+        """E > V is dominant by counting: no heap pop at all."""
+
+        def no_pop(heap):
+            raise AssertionError("classify_graph eliminated a graph with E > V")
+
+        monkeypatch.setattr(veech.heapq, "heappop", no_pop)
+        complete_64 = ConfigurationGraph(((1,) * 64,) * 64, (1,) * 128)
+        weighted_23 = ConfigurationGraph(((1, 1, 1), (1, 1, 1)), (1, 2, 3, 1, 2))
+        tripled = ConfigurationGraph(((3,),), (1, 1))
+        for g in (complete_64, weighted_23, tripled):
+            assert classify_graph(g) == DOMINANT
+
     def test_critical_eigenvalues_are_exactly_two(self):
         for g in (cycle_family(6), cycle_family(10), star_family(4)):
             data = perron(g)
@@ -234,7 +247,7 @@ class TestClassifyGraph:
                     assert cert.teichmuller_curve_by_mu == (expected != DOMINANT)
                     assert abs(perron(g).mu - math.sqrt(mu_sq)) <= 1e-12 * mu_sq
 
-    def _random_connected_bipartite(self, rng, weighted):
+    def _random_connected_bipartite(self, rng, weighted, dense=False):
         m = rng.randint(1, 6)
         k = rng.randint(1, 12 - m) if m < 11 else 1
         inter = [[0] * k for _ in range(m)]
@@ -260,7 +273,7 @@ class TestClassifyGraph:
         for j in range(k):
             if not any(row[j] for row in inter):
                 inter[rng.randrange(m)][j] = 1
-        for _ in range(rng.randint(0, 3)):
+        for _ in range(rng.randint(0, m * k if dense else 3)):
             inter[rng.randrange(m)][rng.randrange(k)] += 1
         if weighted:
             mult = tuple(rng.randint(1, 3) for _ in range(m + k))
@@ -269,12 +282,16 @@ class TestClassifyGraph:
         return ConfigurationGraph(tuple(map(tuple, inter)), mult)
 
     def test_combinatorial_matches_spectral_on_random_corpus(self):
-        # half unit multiplicities, half drawn from {1, 2, 3}
+        # half unit multiplicities, half drawn from {1, 2, 3}; a quarter dense,
+        # with up to m * k extra points, so both E > V and E <= V are checked
         rng = random.Random(20240817)
         checked = 0
-        while checked < 240:
+        sides = set()
+        while checked < 320:
             try:
-                g = self._random_connected_bipartite(rng, weighted=checked % 2 == 1)
+                g = self._random_connected_bipartite(
+                    rng, weighted=checked % 2 == 1, dense=checked % 8 >= 6
+                )
             except DisconnectedGraph:
                 continue
             radius = spectral_radius(intersection_matrix(g))
@@ -284,8 +301,13 @@ class TestClassifyGraph:
                 expected = CRITICAL
             else:
                 expected = DOMINANT
-            assert classify_graph(g) == expected, (g, radius)
+            cls = classify_graph(g)
+            assert cls == expected, (g, radius)
+            points_over_vertices = sum(map(sum, g.intersections)) > g.size
+            assert cls == DOMINANT or not points_over_vertices, g
+            sides.add(points_over_vertices)
             checked += 1
+        assert sides == {False, True}
 
 
 class TestLatticeCertificate:
