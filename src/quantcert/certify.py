@@ -42,14 +42,15 @@ SCALAR_OBSTRUCTED = "scalar_obstructed"
 SURVIVES = "survives"
 FORM_INDEFINITE_ON_SPAN = "form_indefinite_on_span"
 
-#: Levels for which no certification route is asserted to work.  The even
-#: route leans on one step that exponent arithmetic cannot check (the
+#: Even-route levels for which the irreducibility assertion is withheld.  The
+#: even route leans on one step that exponent arithmetic cannot check (the
 #: irreducibility of a surviving plane restriction); that step is taken as
 #: externally established when the level fails to divide 120, and otherwise
-#: exactly for levels absent from this list.  Exponent arithmetic alone
-#: cannot distinguish 24 (listed) from 40 (absent): both satisfy the same
-#: divisibility predicates against 60 and 120.
-UNCERTIFIABLE_LEVELS = frozenset({1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 24})
+#: exactly for levels absent from this list.  Only 20, 24 and 40 divide 120
+#: and reach that step (smaller levels fail first: odd part below 7 and
+#: k < 4).  Exponent arithmetic alone cannot distinguish 24 (listed) from 40
+#: (absent): both satisfy the same divisibility predicates against 60 and 120.
+UNCERTIFIABLE_LEVELS = frozenset({20, 24})
 
 
 def odd_part(p: int) -> int:

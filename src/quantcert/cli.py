@@ -232,6 +232,10 @@ def _print_blocks_table(report: dict, quiet: bool) -> None:
 # veech
 
 def cmd_veech(args) -> dict:
+    if args.mult is not None and args.inter is None:
+        raise UsageError("--mult applies to --inter only; a spec gives them as mult=...")
+    if args.spec is not None and args.inter is not None:
+        raise UsageError("give a graph spec or --inter, not both")
     try:
         if args.inter:
             graph = veech.parse_intersections(args.inter, args.mult or "")

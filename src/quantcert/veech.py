@@ -15,14 +15,17 @@ and products of these classify by trace: elliptic (|tr| < 2), parabolic
 (|tr| = 2), Anosov (|tr| > 2).  The flat surface is the union of one
 v_i-by-v_j rectangle per intersection point.
 
-The recessive / critical / dominant class (mu below, equal to or above 2)
-is decided exactly, with no tolerance, for every multiplicity vector.  With
-D the diagonal of multiplicities and A the adjacency matrix, N = DA is
-similar to the symmetric D^(1/2) A D^(1/2), so mu < 2, mu = 2 or mu > 2 as
-the integer matrix 2D - DAD (congruent to 2D^-1 - A) is definite, singular
-semidefinite or indefinite.  A graph with more intersection points than
-vertices is dominant by counting; on the rest, trees and graphs with one
-cycle, a rational LDL^T factorization decides, with no fill-in.
+The graph is bipartite, so its adjacency A is held only as the m-by-k
+intersection block B, built once.  With D = (D_c, D_d) the diagonal of
+multiplicities, N = DA is similar to D^(1/2) A D^(1/2) = [[0, X], [X^T, 0]]
+with X = D_c^(1/2) B D_d^(1/2), so mu is the top singular value of X.  The
+recessive / critical / dominant class (mu below, equal to or above 2) is
+decided exactly, with no tolerance, for every multiplicity vector: mu < 2,
+mu = 2 or mu > 2 as the integer matrix 2D - DAD (congruent to 2D^-1 - A)
+is definite, singular semidefinite or indefinite.  A graph with more
+intersection points than vertices is dominant by counting; on the rest,
+trees and graphs with one cycle, a rational LDL^T factorization decides,
+with no fill-in.
 The two-multitwist group of a unit-multiplicity graph has finite index in
 the stabilizer of the flat surface precisely in the first two classes.
 """
@@ -59,7 +62,7 @@ PARABOLIC_TOL = 1e-9
 DET_TOL = 1e-12
 
 #: Most vertices (m + k) a parsed configuration graph may have; every report
-#: holds dense (m + k)^2 matrices and one eigensolve of that size.
+#: holds the m-by-k intersection block and one eigensolve of size min(m, k).
 VERTEX_BUDGET = 2000
 #: Most intersection points (one flat-surface rectangle each) a parsed graph
 #: may have in total, which also caps each count, and the largest parsed
@@ -80,7 +83,7 @@ class ConfigurationGraph:
 
     intersections: tuple[tuple[int, ...], ...]
     multiplicities: tuple[int, ...]
-    _adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    _block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.intersections)
@@ -97,16 +100,15 @@ class ConfigurationGraph:
             )
         if any(d < 1 for d in self.multiplicities):
             raise InvalidGraph("multiplicities must be positive")
-        inter = np.array(self.intersections, dtype=np.int64)
-        adj = np.zeros((m + k, m + k), dtype=np.int64)
-        adj[:m, m:] = inter
-        adj[m:, :m] = inter.T
-        adj.flags.writeable = False
-        object.__setattr__(self, "_adjacency", adj)
+        block = np.array(self.intersections, dtype=np.int64)
+        block.flags.writeable = False
+        object.__setattr__(self, "_block", block)
         seen = {0}
         stack = [0]
         while stack:
-            for w in np.flatnonzero(adj[stack.pop()]).tolist():
+            u = stack.pop()
+            row = m + np.flatnonzero(block[u]) if u < m else np.flatnonzero(block[:, u - m])
+            for w in row.tolist():
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -129,20 +131,6 @@ class ConfigurationGraph:
     def unit_multiplicities(self) -> bool:
         return all(d == 1 for d in self.multiplicities)
 
-    def adjacency(self) -> np.ndarray:
-        """Unweighted multigraph adjacency, size m + k: read-only, built once."""
-        return self._adjacency
-
-
-def intersection_matrix(g: ConfigurationGraph) -> np.ndarray:
-    """The weighted matrix N with N[i][j] = d_i * i(gamma_i, gamma_j).
-
-    Zero on the two diagonal blocks; not symmetric in general, since each
-    row is scaled by its own multiplicity.
-    """
-    return np.asarray(g.multiplicities, dtype=np.int64)[:, None] * g.adjacency()
-
-
 @dataclass(frozen=True)
 class PerronData:
     mu: float
@@ -154,20 +142,28 @@ class PerronData:
 def perron(g: ConfigurationGraph) -> PerronData:
     """Dominant eigenpair (mu, v) of N = DA, with v > 0 of unit length.
 
-    One symmetric eigensolve: D^(1/2) A D^(1/2) = D^(-1/2) N D^(1/2) has the
-    eigenvalues of N, and its top eigenvector w gives v = D^(1/2) w.  The
-    pair is then checked against N itself: ||Nv - mu v|| <= DEFAULT_TOL * mu
-    and v > 0, else InvariantViolation.
+    One symmetric eigensolve, on the smaller side: with X = D_c^(1/2) B
+    D_d^(1/2), the top eigenpair (mu^2, u) of X X^T gives the other half
+    X^T u / mu of the top eigenvector w of D^(1/2) A D^(1/2) (X^T X and
+    X u / mu when k < m), and v = D^(1/2) w.  The pair is then checked
+    against N itself, blockwise as (d_c B v_d, d_d B^T v_c):
+    ||Nv - mu v|| <= DEFAULT_TOL * mu and v > 0, else InvariantViolation.
     """
-    root = np.sqrt(np.asarray(g.multiplicities, dtype=float))
-    adj = g.adjacency().astype(float)
-    eigenvalues, eigenvectors = np.linalg.eigh(root[:, None] * adj * root[None, :])
-    mu = float(eigenvalues[-1])
-    v = root * eigenvectors[:, -1]
+    m, block = g.m, g._block
+    d = np.asarray(g.multiplicities, dtype=float)
+    root = np.sqrt(d)
+    x = root[:m, None] * block * root[None, m:]
+    if m > g.k:
+        x = x.T
+    eigenvalues, eigenvectors = np.linalg.eigh(x @ x.T)
+    mu = float(np.sqrt(eigenvalues[-1]))
+    halves = (eigenvectors[:, -1], x.T @ eigenvectors[:, -1] / mu)
+    v = root * np.concatenate(halves[::-1] if m > g.k else halves)
     v /= np.linalg.norm(v)
     if v.sum() < 0:
         v = -v
-    residual = float(np.linalg.norm(intersection_matrix(g) @ v - mu * v))
+    nv = np.concatenate((d[:m] * (block @ v[m:]), d[m:] * (v[:m] @ block)))
+    residual = float(np.linalg.norm(nv - mu * v))
     if not residual <= DEFAULT_TOL * mu:
         raise InvariantViolation(
             f"Perron residual {residual:.3g} exceeds {DEFAULT_TOL:g} * mu = {mu:.12g}"
@@ -175,7 +171,7 @@ def perron(g: ConfigurationGraph) -> PerronData:
     if not np.all(v > 0):
         raise InvariantViolation("Perron vector is not strictly positive")
     return PerronData(
-        mu=mu, v=tuple(float(x) for x in v), residual=residual, tolerance=DEFAULT_TOL
+        mu=mu, v=tuple(v.tolist()), residual=residual, tolerance=DEFAULT_TOL
     )
 
 
@@ -240,12 +236,10 @@ def classify_graph(g: ConfigurationGraph) -> str:
     """
     if sum(map(sum, g.intersections)) > g.size:
         return DOMINANT
-    d = g.multiplicities
-    adj = g.adjacency()
-    rows = [
-        {j: -d[i] * d[j] * int(adj[i, j]) for j in np.flatnonzero(adj[i]).tolist()}
-        for i in range(g.size)
-    ]
+    d, m = g.multiplicities, g.m
+    rows: list[dict] = [{} for _ in range(g.size)]
+    for i, j in zip(*(axis.tolist() for axis in np.nonzero(g._block))):
+        rows[i][m + j] = rows[m + j][i] = -d[i] * d[m + j] * g.intersections[i][j]
     for i, row in enumerate(rows):
         row[i] = Fraction(2 * d[i])
     heap = sorted((len(row), i) for i, row in enumerate(rows))

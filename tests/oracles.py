@@ -1,8 +1,10 @@
 """Cross-check oracles that only the tests read.
 
-The package decides every sign and class exactly, and finds its selectors
-by a short scan; these float evaluations and whole-window enumerations are
-the independent references the package code is compared against.
+The package decides every sign and class exactly, finds its selectors by a
+short scan and holds a configuration graph only as its m-by-k intersection
+block; these float evaluations, whole-window enumerations and dense
+(m + k)-square matrices are the independent references the package code is
+compared against.
 """
 
 import math
@@ -16,6 +18,24 @@ def spectral_radius(adj) -> float:
     if np.allclose(mat, mat.T):
         return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
+
+
+def adjacency(g) -> np.ndarray:
+    """Dense multigraph adjacency of a configuration graph, size m + k."""
+    m, size = g.m, g.size
+    adj = np.zeros((size, size), dtype=np.int64)
+    adj[:m, m:] = g.intersections
+    adj[m:, :m] = adj[:m, m:].T
+    return adj
+
+
+def intersection_matrix(g) -> np.ndarray:
+    """The weighted matrix N = DA, with N[i][j] = d_i * i(gamma_i, gamma_j).
+
+    Zero on the two diagonal blocks; not symmetric in general, since each
+    row is scaled by its own multiplicity.  The oracle for ``veech.perron``.
+    """
+    return np.asarray(g.multiplicities, dtype=np.int64)[:, None] * adjacency(g)
 
 
 def gram_ratio_float(s: int, p: int, ell: int) -> float | None:

@@ -7,7 +7,7 @@ lines.  Tolerances are stated inline; timed criteria assert their budget.
 import math
 import time
 
-from oracles import gram_ratio_float, selector_window, spectral_radius
+from oracles import adjacency, gram_ratio_float, selector_window, spectral_radius
 from quantcert import blocks, burau, certify, hermitian, orbits, veech
 from quantcert.roots import RootOfUnity
 
@@ -158,7 +158,7 @@ def test_criterion_06_perron_anchors():
             g = veech.ConfigurationGraph(tuple(map(tuple, inter)), (1,) * (m + k))
         except Exception:
             continue
-        radius = spectral_radius(g.adjacency())
+        radius = spectral_radius(adjacency(g))
         if radius < 2 - 1e-9:
             expected = veech.RECESSIVE
         elif radius <= 2 + 1e-9:

@@ -11,7 +11,6 @@ from quantcert.certify import (
     ROUTE_UNCERTIFIED,
     SCALAR_OBSTRUCTED,
     SURVIVES,
-    UNCERTIFIABLE_LEVELS,
     certificate_to_json,
     certify_level,
     eigenvalue_tuple,
@@ -263,7 +262,7 @@ class TestCertifyLevel:
 
     def test_exceptional_set_1_to_200(self):
         bad = {p for p in range(1, 201) if not certify_level(p).certified}
-        assert bad == set(UNCERTIFIABLE_LEVELS)
+        assert bad == {1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 24}
 
 
 class TestCertificateJson:

@@ -311,6 +311,9 @@ class TestContract:
             (("orbits", "2000", "2000"), "PAIR_BUDGET = 100000"),
             (("orbits", "5", "14", "--labeled"), "LABEL_BUDGET = 500000"),
             (("orbits", "2", "15", "--labeled", "--format", "json"), "LABEL_BUDGET = 500000"),
+            (("veech", "A:3", "--mult", "5,5,5"), "--mult applies to --inter only"),
+            (("veech", "A:3", "--inter", "(1,1,1),(2,1,1)"), "not both"),
+            (("veech", "c=1;d=1;inter=(1,1,1)", "--mult", "2,2"), "applies to --inter only"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):

@@ -2,11 +2,12 @@ import heapq
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import spectral_radius
+from oracles import adjacency, intersection_matrix, spectral_radius
 from quantcert import veech
 from quantcert.errors import (
     DisconnectedGraph,
@@ -32,7 +33,6 @@ from quantcert.veech import (
     exceptional_family,
     flat_surface,
     forked_path_family,
-    intersection_matrix,
     lattice_certificate,
     multitwist_matrices,
     parse_config_spec,
@@ -53,13 +53,17 @@ class TestConfigurationGraph:
         with pytest.raises(DisconnectedGraph):
             ConfigurationGraph(((1, 0), (0, 1)), (1, 1, 1, 1))
 
-    def test_adjacency_built_once_and_read_only(self):
-        g = ConfigurationGraph(((2, 1),), (1, 1, 1))
-        adj = g.adjacency()
-        assert adj is g.adjacency()
-        assert adj.tolist() == [[0, 2, 1], [2, 0, 0], [1, 0, 0]]
+    def test_block_built_once_and_read_only(self):
+        """The m-by-k intersection block is the one matrix a graph holds."""
+        g = ConfigurationGraph(((2, 1), (0, 3)), (1, 1, 1, 1))
+        block = g._block
+        assert block.dtype == np.int64 and block.tolist() == [[2, 1], [0, 3]]
         with pytest.raises(ValueError):
-            adj[0, 1] = 5
+            block[0, 1] = 5
+        # a solve and a classification read it and leave it the only array
+        assert perron(g).mu > 0 and classify_graph(g) == DOMINANT
+        matrices = [value for value in vars(g).values() if isinstance(value, np.ndarray)]
+        assert len(matrices) == 1 and matrices[0] is block
 
     def test_bad_multiplicities(self):
         with pytest.raises(InvalidGraph):
@@ -101,21 +105,57 @@ class TestPerron:
             assert all(x > 0 for x in data.v)
 
     def test_bad_eigenpair_is_an_invariant_violation(self, monkeypatch):
-        g = path_family(4)
-        values, vectors = np.linalg.eigh(np.asarray(g.adjacency(), dtype=float))
-        monkeypatch.setattr(np.linalg, "eigh", lambda _: (values + 0.1, vectors))
-        with pytest.raises(InvariantViolation, match="residual"):
+        # the solve sees the smaller side's Gram matrix: 2 x 2 here, on the
+        # first side of a 2 x 3 block and on the second side of its transpose
+        real_eigh = np.linalg.eigh
+        for block in (((1, 1, 0), (0, 1, 1)), ((1, 0), (1, 1), (0, 1))):
+            g = ConfigurationGraph(block, (1,) * 5)
+            x = np.asarray(block, dtype=float)
+            gram = x @ x.T if g.m <= g.k else x.T @ x
+            seen = []
+            monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or real_eigh(a))
             perron(g)
-        # a true eigenpair, but not the Perron one: its vector changes sign
-        order = [0, 1, 3, 2]
-        monkeypatch.setattr(np.linalg, "eigh", lambda _: (values[order], vectors[:, order]))
-        with pytest.raises(InvariantViolation, match="positive"):
-            perron(g)
+            assert len(seen) == 1 and np.array_equal(seen[0], gram)
+            values, vectors = real_eigh(gram)
+            monkeypatch.setattr(np.linalg, "eigh", lambda _: (values + 0.1, vectors))
+            with pytest.raises(InvariantViolation, match="residual"):
+                perron(g)
+            # a true eigenpair, but not the Perron one: its vector changes sign
+            monkeypatch.setattr(np.linalg, "eigh", lambda _: (values[::-1], vectors[:, ::-1]))
+            with pytest.raises(InvariantViolation, match="positive"):
+                perron(g)
+
+    def test_solve_holds_no_square_matrix(self):
+        """Traced peak of one Perron solve on the largest graphs admitted.
+
+        A dense (m + k)-square float matrix at 2000 vertices is 32 MB and the
+        solve would hold several; the block and the smaller side's Gram
+        matrix stay well under 48 MB, on either orientation.
+        """
+        long_star = ",".join(f"({i},1,1)" for i in range(1, VERTEX_BUDGET))
+        for g in (path_family(VERTEX_BUDGET), parse_intersections(long_star)):
+            tracemalloc.start()
+            try:
+                perron(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 48 * 2**20, (g.m, g.k, peak)
 
     def test_against_dense_eigensolver(self):
+        """The smaller-side solve against eigh of the full D^(1/2) A D^(1/2).
+
+        Square-ish unit graphs, then weighted graphs with lopsided shapes
+        (k in {1, 2} with m up to 12, and the reverse), so the solve runs on
+        each side.
+        """
         rng = random.Random(7)
-        for _ in range(25):
-            m, k = rng.randint(1, 4), rng.randint(1, 4)
+        shapes = [(rng.randint(1, 4), rng.randint(1, 4), False) for _ in range(25)]
+        for _ in range(20):
+            long, short = rng.randint(1, 12), rng.randint(1, 2)
+            shapes += [(long, short, True), (short, long, True)]
+        checked = set()
+        for m, k, weighted in shapes:
             inter = [[rng.randint(0, 2) for _ in range(k)] for _ in range(m)]
             # force connectivity: chain every vertex through the first column/row
             for i in range(m):
@@ -124,12 +164,21 @@ class TestPerron:
             for j in range(k):
                 if not any(row[j] for row in inter):
                     inter[rng.randrange(m)][j] = 1
+            mult = tuple(rng.randint(1, 5) if weighted else 1 for _ in range(m + k))
             try:
-                g = ConfigurationGraph(tuple(map(tuple, inter)), (1,) * (m + k))
+                g = ConfigurationGraph(tuple(map(tuple, inter)), mult)
             except DisconnectedGraph:
                 continue
-            mu = perron(g).mu
-            assert abs(mu - spectral_radius(intersection_matrix(g))) < 1e-8
+            data = perron(g)
+            assert abs(data.mu - spectral_radius(intersection_matrix(g))) < 1e-8
+            root = np.sqrt(np.asarray(mult, dtype=float))
+            values, vectors = np.linalg.eigh(root[:, None] * adjacency(g) * root[None, :])
+            assert abs(data.mu - values[-1]) <= 1e-12 * values[-1]
+            dense = root * vectors[:, -1]
+            dense *= np.sign(dense.sum()) / np.linalg.norm(dense)
+            assert np.max(np.abs(np.asarray(data.v) - dense)) < 1e-9, (inter, mult)
+            checked.add((m > k) - (m < k))
+        assert checked == {-1, 0, 1}
 
 
 class TestMultitwistMatrices:
