@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphParseError, InvalidColor, InvalidGraph
+from .errors import GraphParseError, InvalidColor, InvalidGraph, UsageError
 
 #: Most vertices of a parsed graph and highest level the CLI accepts.  A count
 #: costs |palette|^2 per handle and tail, plus |palette|^3 once if some g >= 3.
@@ -38,7 +38,7 @@ LEVEL_BUDGET = 800
 def level_colors(p: int) -> tuple[int, ...]:
     """Palette of colors for level p."""
     if p < 5:
-        raise ValueError(f"level must be at least 5, got {p}")
+        raise UsageError(f"level must be at least 5, got {p}")
     if p % 2:
         return tuple(range(0, p - 2, 2))
     return tuple(range(0, (p - 4) // 2 + 1))
@@ -47,7 +47,7 @@ def level_colors(p: int) -> tuple[int, ...]:
 def in_palette(c: int, p: int) -> bool:
     """Whether c is a color of level p, i.e. ``c in level_colors(p)``."""
     if p < 5:
-        raise ValueError(f"level must be at least 5, got {p}")
+        raise UsageError(f"level must be at least 5, got {p}")
     if p % 2:
         return 0 <= c <= p - 3 and c % 2 == 0
     return 0 <= c <= (p - 4) // 2
@@ -272,7 +272,8 @@ def parse_colored_graph(text: str) -> ColoredGraph:
 
     Whitespace-insensitive; loops are written ``u-u``; the edges and tails
     sections may be empty or absent.  Parse errors name the offending
-    token and its character position in the input.
+    token and its character position in the input; a graph that parses but
+    is not trivalent raises InvalidGraph.
     """
     vertices: tuple[int, ...] | None = None
     edges: list[tuple[int, int]] = []
@@ -296,11 +297,13 @@ def parse_colored_graph(text: str) -> ColoredGraph:
             try:
                 n = int(value)
             except ValueError:
+                n = -1  # reported with the negative counts
+            if n < 0:
                 raise GraphParseError(
                     f"invalid vertex count {value.strip()!r} at position {pos}",
                     token=value.strip(),
                     position=pos,
-                ) from None
+                )
             if n > VERTEX_BUDGET:
                 message = f"graph has {n} vertices, over VERTEX_BUDGET = {VERTEX_BUDGET}"
                 raise GraphParseError(message, token=value.strip(), position=pos)
@@ -323,7 +326,4 @@ def parse_colored_graph(text: str) -> ColoredGraph:
             )
     if vertices is None:
         raise GraphParseError("missing vertices=... section", token="vertices")
-    try:
-        return ColoredGraph(vertices, tuple(edges), tuple(tails))
-    except InvalidGraph as exc:
-        raise GraphParseError(str(exc)) from exc
+    return ColoredGraph(vertices, tuple(edges), tuple(tails))

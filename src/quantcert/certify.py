@@ -249,6 +249,8 @@ def even_certificate(p: int) -> InfinitenessCertificate:
             f"tail {boundary}), got {basis}"
         )
     profile = hermitian.gram_profile(p, ell)
+    if not profile.indefinite:
+        raise InvariantViolation(f"window selector {ell} is not indefinite at level {p}")
     lams = eigenvalue_tuple(p, ell)
     product = math.prod(lams[1:], start=lams[0])
     if lams[1].multiplicative_order() != 2 * p:

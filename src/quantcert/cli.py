@@ -3,8 +3,9 @@
 Every command builds a deterministic report (command echo, inputs, results,
 provenance notes, tool version) and renders it as a table or as canonically
 ordered JSON.  Exit codes: 0 on success (an uncertified level is a result,
-not an error), 2 on usage or parse errors, 3 on internal invariant
-violations.
+not an error), 2 on a ``UsageError`` (raised where the broken input rule
+lives), 3 on any other package error.  ``main`` is the only place that
+maps an error to an exit code.
 
 The argument parser is built once, at import; ``main(argv)`` may be called
 any number of times in one process, and each call parses into a fresh
@@ -19,12 +20,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, blocks, certify, orbits, veech
-from .errors import (
-    GraphParseError,
-    InvalidColor,
-    NonHyperbolic,
-    QuantcertError,
-)
+from .errors import QuantcertError, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,10 +28,6 @@ EXIT_INTERNAL = 3
 
 #: most levels one ``certify N..M`` may ask for
 RANGE_BUDGET = 100000
-
-
-class UsageError(QuantcertError):
-    """Bad command-line input (maps to exit code 2)."""
 
 
 def _dump(report: dict) -> str:
@@ -198,10 +190,7 @@ def cmd_blocks(args) -> dict:
     else:
         if args.tail is not None:
             raise UsageError("--tail applies to the named tadpole graph only")
-        try:
-            graph = blocks.parse_colored_graph(args.graph)
-        except GraphParseError as exc:
-            raise UsageError(str(exc)) from exc
+        graph = blocks.parse_colored_graph(args.graph)
     result: dict = {
         "graph": {
             "vertices": len(graph.vertices),
@@ -210,14 +199,11 @@ def cmd_blocks(args) -> dict:
         },
         "level": args.level,
     }
-    try:
-        if args.graph == "tadpole":
-            result["loop_colors"] = list(blocks.tadpole_basis(args.tail, args.level))
-            result["dimension"] = len(result["loop_colors"])
-        else:
-            result["dimension"] = blocks.block_dimension(graph, args.level)
-    except (InvalidColor, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    if args.graph == "tadpole":
+        result["loop_colors"] = list(blocks.tadpole_basis(args.tail, args.level))
+        result["dimension"] = len(result["loop_colors"])
+    else:
+        result["dimension"] = blocks.block_dimension(graph, args.level)
     return _report("blocks", {"graph": args.graph, "level": args.level}, result, [])
 
 
@@ -236,15 +222,12 @@ def cmd_veech(args) -> dict:
         raise UsageError("--mult applies to --inter only; a spec gives them as mult=...")
     if args.spec is not None and args.inter is not None:
         raise UsageError("give a graph spec or --inter, not both")
-    try:
-        if args.inter:
-            graph = veech.parse_intersections(args.inter, args.mult or "")
-        elif args.spec:
-            graph = veech.parse_config_spec(args.spec)
-        else:
-            raise UsageError("give a graph spec (e.g. A:3) or --inter")
-    except GraphParseError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.inter:
+        graph = veech.parse_intersections(args.inter, args.mult or "")
+    elif args.spec:
+        graph = veech.parse_config_spec(args.spec)
+    else:
+        raise UsageError("give a graph spec (e.g. A:3) or --inter")
     data = veech.perron(graph)
     cert = veech.lattice_certificate(graph)
     dt_c, dt_d = veech.multitwist_matrices(data.mu)
@@ -287,7 +270,11 @@ def _print_veech_table(report: dict, quiet: bool) -> None:
     )
     if not quiet:
         print(f"eigenvector: {[round(x, 10) for x in result['eigenvector']]}")
-        print(f"DT_c = {result['dt_c']}, DT_d = {result['dt_d']}")
+        dt_c, dt_d = (
+            "[" + ", ".join(f"[{a:.12g}, {b:.12g}]" for a, b in result[key]) + "]"
+            for key in ("dt_c", "dt_d")
+        )
+        print(f"DT_c = {dt_c}, DT_d = {dt_d}")
         print(f"{len(result['rectangles'])} rectangles, total area {result['total_area']:.12g}")
 
 
@@ -295,11 +282,8 @@ def _print_veech_table(report: dict, quiet: bool) -> None:
 # orbits
 
 def cmd_orbits(args) -> dict:
-    try:
-        curve_types = orbits.enumerate_orbits(args.g, args.n, labeled=args.labeled)
-        bounds = orbits.h2_bounds(args.g, args.n)
-    except (NonHyperbolic, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    curve_types = orbits.enumerate_orbits(args.g, args.n, labeled=args.labeled)
+    bounds = orbits.h2_bounds(args.g, args.n)
     result = {
         "g": args.g,
         "n": args.n,
@@ -420,7 +404,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuantcertError as exc:
-        # anything not wrapped as a usage error by the command is internal
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if out_format == "json":

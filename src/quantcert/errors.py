@@ -1,8 +1,18 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Bad input raises a ``UsageError`` subclass where the rule it breaks lives;
+no module catches one to re-raise it as another.  ``cli.main`` alone maps
+them to exit codes: a ``UsageError`` to 2, every other ``QuantcertError``
+to 3.  A ``UsageError`` is also a ``ValueError``.
+"""
 
 
 class QuantcertError(Exception):
     """Base class for every error raised by this package."""
+
+
+class UsageError(QuantcertError, ValueError):
+    """Bad input: the caller's fault (exit code 2 on the command line)."""
 
 
 class NonPrimitiveRoot(QuantcertError):
@@ -13,15 +23,15 @@ class DegenerateDenominator(QuantcertError):
     """A sign computation hit a factor that is exactly zero."""
 
 
-class InvalidColor(QuantcertError):
+class InvalidColor(UsageError):
     """A color is outside the palette of the given level."""
 
 
-class InvalidGraph(QuantcertError):
+class InvalidGraph(UsageError):
     """A graph violates the trivalence or indexing contract."""
 
 
-class GraphParseError(QuantcertError):
+class GraphParseError(UsageError):
     """A graph description string could not be parsed.
 
     Carries the offending token and its position so command-line callers
@@ -34,11 +44,11 @@ class GraphParseError(QuantcertError):
         self.position = position
 
 
-class DisconnectedGraph(QuantcertError):
+class DisconnectedGraph(UsageError):
     """A configuration graph must be connected."""
 
 
-class NonHyperbolic(QuantcertError):
+class NonHyperbolic(UsageError):
     """The surface (g, n) has non-negative Euler characteristic."""
 
 

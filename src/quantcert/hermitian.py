@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation
 from .roots import _check_selector, _sin_sign
 
 RATIO_COUNT = 4
@@ -88,25 +87,17 @@ def gram_profile(p: int, ell: int) -> GramProfile:
     )
 
 
-def find_indefinite_ell(p: int) -> int | None:
-    """The first window selector, checked to give an indefinite profile.
+def find_indefinite_ell(p: int) -> int:
+    """The first window selector: the least ell > 4k/3 coprime to 2p.
 
-    Returns None when k = p/4 < 4 (no 5-dimensional block with positive
-    boundary color exists there).  For k >= 4 the scan runs upward from
-    floor(4k/3) + 1 to the first ell coprime to 2p; it ends by ell = 2k - 1,
+    The scan runs upward from floor(4k/3) + 1 and ends by ell = 2k - 1,
     since gcd(2k - 1, 8k) = gcd(2k - 1, 4) = 1.  On the window
     sin(3*pi*ell/2k) > 0, cos(pi*ell/2k) < 0 and sin(pi*ell/4k) > 0, so
-    every window selector gives the diagonal signs (+, +, -, +, +); a first
-    selector without an indefinite profile raises InvariantViolation.
+    every window selector gives the diagonal signs (+, +, -, +, +).  Raises
+    ValueError unless p = 4k with k >= 4.
     """
-    if p % 4:
-        raise ValueError(f"level must be divisible by 4, got {p}")
-    k = p // 4
-    if k < 4:
-        return None
-    ell = 4 * k // 3 + 1
+    ell = 4 * (p // 4) // 3 + 1
     while math.gcd(ell, 2 * p) != 1:
         ell += 1
-    if not gram_profile(p, ell).indefinite:
-        raise InvariantViolation(f"window selector {ell} is not indefinite at level {p}")
+    _check_level(p, ell)
     return ell

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NonHyperbolic
+from .errors import NonHyperbolic, UsageError
 
 NONSEPARATING = "nonseparating"
 SEPARATING = "separating"
@@ -53,7 +53,7 @@ class CurveType:
 
 def _check_hyperbolic(g: int, n: int) -> None:
     if g < 0 or n < 0:
-        raise ValueError(f"genus and puncture count must be nonnegative: ({g}, {n})")
+        raise UsageError(f"genus and puncture count must be nonnegative: ({g}, {n})")
     if 2 - 2 * g - n >= 0:
         raise NonHyperbolic(f"(g, n) = ({g}, {n}) has non-negative Euler characteristic")
 
@@ -67,7 +67,7 @@ def _check_budget(g: int, n: int, labeled: bool) -> None:
     pairs = (g + 1) * (2 ** min(n, 64) if labeled else n + 1)
     if pairs > PAIR_BUDGET:
         kind = "labeled" if labeled else "unlabeled"
-        raise ValueError(
+        raise UsageError(
             f"{kind} (g, n) = ({g}, {n}) has more side pairs than PAIR_BUDGET = {PAIR_BUDGET}"
         )
 
@@ -76,7 +76,7 @@ def _check_label_budget(g: int, n: int) -> None:
     _check_budget(g, n, labeled=True)  # bounds 2^n before it is computed
     labels = (g + 1) * 2**n * n
     if labels > LABEL_BUDGET:
-        raise ValueError(
+        raise UsageError(
             f"labeled (g, n) = ({g}, {n}) has (g + 1) * 2^n * n = {labels} side-pair "
             f"labels, over LABEL_BUDGET = {LABEL_BUDGET}"
         )

@@ -59,6 +59,8 @@ NOT_FINITE_INDEX = "not_finite_index"
 
 DEFAULT_TOL = 1e-12
 PARABOLIC_TOL = 1e-9
+#: SL2Mat accepts |ad - bc - 1| <= DET_TOL * (|ad| + |bc|), relative to the
+#: size of the two products, so long products of valid matrices stay valid.
 DET_TOL = 1e-12
 
 #: Most vertices (m + k) a parsed configuration graph may have; every report
@@ -183,7 +185,8 @@ class SL2Mat:
     d: float
 
     def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c - 1.0) > DET_TOL:
+        ad, bc = self.a * self.d, self.b * self.c
+        if abs(ad - bc - 1.0) > DET_TOL * (abs(ad) + abs(bc)):
             raise InvalidGraph("matrix must have determinant 1")
 
     @property
@@ -303,28 +306,22 @@ class Rectangle:
 @dataclass(frozen=True)
 class FlatSurfaceData:
     rectangles: tuple[Rectangle, ...]
-    horizontal_gluing: tuple[tuple[int, int], ...]
-    vertical_gluing: tuple[tuple[int, int], ...]
     total_area: float
 
 
 def flat_surface(g: ConfigurationGraph, data: PerronData) -> FlatSurfaceData:
     """One rectangle per intersection point, sized by the Perron vector of g.
 
-    Rectangles that share a component are glued in the cyclic order of
-    their point ids along that component (deterministic but otherwise
-    arbitrary): horizontally along first-multicurve components, vertically
-    along second-multicurve components.
+    Point ids run row-major over the pairs (i, j), one per unit of their
+    intersection number.  How the rectangles glue along a component depends
+    on the order in which it meets its points, which the intersection
+    numbers do not record, so no gluing is reported.
     """
     v = data.v
     rectangles: list[Rectangle] = []
-    by_c: list[list[int]] = [[] for _ in range(g.m)]
-    by_d: list[list[int]] = [[] for _ in range(g.k)]
     for i in range(g.m):
         for j in range(g.k):
             for _ in range(g.intersections[i][j]):
-                by_c[i].append(len(rectangles))
-                by_d[j].append(len(rectangles))
                 rectangles.append(
                     Rectangle(
                         point_id=len(rectangles),
@@ -334,25 +331,11 @@ def flat_surface(g: ConfigurationGraph, data: PerronData) -> FlatSurfaceData:
                         height=v[g.m + j],
                     )
                 )
-
-    def cyclic(groups: list[list[int]]) -> list[tuple[int, int]]:
-        return [
-            (ids[t], ids[(t + 1) % len(ids)])
-            for ids in groups
-            if len(ids) >= 2
-            for t in range(len(ids))
-        ]
-
-    horizontal, vertical = cyclic(by_c), cyclic(by_d)
     area = sum(r.width * r.height for r in rectangles)
     if not area > 0:
-        raise InvalidGraph("flat surface has no area")
-    return FlatSurfaceData(
-        rectangles=tuple(rectangles),
-        horizontal_gluing=tuple(horizontal),
-        vertical_gluing=tuple(vertical),
-        total_area=area,
-    )
+        # v > 0 and a connected graph has a point
+        raise InvariantViolation("flat surface has no area")
+    return FlatSurfaceData(rectangles=tuple(rectangles), total_area=area)
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +448,17 @@ def parse_family(spec: str) -> ConfigurationGraph:
             f"invalid family size {arg.strip()!r} in {spec!r}", token=arg.strip()
         ) from None
     _check_budget(n + 1 if name == "star" else n, spec)
-    try:
-        return _FAMILY_BUILDERS[name](n)
-    except InvalidGraph as exc:
-        raise GraphParseError(str(exc), token=spec) from exc
+    return _FAMILY_BUILDERS[name](n)
 
 
 _INTER_TOKEN = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
-def parse_intersections(
-    inter_text: str, mult_text: str = "", m: int = 0, k: int = 0
-) -> ConfigurationGraph:
+def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGraph:
     """Parse an explicit bipartite spec.
 
     ``inter_text`` lists (i, j, count) triples with 1-based component
-    indices; side sizes are inferred from the largest indices unless given.
+    indices; the side sizes m and k are the largest indices on each side.
     ``mult_text`` is a comma list of m + k multiplicities (default all 1).
     """
     entries = []
@@ -511,8 +489,8 @@ def parse_intersections(
         pos = match.end()
     if not entries:
         raise GraphParseError("no intersections given", token=inter_text)
-    m = max(m, max(e[0] for e in entries))
-    k = max(k, max(e[1] for e in entries))
+    m = max(e[0] for e in entries)
+    k = max(e[1] for e in entries)
     _check_budget(m + k, inter_text)
     inter = [[0] * k for _ in range(m)]
     for i, j, count in entries:
@@ -539,14 +517,14 @@ def parse_intersections(
             )
     else:
         mult = (1,) * (m + k)
-    try:
-        return ConfigurationGraph(tuple(tuple(row) for row in inter), mult)
-    except (InvalidGraph, DisconnectedGraph) as exc:
-        raise GraphParseError(str(exc), token=inter_text) from exc
+    return ConfigurationGraph(tuple(tuple(row) for row in inter), mult)
 
 
 def parse_config_spec(text: str) -> ConfigurationGraph:
-    """Parse either a named family or a ``c=..; d=..; inter=..; mult=..`` spec."""
+    """Parse either a named family or a ``c=..; d=..; inter=..; mult=..`` spec.
+
+    A declared side size c or d must equal the largest index on its side.
+    """
     if "=" not in text:
         return parse_family(text)
     fields = {}
@@ -566,13 +544,23 @@ def parse_config_spec(text: str) -> ConfigurationGraph:
         )
     if "inter" not in fields:
         raise GraphParseError("missing inter=... section", token="inter")
-    sizes = []
+    declared = {}
     for key in ("c", "d"):
-        try:
-            sizes.append(int(fields.get(key, "0")))
-        except ValueError:
+        if key in fields:
+            try:
+                declared[key] = int(fields[key])
+            except ValueError:
+                raise GraphParseError(
+                    f"invalid side size {key}={fields[key]!r}", token=fields[key]
+                ) from None
+    graph = parse_intersections(fields["inter"], fields.get("mult", ""))
+    sizes = {"c": graph.m, "d": graph.k}
+    # a declared side over the budget is reported as such, not as a mismatch
+    _check_budget(sum(max(declared.get(key, 0), n) for key, n in sizes.items()), text)
+    for key, n in declared.items():
+        if n != sizes[key]:
             raise GraphParseError(
-                f"invalid side size {key}={fields[key]!r}", token=fields[key]
-            ) from None
-    m, k = sizes
-    return parse_intersections(fields["inter"], fields.get("mult", ""), m=m, k=k)
+                f"{key}={n} does not match the largest {key} index {sizes[key]} in inter",
+                token=fields[key],
+            )
+    return graph

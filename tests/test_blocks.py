@@ -370,5 +370,5 @@ class TestParser:
             parse_colored_graph("edges=1-2")
 
     def test_non_trivalent_reported_as_parse_error(self):
-        with pytest.raises(GraphParseError):
+        with pytest.raises(InvalidGraph):
             parse_colored_graph("vertices=2; edges=1-2")

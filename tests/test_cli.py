@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import enum
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantcert import cli
+from quantcert import cli, errors
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -143,6 +144,20 @@ class TestVeechCommand:
         code, _, err = run(capsys, "veech")
         assert code == EXIT_USAGE
 
+    def test_table_ignores_the_last_ulp_of_mu(self, capsys):
+        report = cli.cmd_veech(cli._PARSER.parse_args(["veech", "A:3"]))
+        nudged = json.loads(cli._dump(report))
+        mu = math.nextafter(report["results"]["mu"], math.inf)
+        nudged["results"]["mu"] = mu
+        nudged["results"]["dt_c"][0][1] = mu
+        nudged["results"]["dt_d"][1][0] = -mu
+        tables = []
+        for doc in (report, nudged):
+            cli._print_veech_table(doc, quiet=False)
+            tables.append(capsys.readouterr().out)
+        assert "DT_c = [[1, 1.41421356237], [0, 1]]" in tables[0]
+        assert tables[0] == tables[1]
+
 
 class TestOrbitsCommand:
     def test_genus4(self, capsys):
@@ -267,6 +282,36 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out)["results"][0]["p"] == 7
 
+    def test_only_main_catches_package_errors(self):
+        """Input errors are raised as UsageErrors where their rule lives and
+        reach main untranslated; no other except clause names a package error."""
+        package = {
+            name
+            for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, errors.QuantcertError)
+        }
+        package |= {"Exception", "BaseException"}  # these catch them all
+        caught, in_main = [], []
+        for path in sorted((SRC / "quantcert").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            main_nodes = set()
+            for node in ast.walk(tree):
+                if path.name == "cli.py" and getattr(node, "name", None) == "main":
+                    main_nodes = set(ast.walk(node))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                if node in main_nodes:
+                    in_main.append(node)
+                    continue
+                parts = ast.walk(node.type) if node.type else [ast.Name("BaseException")]
+                names = {getattr(part, "id", getattr(part, "attr", None)) for part in parts}
+                if names & package:
+                    caught.append((path.name, node.lineno, sorted(names & package)))
+        assert caught == []
+        assert {"UsageError", "GraphParseError", "InvariantViolation"} <= package
+        assert len(in_main) == 2
+
     def test_internal_invariant_violation_exits_3(self, capsys, monkeypatch):
         from quantcert.errors import InvariantViolation
 
@@ -314,6 +359,12 @@ class TestContract:
             (("veech", "A:3", "--mult", "5,5,5"), "--mult applies to --inter only"),
             (("veech", "A:3", "--inter", "(1,1,1),(2,1,1)"), "not both"),
             (("veech", "c=1;d=1;inter=(1,1,1)", "--mult", "2,2"), "applies to --inter only"),
+            (("blocks", "vertices=-3", "--level", "5"), "invalid vertex count '-3'"),
+            (("veech", "c=1; d=1; inter=(2,2,1),(1,1,1),(1,2,1)"), "c=1 does not match"),
+            (("veech", "c=-4; d=0; inter=(1,1,1),(2,1,1)"), "c=-4 does not match"),
+            (("veech", "c=3; d=1; inter=(1,1,1),(2,1,1)"), "c=3 does not match"),
+            (("veech", "c=2; d=3; inter=(1,1,1),(2,1,1)"), "d=3 does not match"),
+            (("veech", "c=2000; inter=(1,1,1)"), "VERTEX_BUDGET = 2000"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):
@@ -354,13 +405,13 @@ class TestContract:
 
     def test_dense_graph_parses_without_a_pair_budget(self):
         from quantcert import veech
-        from quantcert.errors import GraphParseError
+        from quantcert.errors import DisconnectedGraph
 
         graph = veech.parse_intersections(COMPLETE_64 + ",(65,1,1)")
         assert (graph.m, graph.k) == (65, 64)
         graph = veech.parse_intersections(f"{COMPLETE_64},(1,1,2),(64,64,1)")
         assert graph.intersections[0][0] == 3
-        with pytest.raises(GraphParseError, match="not connected"):
+        with pytest.raises(DisconnectedGraph, match="not connected"):
             veech.parse_intersections(COMPLETE_64 + ",(65,1,0)")
 
     @pytest.mark.parametrize("level", [1 << 40, 3 << 40, 5 << 40])

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import gram_ratio_float, selector_window
-from quantcert import hermitian
+from quantcert import certify, hermitian
 from quantcert.errors import InvariantViolation, NonPrimitiveRoot
 from quantcert.hermitian import find_indefinite_ell, gram_profile, gram_ratio_sign
 
@@ -99,8 +99,11 @@ class TestFindIndefiniteEll:
         assert find_indefinite_ell(28) == 11
 
     def test_small_k_unavailable(self):
-        assert find_indefinite_ell(12) is None
-        assert find_indefinite_ell(8) is None
+        for p in (12, 8, 4, 0):
+            with pytest.raises(ValueError, match="k = p/4 >= 4"):
+                find_indefinite_ell(p)
+        with pytest.raises(ValueError, match="divisible by 4"):
+            find_indefinite_ell(18)
 
     def test_found_for_all_levels_up_to_400(self):
         for p in range(16, 401, 4):
@@ -114,7 +117,9 @@ class TestFindIndefiniteEll:
             assert find_indefinite_ell(p) == selector_window(p)[0]
 
     def test_window_without_indefinite_profile_raises(self, monkeypatch):
+        # find_indefinite_ell only scans; even_certificate checks the one
+        # profile it computes
         definite = gram_profile(16, 1)
         monkeypatch.setattr(hermitian, "gram_profile", lambda p, ell: definite)
-        with pytest.raises(InvariantViolation):
-            find_indefinite_ell(16)
+        with pytest.raises(InvariantViolation, match="not indefinite"):
+            certify.even_certificate(16)
