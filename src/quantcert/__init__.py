@@ -1,8 +1,8 @@
 """quantcert: exact certificates for quantum mapping-class-group data.
 
 Submodules:
-  roots      exact root-of-unity arithmetic, quantum-integer signs,
-             twist eigenvalues and their orders
+  roots      exact root-of-unity arithmetic, the residue-sign rule and
+             twist eigenvalues
   blocks     color palettes, admissible colorings, block dimensions on
              trivalent graphs
   hermitian  diagonal signs and signature of the invariant Hermitian form
@@ -11,8 +11,9 @@ Submodules:
              arrays (their one representation, with the generator
              contract checked on them) and the finite-closure probe
   certify    per-level infiniteness certificates (odd and even routes)
-  veech      configuration graphs, Perron data, multitwist matrices and
-             flat surfaces
+  veech      configuration graphs, Perron data, the exact recessive /
+             critical / dominant class, multitwist matrices and flat
+             surfaces
   orbits     simple-closed-curve orbit counts and degree-2 cohomology
              bounds
   cli        the quantcert command-line tool

@@ -71,20 +71,6 @@ def _admissible(a: int, b: int, c: int, p: int) -> bool:
     return in_range and _fits(a, b, c, p)
 
 
-def is_admissible(a: int, b: int, c: int, p: int) -> bool:
-    """Decide admissibility of the triple (a, b, c) at level p.
-
-    Raises InvalidColor when any of the three colors is outside the
-    palette of the level.
-    """
-    for x in (a, b, c):
-        if not in_palette(x, p):
-            raise InvalidColor(
-                f"color {x} is not in the level-{p} palette {level_colors(p)}"
-            )
-    return _admissible(a, b, c, p)
-
-
 def tadpole_basis(i: int, p: int) -> tuple[int, ...]:
     """Increasing loop colors a with (a, a, i) admissible; the tadpole basis.
 
@@ -145,24 +131,6 @@ def tadpole_graph(tail_color: int) -> ColoredGraph:
     return ColoredGraph(vertices=(1,), edges=((1, 1),), tails=((1, tail_color),))
 
 
-def theta_graph() -> ColoredGraph:
-    """Two vertices joined by three parallel edges (a closed genus-2 graph)."""
-    return ColoredGraph(vertices=(1, 2), edges=((1, 2), (1, 2), (1, 2)))
-
-
-def dumbbell_graph() -> ColoredGraph:
-    """Two loops joined by a bridge (the other closed genus-2 graph)."""
-    return ColoredGraph(vertices=(1, 2), edges=((1, 1), (1, 2), (2, 2)))
-
-
-def chain_graph() -> ColoredGraph:
-    """Two loops joined through a doubled middle edge; closed, genus 3."""
-    return ColoredGraph(
-        vertices=(1, 2, 3, 4),
-        edges=((1, 1), (1, 2), (2, 3), (2, 3), (3, 4), (4, 4)),
-    )
-
-
 def block_dimension_bruteforce(graph: ColoredGraph, p: int) -> int:
     """Plain enumeration of all internal colorings; the slow oracle."""
     cols = level_colors(p)
@@ -217,42 +185,6 @@ def block_dimension(graph: ColoredGraph, p: int) -> int:
             v = (handle if op is None else fusion(op)) @ v
         dim *= int((h if first is None else cols == first) @ v)
     return dim
-
-
-def cut_graph(
-    graph: ColoredGraph, cut_edges: tuple[int, ...], cut_colors: tuple[int, ...]
-) -> ColoredGraph:
-    """Replace each cut edge by two tails carrying the same color."""
-    cut_set = set(cut_edges)
-    for idx in cut_set:
-        if not 0 <= idx < len(graph.edges):
-            raise InvalidGraph(f"edge index {idx} out of range")
-    new_edges = tuple(e for i, e in enumerate(graph.edges) if i not in cut_set)
-    new_tails = list(graph.tails)
-    for idx, color in zip(cut_edges, cut_colors):
-        u, v = graph.edges[idx]
-        new_tails.append((u, color))
-        new_tails.append((v, color))
-    return ColoredGraph(graph.vertices, new_edges, tuple(new_tails))
-
-
-def cut_identity_check(graph: ColoredGraph, cut_edges: tuple[int, ...], p: int) -> bool:
-    """Check dim(graph) against the sum of dimensions over cut colorings.
-
-    Cutting an internal edge and summing the resulting dimensions over all
-    colors of the new tail pair must reproduce the original dimension (a
-    marginalization identity).  Returning False signals an implementation
-    fault, never a property of the input.
-    """
-    cut_edges = tuple(cut_edges)
-    if len(set(cut_edges)) != len(cut_edges):
-        raise InvalidGraph("cut edges must be distinct")
-    lhs = block_dimension(graph, p)
-    cols = level_colors(p)
-    rhs = 0
-    for coloring in itertools.product(cols, repeat=len(cut_edges)):
-        rhs += block_dimension(cut_graph(graph, cut_edges, coloring), p)
-    return lhs == rhs
 
 
 def _tokens(value: str, start: int):

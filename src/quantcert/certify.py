@@ -72,25 +72,19 @@ def eigenvalue_tuple(p: int, ell: int) -> tuple[RootOfUnity, ...]:
     return tuple(mu * base for mu in mus)
 
 
-def _scalar_obstruction(product: RootOfUnity, subset: tuple[RootOfUnity, ...]) -> str:
+def scalar_obstruction(product: RootOfUnity, subset: tuple[RootOfUnity, ...]) -> str:
+    """Check the scalar identity forced by an invariant subspace.
+
+    ``product`` is the product of the eigenvalue tuple and ``subset`` a
+    sub-multiset of it of size 1 or 2.  Returns SCALAR_OBSTRUCTED when the
+    identity fails (the subspace cannot exist) and SURVIVES when it holds
+    identically.
+    """
     if len(subset) not in (1, 2):
         raise ValueError("subspace case must have size 1 or 2")
     lhs = product ** (6 * len(subset))
     rhs = math.prod(subset[1:], start=subset[0]) ** 30
     return SURVIVES if lhs == rhs else SCALAR_OBSTRUCTED
-
-
-def scalar_obstruction(
-    p: int, ell: int, subset: tuple[RootOfUnity, ...]
-) -> str:
-    """Check the scalar identity forced by an invariant subspace.
-
-    ``subset`` is a sub-multiset of the eigenvalue tuple of size 1 or 2.
-    Returns SCALAR_OBSTRUCTED when the identity fails (the subspace cannot
-    exist) and SURVIVES when it holds identically.
-    """
-    lams = eigenvalue_tuple(p, ell)
-    return _scalar_obstruction(math.prod(lams[1:], start=lams[0]), subset)
 
 
 @dataclass(frozen=True)
@@ -267,7 +261,7 @@ def even_certificate(p: int) -> InfinitenessCertificate:
 
     for subset in _distinct_submultisets(lams):
         label = "{" + ", ".join(str(lam) for lam in subset) + "}"
-        if _scalar_obstruction(product, subset) == SCALAR_OBSTRUCTED:
+        if scalar_obstruction(product, subset) == SCALAR_OBSTRUCTED:
             cases.append(SubspaceCase(subset, SCALAR_OBSTRUCTED))
             continue
         # Only the span case can survive the scalar test.  Its partner

@@ -222,6 +222,8 @@ def cmd_veech(args) -> dict:
         raise UsageError("--mult applies to --inter only; a spec gives them as mult=...")
     if args.spec is not None and args.inter is not None:
         raise UsageError("give a graph spec or --inter, not both")
+    if args.inter == "-":  # a list too long for one command-line argument
+        args.inter = sys.stdin.read().strip()
     if args.inter:
         graph = veech.parse_intersections(args.inter, args.mult or "")
     elif args.spec:
@@ -243,8 +245,8 @@ def cmd_veech(args) -> dict:
         "graph_class": cert.graph_class,
         "lattice_status": cert.status,
         "teichmuller_curve_by_mu": cert.teichmuller_curve_by_mu,
-        "dt_c": [[dt_c.a, dt_c.b], [dt_c.c, dt_c.d]],
-        "dt_d": [[dt_d.a, dt_d.b], [dt_d.c, dt_d.d]],
+        "dt_c": dt_c,
+        "dt_d": dt_d,
         "rectangles": [
             {
                 "id": r.point_id,
@@ -269,7 +271,7 @@ def _print_veech_table(report: dict, quiet: bool) -> None:
         f"teichmuller_curve_by_mu = {result['teichmuller_curve_by_mu']}"
     )
     if not quiet:
-        print(f"eigenvector: {[round(x, 10) for x in result['eigenvector']]}")
+        print("eigenvector: [" + ", ".join(f"{x:.12g}" for x in result["eigenvector"]) + "]")
         dt_c, dt_d = (
             "[" + ", ".join(f"[{a:.12g}, {b:.12g}]" for a, b in result[key]) + "]"
             for key in ("dt_c", "dt_d")

@@ -19,10 +19,6 @@ class NonPrimitiveRoot(QuantcertError):
     """The root selector is not coprime to the root order."""
 
 
-class DegenerateDenominator(QuantcertError):
-    """A sign computation hit a factor that is exactly zero."""
-
-
 class InvalidColor(UsageError):
     """A color is outside the palette of the given level."""
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic with roots of unity and quantum-integer signs.
+"""Exact arithmetic with roots of unity, and the twist eigenvalues.
 
 A root of unity zeta_N^e is stored as the pair (order N, exponent e mod N);
 products, powers, orders and equality tests are modular arithmetic on the
@@ -6,10 +6,9 @@ exponents and never touch floating point.  Equality across different orders
 is decided at the least common multiple of the orders; the stored pair is
 deliberately not reduced, so exponent identities stay transparent.
 
-The quantum integer [n] = (A^{2n} - A^{-2n})/(A^2 - A^{-2}) with
-A = exp(2*pi*i*ell/(2p)) equals sin(n*beta)/sin(beta) for beta = 2*pi*ell/p.
-Its sign is decided exactly by the position of the residue n*ell mod p in
-(0, p); floats appear only as informational hints and cross-check oracles.
+The sign of sin(2*pi*m/p) is decided exactly by the position of the residue
+m mod p in (0, p) (``_sin_sign``); ``hermitian`` takes every factor sign of
+its Gram ratios from that rule.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .blocks import in_palette
-from .errors import DegenerateDenominator, InvalidColor, NonPrimitiveRoot
+from .errors import InvalidColor, NonPrimitiveRoot
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +53,8 @@ class RootOfUnity:
         )
 
     def __pow__(self, m: int) -> "RootOfUnity":
-        return root_pow(self, m)
+        """zeta_N^(e*m mod N); m may be negative."""
+        return RootOfUnity(self.order, (self.exponent * m) % self.order)
 
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity(self.order, -self.exponent)
@@ -74,15 +74,6 @@ class RootOfUnity:
         return cls(order, order // 2)
 
 
-def root_pow(z: RootOfUnity, m: int) -> RootOfUnity:
-    """z^m, i.e. zeta_N^(e*m mod N); m may be negative."""
-    return RootOfUnity(z.order, (z.exponent * m) % z.order)
-
-
-def is_one(z: RootOfUnity) -> bool:
-    return z.exponent == 0
-
-
 def _sin_sign(m: int, p: int) -> int:
     """Sign of sin(2*pi*m/p), decided from the residue m mod p."""
     r = m % p
@@ -95,37 +86,6 @@ def _check_selector(ell: int, p: int) -> None:
     """Raise NonPrimitiveRoot unless A = zeta_2p^ell is a primitive 2p-th root."""
     if math.gcd(ell, 2 * p) != 1:
         raise NonPrimitiveRoot(f"gcd({ell}, {2 * p}) != 1: selector is not primitive")
-
-
-def quantum_integer_sign(n: int, p: int, ell: int) -> int:
-    """Exact sign of [n] at level p with root selector ell.
-
-    [n] = sin(n*beta)/sin(beta) for beta = 2*pi*ell/p; the answer is the
-    product of the residue-position signs of numerator and denominator.
-    """
-    if p < 1:
-        raise ValueError(f"level must be positive, got {p}")
-    _check_selector(ell, p)
-    den = _sin_sign(ell, p)
-    if den == 0:
-        raise DegenerateDenominator(f"sin(2*pi*{ell}/{p}) = 0")
-    return _sin_sign(n * ell, p) * den
-
-
-@dataclass(frozen=True)
-class QuantumIntegerValue:
-    n: int
-    p: int
-    ell: int
-    sign: int
-    magnitude_hint: float  # informational only; the sign field is the contract
-
-
-def quantum_integer(n: int, p: int, ell: int) -> QuantumIntegerValue:
-    sign = quantum_integer_sign(n, p, ell)
-    beta = 2 * math.pi * ell / p
-    hint = math.sin(n * beta) / math.sin(beta)
-    return QuantumIntegerValue(n=n, p=p, ell=ell, sign=sign, magnitude_hint=hint)
 
 
 class TwistEigenvalue(NamedTuple):
@@ -146,7 +106,3 @@ def twist_eigenvalue(a: int, p: int, ell: int = 1) -> TwistEigenvalue:
     value = RootOfUnity(2 * p, ell * a * (a + 2) + shift)
     return TwistEigenvalue(value=value, parity_sign=-1 if a % 2 else 1)
 
-
-def twist_order(a: int, p: int) -> int:
-    """Multiplicative order of the twist eigenvalue at selector 1; divides 2p."""
-    return twist_eigenvalue(a, p, 1).value.multiplicative_order()

