@@ -224,7 +224,7 @@ def cmd_veech(args) -> dict:
         raise UsageError("give a graph spec or --inter, not both")
     if args.inter == "-":  # a list too long for one command-line argument
         args.inter = sys.stdin.read().strip()
-    if args.inter:
+    if args.inter is not None:
         graph = veech.parse_intersections(args.inter, args.mult or "")
     elif args.spec:
         graph = veech.parse_config_spec(args.spec)
@@ -291,7 +291,7 @@ def cmd_orbits(args) -> dict:
         "n": args.n,
         "labeled": args.labeled,
         "count": len(curve_types),
-        "orbits": [orbits.curve_type_to_json(ct) for ct in curve_types],
+        "orbits": curve_types,
         "h2": {
             "lower_rank": bounds.lower_rank,
             "upper_bound": bounds.upper_bound,

@@ -7,11 +7,13 @@ pair of separating sides.  A side is a (genus, punctures) pair and must be
 neither a disk (0, 0) nor a once-punctured disk (0, 1).
 
 With labeled punctures (the pure group) the sides carry puncture subsets;
-without labels (the full group) only the cardinalities matter.  The
-unlabeled count N_{g,n} is the normal-generator count of the power
-subgroup, the rank of the invariant homomorphism module, and the lower
-bound in the degree-2 cohomology estimate lower <= dim H^2 <= n + 1 +
-N_{g,n} (the upper bound valid for g >= 4).
+without labels (the full group) only the cardinalities matter.  Either way
+the count has a closed form (``count_orbits``), and ``enumerate_orbits``
+checks its list against it.  The unlabeled count N_{g,n} is the
+normal-generator count of the power subgroup, the rank of the invariant
+homomorphism module, and the lower bound in the degree-2 cohomology
+estimate lower <= dim H^2 <= n + 1 + N_{g,n} (the upper bound valid for
+g >= 4).
 """
 
 from __future__ import annotations
@@ -19,36 +21,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NonHyperbolic, UsageError
+from .errors import InvariantViolation, NonHyperbolic, UsageError
 
 NONSEPARATING = "nonseparating"
 SEPARATING = "separating"
 
 _FORBIDDEN_SIDES = {(0, 0), (0, 1)}
 
-#: Most (genus, puncture set) side pairs one orbit count may scan:
-#: (g + 1) * 2^n with labeled punctures, (g + 1) * (n + 1) without.
-PAIR_BUDGET = 10**5
-#: Most puncture labels in the side pairs a labeled orbit list scans,
-#: (g + 1) * 2^n pairs of n labels each; every labeled type prints its labels.
-LABEL_BUDGET = 5 * 10**5
-
-
-@dataclass(frozen=True)
-class Side:
-    genus: int
-    punctures: frozenset[int] | None  # None when only the count is tracked
-    puncture_count: int
-
-    def sort_key(self):
-        labels = tuple(sorted(self.punctures)) if self.punctures is not None else ()
-        return (self.genus, self.puncture_count, labels)
-
-
-@dataclass(frozen=True)
-class CurveType:
-    kind: str
-    sides: tuple[Side, Side] | None = None
+#: Most integers one orbit list may print: four per separating type (genus
+#: and puncture count of both sides), plus its n puncture labels when labeled.
+LIST_BUDGET = 200000
 
 
 def _check_hyperbolic(g: int, n: int) -> None:
@@ -58,70 +40,91 @@ def _check_hyperbolic(g: int, n: int) -> None:
         raise NonHyperbolic(f"(g, n) = ({g}, {n}) has non-negative Euler characteristic")
 
 
-def _side_ok(genus: int, count: int) -> bool:
-    return (genus, count) not in _FORBIDDEN_SIDES
+def count_orbits(g: int, n: int, labeled: bool = False) -> int:
+    """Number of curve orbits on the (g, n) surface, in closed form.
+
+    Of the ordered pairs of complementary sides, the forbidden ones are a
+    side (0, 0) or (0, 1) and its complement: (g + 1)(n + 1) - 2 - 2[n >= 1]
+    remain unlabeled, (g + 1) 2^n - 2(n + 1) labeled.  Each unordered pair
+    is counted twice, except a pair of equal sides: unlabeled when g and n
+    are both even, labeled only when n = 0 and g is even.  One more orbit is
+    nonseparating when g >= 1.  For closed surfaces this is floor(g/2) + 1,
+    and g for a single puncture.  A labeled count forms 2^n, so callers
+    bound n first.
+    """
+    _check_hyperbolic(g, n)
+    if labeled:
+        ordered = (g + 1) * 2**n - 2 * (n + 1)
+        equal = n == 0 and g % 2 == 0
+    else:
+        ordered = (g + 1) * (n + 1) - 2 - 2 * (n >= 1)
+        equal = g % 2 == 0 and n % 2 == 0
+    return (g >= 1) + (ordered + equal) // 2
 
 
-def _check_budget(g: int, n: int, labeled: bool) -> None:
-    # past 2^64 any budget is broken, so the labeled count stays a small int
-    pairs = (g + 1) * (2 ** min(n, 64) if labeled else n + 1)
-    if pairs > PAIR_BUDGET:
+def _check_budget(g: int, n: int, labeled: bool) -> int:
+    """The orbit count, once the list it gives is known to fit LIST_BUDGET."""
+    _check_hyperbolic(g, n)
+    # past 2^64 side pairs any budget is broken, so 2^n is formed only for n <= 64
+    if labeled and n > 64:
+        raise UsageError(
+            f"labeled (g, n) = ({g}, {n}) prints over 2^64 integers, "
+            f"over LIST_BUDGET = {LIST_BUDGET}"
+        )
+    count = count_orbits(g, n, labeled)
+    size = (count - (g >= 1)) * (4 + n if labeled else 4)
+    if size > LIST_BUDGET:
         kind = "labeled" if labeled else "unlabeled"
         raise UsageError(
-            f"{kind} (g, n) = ({g}, {n}) has more side pairs than PAIR_BUDGET = {PAIR_BUDGET}"
+            f"{kind} (g, n) = ({g}, {n}) prints {size} integers, over LIST_BUDGET = {LIST_BUDGET}"
         )
+    return count
 
 
-def _check_label_budget(g: int, n: int) -> None:
-    _check_budget(g, n, labeled=True)  # bounds 2^n before it is computed
-    labels = (g + 1) * 2**n * n
-    if labels > LABEL_BUDGET:
-        raise UsageError(
-            f"labeled (g, n) = ({g}, {n}) has (g + 1) * 2^n * n = {labels} side-pair "
-            f"labels, over LABEL_BUDGET = {LABEL_BUDGET}"
-        )
+def _separating_types(g: int, n: int, labeled: bool) -> list[list[dict]]:
+    """Each unordered pair of complementary sides once, as [lower, upper].
 
-
-def _separating_types(g: int, n: int, labeled: bool) -> list[tuple[Side, Side]]:
-    """Each unordered pair of complementary sides once, as (a, b) in sort-key
-    order; a's sort key strictly increases, so the list comes out sorted."""
-    _check_budget(g, n, labeled)
-    types: list[tuple[Side, Side]] = []
-    everyone = frozenset(range(n))
-    for g1 in range(g + 1):
-        for n1 in range(n + 1):
-            if not _side_ok(g1, n1) or not _side_ok(g - g1, n - n1):
+    Sides compare by (genus, puncture_count, punctures), and the lower
+    side's key strictly increases along the list: (g1, n1) runs up to its
+    complement, and puncture subsets come in ``itertools.combinations`` order.
+    """
+    types: list[list[dict]] = []
+    for g1 in range(g // 2 + 1):
+        g2 = g - g1
+        for n1 in range(n + 1 if g1 < g2 else n // 2 + 1):
+            n2 = n - n1
+            if (g1, n1) in _FORBIDDEN_SIDES or (g2, n2) in _FORBIDDEN_SIDES:
                 continue
-            subsets = map(frozenset, itertools.combinations(range(n), n1))
-            for a_set in subsets if labeled else [None]:
-                b_set = None if a_set is None else everyone - a_set
-                side_a, side_b = Side(g1, a_set, n1), Side(g - g1, b_set, n - n1)
-                if side_a.sort_key() <= side_b.sort_key():
-                    types.append((side_a, side_b))
+            if not labeled:
+                types.append(
+                    [{"genus": g1, "puncture_count": n1}, {"genus": g2, "puncture_count": n2}]
+                )
+                continue
+            # the complements of the n1-subsets, in combinations order, are
+            # the n2-subsets in reverse combinations order
+            uppers = reversed(list(itertools.combinations(range(n), n2)))
+            for a, b in zip(itertools.combinations(range(n), n1), uppers):
+                if (g1, n1) == (g2, n2) and a and a[0] != 0:
+                    break  # equal sides: the lower one holds label 0, and those come first
+                types.append([
+                    {"genus": g1, "puncture_count": n1, "punctures": list(a)},
+                    {"genus": g2, "puncture_count": n2, "punctures": list(b)},
+                ])
     return types
 
 
-def count_orbits(g: int, n: int, labeled: bool = False) -> int:
-    """Number of curve orbits on the (g, n) surface.
-
-    One nonseparating orbit when g >= 1, plus the separating types; for
-    closed surfaces this is floor(g/2) + 1, and g for a single puncture.
-    """
-    _check_hyperbolic(g, n)
-    return (1 if g >= 1 else 0) + len(_separating_types(g, n, labeled))
-
-
-def enumerate_orbits(g: int, n: int, labeled: bool = False) -> tuple[CurveType, ...]:
-    """Deterministic orbit list: the nonseparating type first, then the
-    separating types ordered by (smaller side genus, side data)."""
-    _check_hyperbolic(g, n)
-    if labeled:
-        _check_label_budget(g, n)
-    out: list[CurveType] = []
-    if g >= 1:
-        out.append(CurveType(kind=NONSEPARATING))
-    out.extend(CurveType(kind=SEPARATING, sides=pair) for pair in _separating_types(g, n, labeled))
-    return tuple(out)
+def enumerate_orbits(g: int, n: int, labeled: bool = False) -> list[dict]:
+    """Deterministic orbit list as JSON records: ``{"kind": "nonseparating"}``
+    first, then ``{"kind": "separating", "sides": [lower, upper]}`` ordered by
+    the lower side.  The list is checked against ``count_orbits``."""
+    count = _check_budget(g, n, labeled)
+    out = [{"kind": NONSEPARATING}] if g >= 1 else []
+    out.extend({"kind": SEPARATING, "sides": sides} for sides in _separating_types(g, n, labeled))
+    if len(out) != count:
+        raise InvariantViolation(
+            f"(g, n) = ({g}, {n}) lists {len(out)} curve types, the closed form gives {count}"
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,15 +151,3 @@ def h2_bounds(g: int, n: int) -> H2Bounds:
         upper_bound=n + 1 + lower,
         upper_bound_valid=g >= 4,
     )
-
-
-def curve_type_to_json(ct: CurveType) -> dict:
-    if ct.kind == NONSEPARATING:
-        return {"kind": NONSEPARATING}
-    sides = []
-    for side in ct.sides:
-        entry: dict = {"genus": side.genus, "puncture_count": side.puncture_count}
-        if side.punctures is not None:
-            entry["punctures"] = sorted(side.punctures)
-        sides.append(entry)
-    return {"kind": SEPARATING, "sides": sides}

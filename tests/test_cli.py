@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantcert import cli, errors
+from quantcert import cli, errors, orbits
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -188,6 +188,14 @@ class TestOrbitsCommand:
     def test_non_hyperbolic_exits_2(self, capsys):
         code, _, err = run(capsys, "orbits", "0", "2")
         assert code == EXIT_USAGE
+
+    def test_list_short_of_the_closed_form_exits_3(self, capsys, monkeypatch):
+        separating_types = orbits._separating_types
+        monkeypatch.setattr(orbits, "_separating_types", lambda *a: separating_types(*a)[1:])
+        code, _, err = run(capsys, "orbits", "4", "0")
+        assert code == 3
+        assert "internal error" in err
+        assert "closed form gives 3" in err
 
 
 #: one JSON request per subcommand
@@ -361,11 +369,11 @@ class TestContract:
             (("blocks", "vertices=100", "--level", "7"), "and 95 more"),
             (("certify", "1..100001"), "RANGE_BUDGET = 100000"),
             (("certify", "1..1000000000"), "RANGE_BUDGET = 100000"),
-            (("orbits", "1", "16", "--labeled"), "PAIR_BUDGET = 100000"),
-            (("orbits", "1", "18", "--labeled"), "PAIR_BUDGET = 100000"),
-            (("orbits", "2000", "2000"), "PAIR_BUDGET = 100000"),
-            (("orbits", "5", "14", "--labeled"), "LABEL_BUDGET = 500000"),
-            (("orbits", "2", "15", "--labeled", "--format", "json"), "LABEL_BUDGET = 500000"),
+            (("orbits", "1", "16", "--labeled"), "LIST_BUDGET = 200000"),
+            (("orbits", "1", "18", "--labeled"), "LIST_BUDGET = 200000"),
+            (("orbits", "2000", "2000"), "LIST_BUDGET = 200000"),
+            (("orbits", "5", "14", "--labeled"), "LIST_BUDGET = 200000"),
+            (("orbits", "2", "15", "--labeled", "--format", "json"), "LIST_BUDGET = 200000"),
             (("veech", "A:3", "--mult", "5,5,5"), "--mult applies to --inter only"),
             (("veech", "A:3", "--inter", "(1,1,1),(2,1,1)"), "not both"),
             (("veech", "c=1;d=1;inter=(1,1,1)", "--mult", "2,2"), "applies to --inter only"),
@@ -375,7 +383,11 @@ class TestContract:
             (("veech", "c=3; d=1; inter=(1,1,1),(2,1,1)"), "c=3 does not match"),
             (("veech", "c=2; d=3; inter=(1,1,1),(2,1,1)"), "d=3 does not match"),
             (("veech", "c=2000; inter=(1,1,1)"), "VERTEX_BUDGET = 2000"),
-            (("veech", "--inter", "-"), "give a graph spec"),  # empty stdin
+            (("veech", "--inter", "-"), "no intersections given"),  # empty stdin
+            (("orbits", "1", "1000000000", "--labeled"), "LIST_BUDGET = 200000"),
+            (("orbits", "0", str(10**30), "--labeled"), "LIST_BUDGET = 200000"),
+            (("orbits", str(10**30), "0"), "LIST_BUDGET = 200000"),
+            (("veech", "--inter", ""), "no intersections given"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(

@@ -1,16 +1,15 @@
 import itertools
+import json
 
 import pytest
 
-from quantcert.errors import NonHyperbolic
+from quantcert.errors import NonHyperbolic, UsageError
 from quantcert import orbits
 from quantcert.orbits import (
-    LABEL_BUDGET,
+    LIST_BUDGET,
     NONSEPARATING,
-    PAIR_BUDGET,
     SEPARATING,
     count_orbits,
-    curve_type_to_json,
     enumerate_orbits,
     h2_bounds,
 )
@@ -39,7 +38,9 @@ def bruteforce_pairs(g, n, labeled):
     pairs = set()
     for g1 in range(g + 1):
         for r in range(n + 1):
-            for subset in itertools.combinations(range(n), r):
+            # unlabeled sides keep only the count, so one r-subset stands for all
+            subsets = itertools.combinations(range(n), r) if labeled else [tuple(range(r))]
+            for subset in subsets:
                 rest = tuple(sorted(set(range(n)) - set(subset)))
                 sides = [(g1, subset), (g - g1, rest)]
                 if any((genus, len(p)) in {(0, 0), (0, 1)} for genus, p in sides):
@@ -48,6 +49,10 @@ def bruteforce_pairs(g, n, labeled):
                     sides = [(genus, len(p)) for genus, p in sides]
                 pairs.add(frozenset(sides))
     return pairs
+
+
+def no_enumeration(*args):
+    raise AssertionError("enumerated")
 
 
 class TestCountOrbits:
@@ -85,29 +90,67 @@ class TestCountOrbits:
             with pytest.raises(NonHyperbolic):
                 count_orbits(g, n)
 
-    def test_pair_budget_edge(self):
-        # (g + 1)(n + 1) unlabeled, (g + 1) 2^n labeled side pairs
-        orbits._check_budget(99, 999, labeled=False)
-        orbits._check_budget(0, 16, labeled=True)
-        for g, n, labeled in ((99, 1000, False), (1, 16, True), (0, 10**30, True)):
-            with pytest.raises(ValueError, match=f"PAIR_BUDGET = {PAIR_BUDGET}"):
-                orbits._check_budget(g, n, labeled)
-        with pytest.raises(ValueError, match="PAIR_BUDGET"):
-            count_orbits(1, 17, labeled=True)
+    def test_closed_form_matches_enumeration_and_bruteforce(self):
+        checked = 0
+        for g in range(30):
+            for n in range(14):
+                if 2 - 2 * g - n >= 0:
+                    continue
+                for labeled in (False, True):
+                    try:
+                        orbits._check_budget(g, n, labeled)
+                    except UsageError:
+                        continue
+                    count = count_orbits(g, n, labeled)
+                    case = (g, n, labeled)
+                    assert count == len(enumerate_orbits(g, n, labeled)), case
+                    assert count == (g >= 1) + len(bruteforce_pairs(g, n, labeled)), case
+                    checked += 1
+        assert checked == 760
 
-    def test_label_budget_edge(self):
-        # (g + 1) 2^n n labels: the (4, 12) anchor is 245760, (9, 12) 491520
-        assert LABEL_BUDGET == 5 * 10**5
-        for g, n in [(4, 12), (9, 12), (0, 15)] + [(g, n) for g in range(5) for n in range(10)]:
-            orbits._check_label_budget(g, n)
-        for g, n in ((5, 14), (2, 15), (10, 12), (1, 15)):
-            with pytest.raises(ValueError, match=f"LABEL_BUDGET = {LABEL_BUDGET}"):
-                orbits._check_label_budget(g, n)
-        with pytest.raises(ValueError, match="LABEL_BUDGET"):
+    def test_counts_do_not_enumerate(self, monkeypatch):
+        monkeypatch.setattr(orbits, "_separating_types", no_enumeration)
+        assert count_orbits(4, 0) == 3
+        assert count_orbits(4, 12, labeled=True) == 10228
+        assert count_orbits(10**30, 0) == 10**30 // 2 + 1
+        assert h2_bounds(99999, 0).lower_rank == 50000
+        with pytest.raises(AssertionError, match="enumerated"):
+            enumerate_orbits(4, 0)
+
+    def test_list_budget_edge(self, monkeypatch):
+        # 4 integers per separating type, plus n labels when labeled; the
+        # check takes the count from the closed form and enumerates nothing
+        monkeypatch.setattr(orbits, "_separating_types", no_enumeration)
+        assert LIST_BUDGET == 200000
+        edges = [
+            (False, (100001, 0), (100002, 0)),  # 50000 * 4, then 50001 * 4
+            (False, (0, 100003), (0, 100004)),  # 50000 * 4, then 50001 * 4
+            (True, (5, 12), (6, 12)),  # 12275 * 16 = 196400, then 14323 * 16 = 229168
+            (True, (0, 14), (0, 15)),  # 8177 * 18 = 147186, then 16368 * 19 = 310992
+        ]
+        for labeled, admitted, rejected in edges:
+            assert orbits._check_budget(*admitted, labeled) == count_orbits(*admitted, labeled)
+            with pytest.raises(UsageError, match=f"LIST_BUDGET = {LIST_BUDGET}"):
+                orbits._check_budget(*rejected, labeled)
+        orbits._check_budget(99, 999, labeled=False)
+        orbits._check_budget(99999, 0, labeled=False)
+        for g, n, labeled in ((99, 1000, False), (1, 16, True), (0, 16, True), (0, 10**30, True)):
+            with pytest.raises(ValueError, match=f"LIST_BUDGET = {LIST_BUDGET}"):
+                orbits._check_budget(g, n, labeled)
+
+    def test_labeled_list_budget_points(self):
+        # the (4, 12) anchor prints 10227 * 16 = 163632 integers
+        grid = [(g, n) for g in range(5) for n in range(10) if 2 - 2 * g - n < 0]
+        for g, n in [(4, 12)] + grid:
+            orbits._check_budget(g, n, labeled=True)
+        for g, n in ((5, 14), (2, 15), (10, 12), (1, 15), (9, 12), (0, 15)):
+            with pytest.raises(ValueError, match=f"LIST_BUDGET = {LIST_BUDGET}"):
+                orbits._check_budget(g, n, labeled=True)
+        with pytest.raises(ValueError, match="LIST_BUDGET"):
             enumerate_orbits(5, 14, labeled=True)
-        # the pair budget is checked first; unlabeled lists carry no labels
-        with pytest.raises(ValueError, match="PAIR_BUDGET"):
-            orbits._check_label_budget(1, 16)
+        with pytest.raises(ValueError, match="LIST_BUDGET"):
+            enumerate_orbits(1, 17, labeled=True)
+        # unlabeled lists carry no labels
         assert len(enumerate_orbits(2, 15)) == 23
 
     def test_thrice_punctured_sphere_has_no_essential_curves(self):
@@ -119,17 +162,21 @@ class TestCountOrbits:
         assert count_orbits(0, 4) == 1
 
 
+def _side_key(side):
+    return (side["genus"], side["puncture_count"], side.get("punctures", []))
+
+
 class TestEnumerateOrbits:
     def test_genus2_closed(self):
         types = enumerate_orbits(2, 0)
-        assert [t.kind for t in types] == [NONSEPARATING, SEPARATING]
-        sides = types[1].sides
-        assert [(s.genus, s.puncture_count) for s in sides] == [(1, 0), (1, 0)]
+        assert [t["kind"] for t in types] == [NONSEPARATING, SEPARATING]
+        sides = types[1]["sides"]
+        assert [(s["genus"], s["puncture_count"]) for s in sides] == [(1, 0), (1, 0)]
 
     def test_genus3_closed(self):
         types = enumerate_orbits(3, 0)
         assert len(types) == 2
-        assert [(s.genus, s.puncture_count) for s in types[1].sides] == [(1, 0), (2, 0)]
+        assert [(s["genus"], s["puncture_count"]) for s in types[1]["sides"]] == [(1, 0), (2, 0)]
 
     def test_nonseparating_first_and_lengths_agree(self):
         for g in range(0, 5):
@@ -139,9 +186,9 @@ class TestEnumerateOrbits:
                 for labeled in (False, True):
                     types = enumerate_orbits(g, n, labeled=labeled)
                     assert len(types) == count_orbits(g, n, labeled=labeled)
-                    assert len(set(types)) == len(types)
+                    assert len({json.dumps(t, sort_keys=True) for t in types}) == len(types)
                     if g >= 1:
-                        assert types[0].kind == NONSEPARATING
+                        assert types[0]["kind"] == NONSEPARATING
 
     def test_separating_types_match_bruteforce_pairs(self):
         for g in range(0, 5):
@@ -151,12 +198,11 @@ class TestEnumerateOrbits:
                 for labeled in (False, True):
                     found = [
                         frozenset(
-                            (s.genus, s.puncture_count if s.punctures is None
-                             else tuple(sorted(s.punctures)))
-                            for s in t.sides
+                            (s["genus"], tuple(s["punctures"]) if labeled else s["puncture_count"])
+                            for s in t["sides"]
                         )
                         for t in enumerate_orbits(g, n, labeled=labeled)
-                        if t.kind == SEPARATING
+                        if t["kind"] == SEPARATING
                     ]
                     case = (g, n, labeled)
                     assert len(set(found)) == len(found), case
@@ -171,20 +217,19 @@ class TestEnumerateOrbits:
                 for labeled in (False, True):
                     seps = [
                         t for t in enumerate_orbits(g, n, labeled=labeled)
-                        if t.kind == SEPARATING
+                        if t["kind"] == SEPARATING
                     ]
-                    key = lambda t: (t.sides[0].sort_key(), t.sides[1].sort_key())
+                    key = lambda t: (_side_key(t["sides"][0]), _side_key(t["sides"][1]))
                     assert sorted(seps, key=key) == seps, (g, n, labeled)
 
     def test_sides_are_canonically_ordered(self):
         for ct in enumerate_orbits(3, 2, labeled=True):
-            if ct.kind == SEPARATING:
-                lo, hi = ct.sides
-                assert lo.sort_key() <= hi.sort_key()
+            if ct["kind"] == SEPARATING:
+                lo, hi = ct["sides"]
+                assert _side_key(lo) <= _side_key(hi)
 
     def test_json_rendering(self):
-        types = enumerate_orbits(2, 1, labeled=True)
-        docs = [curve_type_to_json(t) for t in types]
+        docs = enumerate_orbits(2, 1, labeled=True)
         assert docs[0] == {"kind": "nonseparating"}
         for doc in docs[1:]:
             assert doc["kind"] == "separating"
