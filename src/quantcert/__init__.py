@@ -10,13 +10,18 @@ Submodules:
   burau      braid-generator matrices on exact cyclotomic coefficient
              arrays (their one representation, with the generator
              contract checked on them) and the finite-closure probe
-  certify    per-level infiniteness certificates (odd and even routes)
+  certify    per-level infiniteness certificates (odd and even routes);
+             certify_level returns each level's report record and its
+             provenance notes
   veech      configuration graphs, Perron data, the exact recessive /
              critical / dominant class, multitwist matrices and flat
-             surfaces
+             surfaces; lattice_certificate and flat_surface return the
+             report's class fields and rectangle records
   orbits     simple-closed-curve orbit counts and degree-2 cohomology
-             bounds
-  cli        the quantcert command-line tool
+             bounds; enumerate_orbits and h2_bounds return the report's
+             orbit list and h2 record
+  cli        the quantcert command-line tool, which assembles those
+             records into one report per request
 """
 
 __version__ = "0.1.0"

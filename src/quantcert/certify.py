@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from . import blocks, hermitian
 from .burau import burau_is_finite, minus_q_order
@@ -67,7 +66,7 @@ def eigenvalue_tuple(p: int, ell: int) -> tuple[RootOfUnity, ...]:
     -z^4) in order 2p, with z = A^(2k+1) and A = zeta_2p^ell.
     """
     k = hermitian._check_level(p, ell)
-    mus = [twist_eigenvalue(a, p, ell).value for a in range(k - 3, k + 2)]
+    mus = [twist_eigenvalue(a, p, ell) for a in range(k - 3, k + 2)]
     base = mus[2].inverse()
     return tuple(mu * base for mu in mus)
 
@@ -87,57 +86,19 @@ def scalar_obstruction(product: RootOfUnity, subset: tuple[RootOfUnity, ...]) ->
     return SURVIVES if lhs == rhs else SCALAR_OBSTRUCTED
 
 
-@dataclass(frozen=True)
-class SubspaceCase:
-    eigen_multiset: tuple[RootOfUnity, ...]
-    resolution: str
-    note: str = ""
+def _odd_block(q: int) -> tuple[tuple[int, ...], RootOfUnity]:
+    """Loop colors of the 2-dimensional block at (level q, tail q - 5) and
+    its Burau parameter -mu_b/mu_a, with mu_a the twist eigenvalue of color a."""
+    basis = blocks.tadpole_basis(q - 5, q)
+    if len(basis) != 2:
+        raise InvariantViolation(
+            f"expected a 2-dimensional block at (level {q}, tail {q - 5}), got {basis}"
+        )
+    mu_a, mu_b = (twist_eigenvalue(a, q) for a in basis)
+    return basis, RootOfUnity.minus_one(2 * q) * mu_b * mu_a.inverse()
 
 
-@dataclass(frozen=True)
-class OddBurauDetails:
-    odd_part: int
-    boundary_color: int
-    loop_colors: tuple[int, int]
-    burau_parameter: RootOfUnity
-    minus_parameter_order: int
-    triangle_group_excluded_set_check: bool
-
-
-@dataclass(frozen=True)
-class EvenCoxeterDetails:
-    k: int
-    ell: int
-    boundary_color: int
-    profile: hermitian.GramProfile
-    cases: tuple[SubspaceCase, ...]
-    notes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class InfinitenessCertificate:
-    p: int
-    route: str
-    odd: OddBurauDetails | None = None
-    even: EvenCoxeterDetails | None = None
-    failed: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.route == ROUTE_ODD and self.odd is None:
-            raise InvariantViolation("odd route certificate without details")
-        if self.route == ROUTE_EVEN and self.even is None:
-            raise InvariantViolation("even route certificate without details")
-
-    @property
-    def certified(self) -> bool:
-        return self.route != ROUTE_UNCERTIFIED
-
-    @property
-    def provenance_notes(self) -> tuple[str, ...]:
-        return self.even.notes if self.even is not None else ()
-
-
-def odd_certificate(p: int) -> InfinitenessCertificate:
+def odd_certificate(p: int) -> dict:
     """Certify via the odd part q = p / 2^v2(p) when q >= 7.
 
     The block at level q with boundary color q - 5 is 2-dimensional; the
@@ -149,33 +110,17 @@ def odd_certificate(p: int) -> InfinitenessCertificate:
         raise ValueError(f"level must be positive, got {p}")
     q = odd_part(p)
     if q < 7:
-        return InfinitenessCertificate(
-            p=p,
-            route=ROUTE_UNCERTIFIED,
-            failed=(f"odd part {q} of level {p} is smaller than 7",),
-        )
-    basis = blocks.tadpole_basis(q - 5, q)
-    if len(basis) != 2:
-        raise InvariantViolation(
-            f"expected a 2-dimensional block at (level {q}, tail {q - 5}), got {basis}"
-        )
-    mu_a, mu_b = (twist_eigenvalue(a, q).value for a in basis)
-    parameter = RootOfUnity.minus_one(2 * q) * mu_b * mu_a.inverse()
-    order = minus_q_order(parameter)
+        return {
+            "p": p,
+            "route": ROUTE_UNCERTIFIED,
+            "failed": [f"odd part {q} of level {p} is smaller than 7"],
+        }
+    order = minus_q_order(_odd_block(q)[1])
     if order != q:
         raise InvariantViolation(f"-parameter has order {order}, expected {q}")
-    infinite = not burau_is_finite(order)
-    if not infinite:
+    if burau_is_finite(order):
         raise InvariantViolation(f"odd part {q} >= 7 but braid image marked finite")
-    details = OddBurauDetails(
-        odd_part=q,
-        boundary_color=q - 5,
-        loop_colors=(basis[0], basis[1]),
-        burau_parameter=parameter,
-        minus_parameter_order=order,
-        triangle_group_excluded_set_check=infinite,
-    )
-    return InfinitenessCertificate(p=p, route=ROUTE_ODD, odd=details)
+    return {"p": p, "route": ROUTE_ODD, "odd_part": q, "boundary_color": q - 5}
 
 
 def _irreducibility_asserted(p: int) -> tuple[bool, str]:
@@ -220,20 +165,20 @@ def _distinct_submultisets(
     ]
 
 
-def even_certificate(p: int) -> InfinitenessCertificate:
+def even_certificate(p: int) -> dict:
     """Certify via the indefinite form on the 5-dimensional block at p = 4k."""
     if p % 4:
         raise ValueError(f"level must be divisible by 4, got {p}")
     k = p // 4
     if k < 4:
-        return InfinitenessCertificate(
-            p=p,
-            route=ROUTE_UNCERTIFIED,
-            failed=(
+        return {
+            "p": p,
+            "route": ROUTE_UNCERTIFIED,
+            "failed": [
                 f"level {p} = 4k with k = {k} < 4: no 5-dimensional block with "
-                "positive boundary color",
-            ),
-        )
+                "positive boundary color"
+            ],
+        }
     ell = hermitian.find_indefinite_ell(p)
     boundary = 2 * k - 6
     basis = blocks.tadpole_basis(boundary, p)
@@ -255,14 +200,14 @@ def even_certificate(p: int) -> InfinitenessCertificate:
     class_signs: dict[RootOfUnity, set[int]] = {}
     for lam, sign in zip(lams, profile.diagonal_signs):
         class_signs.setdefault(lam, set()).add(sign)
-    cases: list[SubspaceCase] = []
+    cases: list[dict] = []
     failures: list[str] = []
-    notes: list[str] = []
 
     for subset in _distinct_submultisets(lams):
         label = "{" + ", ".join(str(lam) for lam in subset) + "}"
+        multiset = sorted(str(lam) for lam in subset)
         if scalar_obstruction(product, subset) == SCALAR_OBSTRUCTED:
-            cases.append(SubspaceCase(subset, SCALAR_OBSTRUCTED))
+            cases.append({"multiset": multiset, "resolution": SCALAR_OBSTRUCTED})
             continue
         # Only the span case can survive the scalar test.  Its partner
         # {z, -z} would need (prod lambda)^12 = (-z^2)^30, i.e. z^120 = z^60,
@@ -275,11 +220,7 @@ def even_certificate(p: int) -> InfinitenessCertificate:
             uniform = all(len(s) == 1 for s in signs)
             indefinite = uniform and set().union(*signs) == {1, -1}
             if indefinite and licensed:
-                cases.append(
-                    SubspaceCase(subset, FORM_INDEFINITE_ON_SPAN, note=license_note)
-                )
-                if license_note not in notes:
-                    notes.append(license_note)
+                cases.append({"multiset": multiset, "resolution": FORM_INDEFINITE_ON_SPAN})
                 continue
             if indefinite:
                 failures.append(
@@ -293,58 +234,33 @@ def even_certificate(p: int) -> InfinitenessCertificate:
         )
 
     if failures:
-        return InfinitenessCertificate(
-            p=p, route=ROUTE_UNCERTIFIED, failed=tuple(failures)
-        )
-    details = EvenCoxeterDetails(
-        k=k,
-        ell=ell,
-        boundary_color=boundary,
-        profile=profile,
-        cases=tuple(cases),
-        notes=tuple(notes),
-    )
-    return InfinitenessCertificate(p=p, route=ROUTE_EVEN, even=details)
+        return {"p": p, "route": ROUTE_UNCERTIFIED, "failed": failures}
+    return {
+        "p": p,
+        "route": ROUTE_EVEN,
+        "boundary_color": boundary,
+        "ell": ell,
+        "signature": list(profile.signature),
+        "cases": cases,
+    }
 
 
-def certify_level(p: int) -> InfinitenessCertificate:
-    """Odd route first, then the even route for multiples of 4."""
-    if p < 1:
-        raise ValueError(f"level must be positive, got {p}")
-    cert = odd_certificate(p)
-    if cert.certified:
-        return cert
-    if p % 4 == 0:
-        even = even_certificate(p)
-        if even.certified:
-            return even
-        return InfinitenessCertificate(
-            p=p, route=ROUTE_UNCERTIFIED, failed=cert.failed + even.failed
-        )
-    return InfinitenessCertificate(
-        p=p,
-        route=ROUTE_UNCERTIFIED,
-        failed=cert.failed + (f"level {p} is not divisible by 4: no even route",),
-    )
+def certify_level(p: int) -> tuple[dict, tuple[str, ...]]:
+    """Odd route first, then the even route for multiples of 4.
 
-
-def certificate_to_json(cert: InfinitenessCertificate) -> dict:
-    """Stable wire format for a certificate."""
-    out: dict = {"p": cert.p, "route": cert.route}
-    if cert.route == ROUTE_ODD:
-        out["odd_part"] = cert.odd.odd_part
-        out["boundary_color"] = cert.odd.boundary_color
-    elif cert.route == ROUTE_EVEN:
-        out["boundary_color"] = cert.even.boundary_color
-        out["ell"] = cert.even.ell
-        out["signature"] = list(cert.even.profile.signature)
-        out["cases"] = [
-            {
-                "multiset": sorted(str(lam) for lam in case.eigen_multiset),
-                "resolution": case.resolution,
-            }
-            for case in cert.even.cases
-        ]
-    else:
-        out["failed"] = list(cert.failed)
-    return out
+    Returns the certificate record and its provenance notes.  The span case
+    survives the scalar identity at every level, so an even certificate
+    always rests on the asserted irreducibility, and its one note says why
+    that assertion applies.
+    """
+    record = odd_certificate(p)
+    if record["route"] == ROUTE_ODD:
+        return record, ()
+    if p % 4:
+        record["failed"].append(f"level {p} is not divisible by 4: no even route")
+        return record, ()
+    even = even_certificate(p)
+    if even["route"] == ROUTE_EVEN:
+        return even, (_irreducibility_asserted(p)[1],)
+    record["failed"].extend(even["failed"])
+    return record, ()

@@ -138,10 +138,10 @@ def cmd_certify(args) -> dict:
     certified: list[int] = []
     uncertified: list[int] = []
     for p in range(lo, hi + 1):
-        cert = certify.certify_level(p)
-        results.append(certify.certificate_to_json(cert))
-        (certified if cert.certified else uncertified).append(p)
-        for note in cert.provenance_notes:
+        record, notes = certify.certify_level(p)
+        results.append(record)
+        (uncertified if record["route"] == certify.ROUTE_UNCERTIFIED else certified).append(p)
+        for note in notes:
             stamped = f"p={p}: {note}"
             if stamped not in provenance:
                 provenance.append(stamped)
@@ -231,9 +231,8 @@ def cmd_veech(args) -> dict:
     else:
         raise UsageError("give a graph spec (e.g. A:3) or --inter")
     data = veech.perron(graph)
-    cert = veech.lattice_certificate(graph)
     dt_c, dt_d = veech.multitwist_matrices(data.mu)
-    surface = veech.flat_surface(graph, data)
+    rectangles, total_area = veech.flat_surface(graph, data)
     result = {
         "m": graph.m,
         "k": graph.k,
@@ -242,22 +241,11 @@ def cmd_veech(args) -> dict:
         "eigenvector": list(data.v),
         "residual": data.residual,
         "tolerance": data.tolerance,
-        "graph_class": cert.graph_class,
-        "lattice_status": cert.status,
-        "teichmuller_curve_by_mu": cert.teichmuller_curve_by_mu,
+        **veech.lattice_certificate(graph),
         "dt_c": dt_c,
         "dt_d": dt_d,
-        "rectangles": [
-            {
-                "id": r.point_id,
-                "c_component": r.c_index,
-                "d_component": r.d_index,
-                "width": r.width,
-                "height": r.height,
-            }
-            for r in surface.rectangles
-        ],
-        "total_area": surface.total_area,
+        "rectangles": rectangles,
+        "total_area": total_area,
     }
     inputs = {"spec": args.spec, "inter": args.inter, "mult": args.mult}
     return _report("veech", inputs, result, [])
@@ -285,18 +273,13 @@ def _print_veech_table(report: dict, quiet: bool) -> None:
 
 def cmd_orbits(args) -> dict:
     curve_types = orbits.enumerate_orbits(args.g, args.n, labeled=args.labeled)
-    bounds = orbits.h2_bounds(args.g, args.n)
     result = {
         "g": args.g,
         "n": args.n,
         "labeled": args.labeled,
         "count": len(curve_types),
         "orbits": curve_types,
-        "h2": {
-            "lower_rank": bounds.lower_rank,
-            "upper_bound": bounds.upper_bound,
-            "upper_bound_valid": bounds.upper_bound_valid,
-        },
+        "h2": orbits.h2_bounds(args.g, args.n),
     }
     return _report(
         "orbits", {"g": args.g, "n": args.n, "labeled": args.labeled}, result, []

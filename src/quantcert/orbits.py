@@ -19,7 +19,6 @@ g >= 4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InvariantViolation, NonHyperbolic, UsageError
 
@@ -127,27 +126,17 @@ def enumerate_orbits(g: int, n: int, labeled: bool = False) -> list[dict]:
     return out
 
 
-@dataclass(frozen=True)
-class H2Bounds:
-    g: int
-    n: int
-    lower_rank: int
-    upper_bound: int
-    upper_bound_valid: bool  # the upper estimate is established for g >= 4
-
-
-def h2_bounds(g: int, n: int) -> H2Bounds:
-    """Rank bounds lower <= dim H^2 <= n + 1 + N_{g,n} from the orbit count.
+def h2_bounds(g: int, n: int) -> dict:
+    """Rank bounds lower <= dim H^2 <= n + 1 + N_{g,n} from the orbit count,
+    as the report's ``h2`` record.
 
     The lower rank is the unlabeled orbit count; lower_rank >= 1 (any g >= 1)
     certifies non-vanishing for sufficiently divisible twist powers.  The
     upper bound is flagged valid only for g >= 4.
     """
     lower = count_orbits(g, n, labeled=False)
-    return H2Bounds(
-        g=g,
-        n=n,
-        lower_rank=lower,
-        upper_bound=n + 1 + lower,
-        upper_bound_valid=g >= 4,
-    )
+    return {
+        "lower_rank": lower,
+        "upper_bound": n + 1 + lower,
+        "upper_bound_valid": g >= 4,
+    }

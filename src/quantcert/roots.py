@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .blocks import in_palette
 from .errors import InvalidColor, NonPrimitiveRoot
@@ -88,12 +87,7 @@ def _check_selector(ell: int, p: int) -> None:
         raise NonPrimitiveRoot(f"gcd({ell}, {2 * p}) != 1: selector is not primitive")
 
 
-class TwistEigenvalue(NamedTuple):
-    value: RootOfUnity  # (-1)^a * A^(a(a+2)) with the sign folded into the exponent
-    parity_sign: int  # (-1)^a, recorded separately for reporting
-
-
-def twist_eigenvalue(a: int, p: int, ell: int = 1) -> TwistEigenvalue:
+def twist_eigenvalue(a: int, p: int, ell: int = 1) -> RootOfUnity:
     """Eigenvalue (-1)^a A^(a(a+2)) of a twist on a color-a edge, A = zeta_2p^ell.
 
     The sign is folded in as an exponent shift by p, so the whole eigenvalue
@@ -103,6 +97,4 @@ def twist_eigenvalue(a: int, p: int, ell: int = 1) -> TwistEigenvalue:
         raise InvalidColor(f"color {a} is not in the level-{p} palette")
     _check_selector(ell, p)
     shift = p if a % 2 else 0
-    value = RootOfUnity(2 * p, ell * a * (a + 2) + shift)
-    return TwistEigenvalue(value=value, parity_sign=-1 if a % 2 else 1)
-
+    return RootOfUnity(2 * p, ell * a * (a + 2) + shift)

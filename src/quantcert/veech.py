@@ -226,71 +226,51 @@ def classify_graph(g: ConfigurationGraph) -> str:
     return RECESSIVE
 
 
-@dataclass(frozen=True)
-class LatticeCertificate:
-    graph_class: str
-    status: str | None  # None for weighted graphs
-    teichmuller_curve_by_mu: bool
-
-
-def lattice_certificate(g: ConfigurationGraph) -> LatticeCertificate:
-    """Finite-index status of the two-multitwist group and the mu <= 2 flag.
+def lattice_certificate(g: ConfigurationGraph) -> dict:
+    """The exact class, the finite-index status of the two-multitwist group
+    and the mu <= 2 flag, as the report's ``graph_class``, ``lattice_status``
+    and ``teichmuller_curve_by_mu``.
 
     Both follow from the exact class.  The finite-index status is reported
-    for unit multiplicities only; the flag (a lattice stabilizer whenever
-    mu <= 2) for every graph.
+    for unit multiplicities only (None otherwise); the flag (a lattice
+    stabilizer whenever mu <= 2) for every graph.
     """
     cls = classify_graph(g)
     status: str | None = None
     if g.unit_multiplicities:
         status = FINITE_INDEX_IN_VEECH if cls != DOMINANT else NOT_FINITE_INDEX
-    return LatticeCertificate(
-        graph_class=cls, status=status, teichmuller_curve_by_mu=cls != DOMINANT
-    )
+    return {
+        "graph_class": cls,
+        "lattice_status": status,
+        "teichmuller_curve_by_mu": cls != DOMINANT,
+    }
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    point_id: int
-    c_index: int
-    d_index: int
-    width: float
-    height: float
+def flat_surface(g: ConfigurationGraph, data: PerronData) -> tuple[list[dict], float]:
+    """One rectangle per intersection point, sized by the Perron vector of g,
+    and their total area.
 
-
-@dataclass(frozen=True)
-class FlatSurfaceData:
-    rectangles: tuple[Rectangle, ...]
-    total_area: float
-
-
-def flat_surface(g: ConfigurationGraph, data: PerronData) -> FlatSurfaceData:
-    """One rectangle per intersection point, sized by the Perron vector of g.
-
-    Point ids run row-major over the pairs (i, j), one per unit of their
-    intersection number.  How the rectangles glue along a component depends
-    on the order in which it meets its points, which the intersection
-    numbers do not record, so no gluing is reported.
+    Each rectangle is the report record ``{id, c_component, d_component,
+    width, height}``.  Point ids run row-major over the pairs (i, j), one per
+    unit of their intersection number.  How the rectangles glue along a
+    component depends on the order in which it meets its points, which the
+    intersection numbers do not record, so no gluing is reported.
     """
-    v = data.v
-    rectangles: list[Rectangle] = []
-    for i in range(g.m):
-        for j in range(g.k):
-            for _ in range(g.intersections[i][j]):
-                rectangles.append(
-                    Rectangle(
-                        point_id=len(rectangles),
-                        c_index=i,
-                        d_index=j,
-                        width=v[i],
-                        height=v[g.m + j],
-                    )
-                )
-    area = sum(r.width * r.height for r in rectangles)
+    v, m = data.v, g.m
+    points = [
+        (i, j)
+        for i, j in zip(*(axis.tolist() for axis in np.nonzero(g._block)))
+        for _ in range(g.intersections[i][j])
+    ]
+    rectangles = [
+        {"id": n, "c_component": i, "d_component": j, "width": v[i], "height": v[m + j]}
+        for n, (i, j) in enumerate(points)
+    ]
+    area = sum(r["width"] * r["height"] for r in rectangles)
     if not area > 0:
         # v > 0 and a connected graph has a point
         raise InvariantViolation("flat surface has no area")
-    return FlatSurfaceData(rectangles=tuple(rectangles), total_area=area)
+    return rectangles, area
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from quantcert.certify import (
     ROUTE_UNCERTIFIED,
     SCALAR_OBSTRUCTED,
     SURVIVES,
-    certificate_to_json,
+    _odd_block,
     certify_level,
     eigenvalue_tuple,
     even_certificate,
@@ -19,6 +19,7 @@ from quantcert.certify import (
     odd_part,
     scalar_obstruction,
 )
+from quantcert.burau import burau_is_finite, minus_q_order
 from quantcert.errors import NonPrimitiveRoot
 from quantcert.roots import RootOfUnity
 
@@ -112,7 +113,7 @@ class TestEigenvalueTuple:
         monkeypatch.setattr(certify, "eigenvalue_tuple", counting)
         for p in (16, 40, 96, 200):
             calls.clear()
-            assert even_certificate(p).route == ROUTE_EVEN
+            assert even_certificate(p)["route"] == ROUTE_EVEN
             assert len(calls) == 1, p
 
 
@@ -165,89 +166,92 @@ class TestOddCertificate:
         # -A^(-2) when q = 1 mod 4, -A^2 when q = 3 mod 4, with A = zeta_2q
         for q in range(7, 2000, 2):
             want = RootOfUnity(2 * q, q - 2 if q % 4 == 1 else q + 2)
-            got = odd_certificate(q).odd.burau_parameter
+            got = _odd_block(q)[1]
             assert got == want and str(got) == str(want), q
 
     def test_p7(self):
         cert = odd_certificate(7)
-        assert cert.route == ROUTE_ODD
-        assert cert.odd.boundary_color == 2
-        assert cert.odd.loop_colors == (2, 4)
-        assert cert.odd.minus_parameter_order == 7
-        assert cert.odd.triangle_group_excluded_set_check
+        assert cert["route"] == ROUTE_ODD
+        assert cert["boundary_color"] == 2
+        basis, parameter = _odd_block(7)
+        assert basis == (2, 4)
+        assert minus_q_order(parameter) == 7
+        assert not burau_is_finite(minus_q_order(parameter))
 
     def test_p9(self):
-        cert = odd_certificate(9)
-        assert cert.route == ROUTE_ODD
-        assert cert.odd.loop_colors == (2, 4)
+        assert odd_certificate(9)["route"] == ROUTE_ODD
+        assert _odd_block(9)[0] == (2, 4)
 
     def test_p5_uncertified(self):
-        assert odd_certificate(5).route == ROUTE_UNCERTIFIED
+        assert odd_certificate(5)["route"] == ROUTE_UNCERTIFIED
 
     def test_p56_uses_odd_part_7(self):
         cert = odd_certificate(56)
-        assert cert.route == ROUTE_ODD
-        assert cert.odd.odd_part == 7
+        assert cert["route"] == ROUTE_ODD
+        assert cert["odd_part"] == 7
 
     def test_minus_parameter_is_primitive_odd_part_root(self):
         for p in (7, 9, 11, 13, 14, 18, 22, 56, 112):
             cert = odd_certificate(p)
             q = odd_part(p)
-            assert cert.odd.minus_parameter_order == q
-            minus = RootOfUnity(2, 1) * cert.odd.burau_parameter
+            assert cert["odd_part"] == q
+            parameter = _odd_block(q)[1]
+            assert minus_q_order(parameter) == q
+            minus = RootOfUnity(2, 1) * parameter
             assert minus.multiplicative_order() == q
 
 
 class TestEvenCertificate:
     def test_p16(self):
         cert = even_certificate(16)
-        assert cert.route == ROUTE_EVEN
-        assert cert.even.ell == 7
-        assert cert.even.profile.signature == (4, 1)
+        assert cert["route"] == ROUTE_EVEN
+        assert cert["ell"] == 7
+        assert cert["signature"] == [4, 1]
 
     def test_p12_uncertified(self):
         cert = even_certificate(12)
-        assert cert.route == ROUTE_UNCERTIFIED
+        assert cert["route"] == ROUTE_UNCERTIFIED
 
     def test_p20_uncertified_with_surviving_case(self):
         cert = even_certificate(20)
-        assert cert.route == ROUTE_UNCERTIFIED
-        assert any("survives the scalar identity" in f for f in cert.failed)
+        assert cert["route"] == ROUTE_UNCERTIFIED
+        assert any("survives the scalar identity" in f for f in cert["failed"])
 
     def test_p24_uncertified_for_lack_of_license(self):
         cert = even_certificate(24)
-        assert cert.route == ROUTE_UNCERTIFIED
-        assert any("no irreducibility assertion" in f for f in cert.failed)
+        assert cert["route"] == ROUTE_UNCERTIFIED
+        assert any("no irreducibility assertion" in f for f in cert["failed"])
 
     def test_p40_certified_and_annotated(self):
-        cert = even_certificate(40)
-        assert cert.route == ROUTE_EVEN
-        assert any("divides 120" in note for note in cert.even.notes)
+        cert, notes = certify_level(40)
+        assert cert["route"] == ROUTE_EVEN
+        assert any("divides 120" in note for note in notes)
 
     def test_case_list_covers_all_distinct_submultisets(self):
         """4 singleton classes + 7 pair classes (ends coincide)."""
         cert = even_certificate(16)
-        sizes = [len(c.eigen_multiset) for c in cert.even.cases]
+        sizes = [len(c["multiset"]) for c in cert["cases"]]
         assert sizes.count(1) == 4
         assert sizes.count(2) == 7
 
     def test_exactly_one_span_resolution(self):
-        cert = even_certificate(16)
-        spans = [c for c in cert.even.cases if c.resolution == FORM_INDEFINITE_ON_SPAN]
+        cert, notes = certify_level(16)
+        spans = [c for c in cert["cases"] if c["resolution"] == FORM_INDEFINITE_ON_SPAN]
         assert len(spans) == 1
-        assert "asserted" in spans[0].note  # the non-machine-checked step is marked
-        others = [c for c in cert.even.cases if c.resolution == SCALAR_OBSTRUCTED]
-        assert len(others) == len(cert.even.cases) - 1
+        # the non-machine-checked step is marked
+        assert len(notes) == 1 and "asserted" in notes[0]
+        others = [c for c in cert["cases"] if c["resolution"] == SCALAR_OBSTRUCTED]
+        assert len(others) == len(cert["cases"]) - 1
 
     def test_span_case_covers_every_certified_level_up_to_2000(self):
         """Only the span case ever resolves by indefiniteness."""
         uncertified = set()
         for p in range(16, 2001, 4):
             cert = even_certificate(p)
-            if not cert.certified:
+            if cert["route"] == ROUTE_UNCERTIFIED:
                 uncertified.add(p)
                 continue
-            resolutions = [c.resolution for c in cert.even.cases]
+            resolutions = [c["resolution"] for c in cert["cases"]]
             assert set(resolutions) <= {SCALAR_OBSTRUCTED, FORM_INDEFINITE_ON_SPAN}, p
             assert resolutions.count(FORM_INDEFINITE_ON_SPAN) == 1, p
         assert uncertified == {20, 24, 60}
@@ -255,34 +259,36 @@ class TestEvenCertificate:
 
 class TestCertifyLevel:
     def test_odd_route_preferred(self):
-        assert certify_level(9).route == ROUTE_ODD
-        assert certify_level(112).route == ROUTE_ODD  # odd part 7
+        assert certify_level(9)[0]["route"] == ROUTE_ODD
+        assert certify_level(112)[0]["route"] == ROUTE_ODD  # odd part 7
 
     def test_even_route_taken_when_odd_fails(self):
-        assert certify_level(16).route == ROUTE_EVEN
+        assert certify_level(16)[0]["route"] == ROUTE_EVEN
 
     def test_uncertified_collects_reasons(self):
-        cert = certify_level(10)
-        assert cert.route == ROUTE_UNCERTIFIED
-        assert len(cert.failed) == 2  # odd part too small, not divisible by 4
+        cert, notes = certify_level(10)
+        assert cert["route"] == ROUTE_UNCERTIFIED
+        assert len(cert["failed"]) == 2  # odd part too small, not divisible by 4
+        assert notes == ()
 
     def test_exceptional_set_1_to_200(self):
-        bad = {p for p in range(1, 201) if not certify_level(p).certified}
+        bad = {p for p in range(1, 201) if certify_level(p)[0]["route"] == ROUTE_UNCERTIFIED}
         assert bad == {1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 24}
 
 
 class TestCertificateJson:
     def test_odd_schema(self):
-        doc = certificate_to_json(certify_level(7))
+        doc, notes = certify_level(7)
         assert doc == {
             "p": 7,
             "route": "odd_burau",
             "odd_part": 7,
             "boundary_color": 2,
         }
+        assert notes == ()
 
     def test_even_schema(self):
-        doc = certificate_to_json(certify_level(16))
+        doc = certify_level(16)[0]
         assert doc["p"] == 16
         assert doc["route"] == "even_coxeter"
         assert doc["ell"] == 7
@@ -291,8 +297,9 @@ class TestCertificateJson:
         for case in doc["cases"]:
             assert set(case) == {"multiset", "resolution"}
             assert all(isinstance(s, str) for s in case["multiset"])
+            assert case["multiset"] == sorted(case["multiset"])
 
     def test_uncertified_schema(self):
-        doc = certificate_to_json(certify_level(20))
+        doc = certify_level(20)[0]
         assert doc["route"] == "uncertified"
         assert doc["failed"]

@@ -111,18 +111,19 @@ class TestQuantumIntegerSign:
 class TestTwistEigenvalue:
     def test_color_zero_is_trivial(self):
         for p in (5, 7, 16):
-            assert twist_eigenvalue(0, p).value == RootOfUnity(2 * p, 0)
+            assert twist_eigenvalue(0, p) == RootOfUnity(2 * p, 0)
 
     def test_even_color(self):
+        # a(a+2) = 8; the even color's sign +1 adds no shift
         ev = twist_eigenvalue(2, 5)
-        assert ev.value == RootOfUnity(10, 8)
-        assert ev.parity_sign == 1
+        assert ev == RootOfUnity(10, 8)
+        assert ev * RootOfUnity(10, -8) == RootOfUnity(10, 0)
 
     def test_odd_color_folds_sign(self):
-        # a(a+2) = 15; the odd color contributes an exponent shift by p = 16
+        # a(a+2) = 15; the odd color's sign -1 is an exponent shift by p = 16
         ev = twist_eigenvalue(3, 16)
-        assert ev.value == RootOfUnity(32, 31)
-        assert ev.parity_sign == -1
+        assert ev == RootOfUnity(32, 31)
+        assert ev * RootOfUnity(32, -15) == RootOfUnity.minus_one(32)
 
     def test_invalid_color(self):
         with pytest.raises(InvalidColor):
@@ -132,7 +133,7 @@ class TestTwistEigenvalue:
 
 
 def twist_order(a, p):
-    return twist_eigenvalue(a, p).value.multiplicative_order()
+    return twist_eigenvalue(a, p).multiplicative_order()
 
 
 class TestTwistOrder:

@@ -314,7 +314,7 @@ class TestClassifyGraph:
                     expected = by_sign[(mu_sq > 4) - (mu_sq < 4)]
                     assert classify_graph(g) == expected, (a, bs)
                     cert = lattice_certificate(g)
-                    assert cert.teichmuller_curve_by_mu == (expected != DOMINANT)
+                    assert cert["teichmuller_curve_by_mu"] == (expected != DOMINANT)
                     assert abs(perron(g).mu - math.sqrt(mu_sq)) <= 1e-12 * mu_sq
 
     def _random_connected_bipartite(self, rng, weighted, dense=False):
@@ -383,44 +383,46 @@ class TestClassifyGraph:
 class TestLatticeCertificate:
     def test_path(self):
         cert = lattice_certificate(path_family(3))
-        assert cert.status == FINITE_INDEX_IN_VEECH
-        assert cert.teichmuller_curve_by_mu
+        assert cert["lattice_status"] == FINITE_INDEX_IN_VEECH
+        assert cert["graph_class"] == RECESSIVE
+        assert cert["teichmuller_curve_by_mu"]
         assert abs(perron(path_family(3)).mu - math.sqrt(2)) < 1e-9
 
     def test_cycle(self):
         cert = lattice_certificate(cycle_family(6))
-        assert cert.status == FINITE_INDEX_IN_VEECH
-        assert cert.graph_class == CRITICAL
+        assert cert["lattice_status"] == FINITE_INDEX_IN_VEECH
+        assert cert["graph_class"] == CRITICAL
         assert abs(perron(cycle_family(6)).mu - 2.0) <= 1e-9
 
     def test_complete_bipartite_2x3(self):
         g = ConfigurationGraph(((1, 1, 1), (1, 1, 1)), (1,) * 5)
         cert = lattice_certificate(g)
-        assert cert.status == NOT_FINITE_INDEX
+        assert cert["lattice_status"] == NOT_FINITE_INDEX
         assert abs(perron(g).mu - math.sqrt(6)) < 1e-9
-        assert not cert.teichmuller_curve_by_mu
+        assert not cert["teichmuller_curve_by_mu"]
 
     def test_taxonomy_not_applied_to_weighted_graphs(self):
         g = ConfigurationGraph(((1,),), (2, 3))
         cert = lattice_certificate(g)
-        assert cert.status is None
-        assert not cert.teichmuller_curve_by_mu  # mu = sqrt(6) > 2
+        assert cert["lattice_status"] is None
+        assert not cert["teichmuller_curve_by_mu"]  # mu = sqrt(6) > 2
 
 
 class TestFlatSurface:
     def test_single_square(self):
         g = ConfigurationGraph(((1,),), (1, 1))
-        surface = flat_surface(g, perron(g))
-        assert len(surface.rectangles) == 1
-        rect = surface.rectangles[0]
-        assert abs(rect.width - 1 / math.sqrt(2)) < 1e-9
-        assert abs(rect.height - 1 / math.sqrt(2)) < 1e-9
+        rectangles, _ = flat_surface(g, perron(g))
+        assert len(rectangles) == 1
+        rect = rectangles[0]
+        assert set(rect) == {"id", "c_component", "d_component", "width", "height"}
+        assert abs(rect["width"] - 1 / math.sqrt(2)) < 1e-9
+        assert abs(rect["height"] - 1 / math.sqrt(2)) < 1e-9
 
     def test_path3_two_rectangles(self):
         g = path_family(3)
-        surface = flat_surface(g, perron(g))
-        assert len(surface.rectangles) == 2
-        dims = {(round(r.width, 6), round(r.height, 6)) for r in surface.rectangles}
+        rectangles, _ = flat_surface(g, perron(g))
+        assert len(rectangles) == 2
+        dims = {(round(r["width"], 6), round(r["height"], 6)) for r in rectangles}
         assert dims == {(0.5, round(1 / math.sqrt(2), 6))}
 
     def test_area_matches_incidence_sum(self):
@@ -431,21 +433,22 @@ class TestFlatSurface:
                 for i in range(g.m)
                 for j in range(g.k)
             )
-            surface = flat_surface(g, data)
-            assert abs(surface.total_area - expected) < 1e-12
-            assert surface.total_area > 0
+            _, total_area = flat_surface(g, data)
+            assert abs(total_area - expected) < 1e-12
+            assert total_area > 0
 
     def test_one_rectangle_per_intersection_unit(self):
         g = parse_intersections("(1,1,3)", "1,1")
-        surface = flat_surface(g, perron(g))
-        assert len(surface.rectangles) == 3
+        rectangles, _ = flat_surface(g, perron(g))
+        assert len(rectangles) == 3
 
     @pytest.mark.parametrize("inter", [((2, 1), (1, 0)), ((2, 1), (1, 1))])
     def test_rectangles_in_point_id_order(self, inter):
         # points 0 and 1 are the two (1, 1) intersections
         g = ConfigurationGraph(inter, (1,) * 4)
-        surface = flat_surface(g, perron(g))
-        assert [(r.c_index, r.d_index) for r in surface.rectangles][:4] == [
+        rectangles, _ = flat_surface(g, perron(g))
+        assert [r["id"] for r in rectangles] == list(range(len(rectangles)))
+        assert [(r["c_component"], r["d_component"]) for r in rectangles][:4] == [
             (0, 0), (0, 0), (0, 1), (1, 0)
         ]
 
@@ -458,12 +461,12 @@ class TestFlatSurface:
     def test_area_invariant_under_relabeling(self):
         inter = ((1, 1, 0), (0, 1, 1))
         g = ConfigurationGraph(inter, (1,) * 5)
-        base = flat_surface(g, perron(g)).total_area
+        base = flat_surface(g, perron(g))[1]
         for rows in ((1, 0), (0, 1)):
             for cols in ((2, 1, 0), (1, 0, 2), (0, 2, 1)):
                 permuted = tuple(tuple(inter[i][j] for j in cols) for i in rows)
                 h = ConfigurationGraph(permuted, (1,) * 5)
-                assert abs(flat_surface(h, perron(h)).total_area - base) < 1e-9
+                assert abs(flat_surface(h, perron(h))[1] - base) < 1e-9
 
 
 class TestParsing:
