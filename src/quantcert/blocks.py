@@ -203,14 +203,16 @@ def parse_colored_graph(text: str) -> ColoredGraph:
     """Parse ``vertices=n; edges=u-v,...; tails=v:color,...``.
 
     Whitespace-insensitive; loops are written ``u-u``; the edges and tails
-    sections may be empty or absent.  Parse errors name the offending
-    token and its character position in the input; a graph that parses but
-    is not trivalent raises InvalidGraph.
+    sections may be empty or absent, and no section may be given twice.
+    Parse errors name the offending token and its character position in the
+    input; a graph that parses but is not trivalent raises InvalidGraph.
     """
     vertices: tuple[int, ...] | None = None
     edges: list[tuple[int, int]] = []
     tails: list[tuple[int, int]] = []
     sections = {"edges": ("-", edges), "tails": (":", tails)}
+    seen: set[str] = set()
+    repeated: tuple[str, int] | None = None
     offset = 0
     for part in text.split(";"):
         pos, offset = offset, offset + len(part) + 1
@@ -225,6 +227,9 @@ def parse_colored_graph(text: str) -> ColoredGraph:
         key, _, value = part.partition("=")
         value_pos = pos + len(key) + 1
         key = key.strip()
+        if key in seen and repeated is None:
+            repeated = key, pos
+        seen.add(key)
         if key == "vertices":
             try:
                 n = int(value)
@@ -258,4 +263,9 @@ def parse_colored_graph(text: str) -> ColoredGraph:
             )
     if vertices is None:
         raise GraphParseError("missing vertices=... section", token="vertices")
+    if repeated:
+        key, pos = repeated
+        raise GraphParseError(
+            f"repeated section {key!r} at position {pos}", token=key, position=pos
+        )
     return ColoredGraph(vertices, tuple(edges), tuple(tails))

@@ -5,7 +5,8 @@ provenance notes, tool version) and renders it as a table or as canonically
 ordered JSON.  Exit codes: 0 on success (an uncertified level is a result,
 not an error), 2 on a ``UsageError`` (raised where the broken input rule
 lives), 3 on any other package error.  ``main`` is the only place that
-maps an error to an exit code.
+maps an error to an exit code.  A reader that closes stdout early (``| head``)
+ends the output, not the command: it still exits 0, with nothing on stderr.
 
 The argument parser is built once, at import; ``main(argv)`` may be called
 any number of times in one process, and each call parses into a fresh
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -240,7 +242,7 @@ def cmd_veech(args) -> dict:
         "mu": data.mu,
         "eigenvector": list(data.v),
         "residual": data.residual,
-        "tolerance": data.tolerance,
+        "tolerance": veech.DEFAULT_TOL,
         **veech.lattice_certificate(graph),
         "dt_c": dt_c,
         "dt_d": dt_d,
@@ -391,10 +393,16 @@ def main(argv: list[str] | None = None) -> int:
     except QuantcertError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if out_format == "json":
-        print(_dump(report))
-    else:
-        _TABLE_PRINTERS[args.command](report, quiet)
+    try:
+        if out_format == "json":
+            print(_dump(report))
+        else:
+            _TABLE_PRINTERS[args.command](report, quiet)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop writing, and send what
+        # is still buffered to devnull so the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

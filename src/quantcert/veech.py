@@ -1,11 +1,11 @@
 """Configuration graphs of multicurve pairs and the two-multitwist data.
 
 A pair of multicurves in minimal position is recorded as a bipartite
-intersection pattern: m components on one side, k on the other, an m-by-k
-matrix of geometric intersection numbers, and a positive multiplicity per
-component.  The weighted matrix N = (d_i i(gamma_i, gamma_j)) is
-nonnegative and irreducible when the graph is connected, so it carries
-Perron data (mu, v) with Nv = mu v and v > 0.
+intersection pattern: m components on one side, k on the other, the
+geometric intersection number of each pair of components that meet, and a
+positive multiplicity per component.  The weighted matrix N = (d_i
+i(gamma_i, gamma_j)) is nonnegative and irreducible when the graph is
+connected, so it carries Perron data (mu, v) with Nv = mu v and v > 0.
 
 mu scales the derivative matrices of the two multitwists,
 
@@ -16,10 +16,12 @@ recessive / critical / dominant class below (Leininger, Geom. Topol. 8,
 2004).  The flat surface is the union of one v_i-by-v_j rectangle per
 intersection point.
 
-The graph is bipartite, so its adjacency A is held only as the m-by-k
-intersection block B, built once.  With D = (D_c, D_d) the diagonal of
-multiplicities, N = DA is similar to D^(1/2) A D^(1/2) = [[0, X], [X^T, 0]]
-with X = D_c^(1/2) B D_d^(1/2), so mu is the top singular value of X.  The
+A graph holds only those numbers, as (i, j, count) triples; every step but
+the eigensolve reads them once, in time linear in their number.  The graph
+is bipartite, so its adjacency A is one m-by-k block B, which ``perron``
+alone builds.  With D = (D_c, D_d) the diagonal of multiplicities, N = DA
+is similar to D^(1/2) A D^(1/2) = [[0, X], [X^T, 0]] with
+X = D_c^(1/2) B D_d^(1/2), so mu is the top singular value of X.  The
 recessive / critical / dominant class (mu below, equal to or above 2) is
 decided exactly, with no tolerance, for every multiplicity vector: mu < 2,
 mu = 2 or mu > 2 as the integer matrix 2D - DAD (congruent to 2D^-1 - A)
@@ -35,10 +37,8 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DisconnectedGraph,
@@ -56,12 +56,12 @@ NOT_FINITE_INDEX = "not_finite_index"
 
 DEFAULT_TOL = 1e-12
 
-#: Most vertices (m + k) a parsed configuration graph may have; every report
-#: holds the m-by-k intersection block and one eigensolve of size min(m, k).
+#: Most vertices (m + k) a parsed configuration graph may have; ``perron``
+#: builds the m-by-k intersection block and runs one eigensolve of size min(m, k).
 VERTEX_BUDGET = 2000
 #: Most intersection points (one flat-surface rectangle each) a parsed graph
 #: may have in total, which also caps each count, and the largest parsed
-#: multiplicity; both are checked on Python ints, before any int64 array.
+#: multiplicity; both are checked on Python ints, before a graph is built.
 POINT_BUDGET = 20000
 MULTIPLICITY_CAP = 10**6
 
@@ -70,40 +70,49 @@ MULTIPLICITY_CAP = 10**6
 class ConfigurationGraph:
     """Bipartite multicurve intersection data with multiplicities.
 
-    ``intersections[i][j]`` is the geometric intersection number of the
-    i-th component of the first multicurve with the j-th component of the
-    second; ``multiplicities`` lists the m + k twist multiplicities in that
-    vertex order.  The bipartite multigraph must be connected.
+    Each triple (i, j, count) of ``points`` says that component i of the
+    first multicurve (0 <= i < m) meets component j of the second
+    (0 <= j < k) in ``count`` points.  The constructor sums repeated pairs,
+    drops zero counts and sorts the triples, so each pair appears once,
+    row-major, with a positive count.  ``multiplicities`` lists the m + k
+    twist multiplicities, first side first.  The graph must be connected.
     """
 
-    intersections: tuple[tuple[int, ...], ...]
+    m: int
+    k: int
+    points: tuple[tuple[int, int, int], ...]
     multiplicities: tuple[int, ...]
-    _block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = len(self.intersections)
-        if m == 0:
+        m, k = self.m, self.k
+        if m < 1 or k < 1:
             raise InvalidGraph("need at least one component on each side")
-        k = len(self.intersections[0])
-        if k == 0 or any(len(row) != k for row in self.intersections):
-            raise InvalidGraph("intersection matrix must be rectangular and nonempty")
-        if any(x < 0 for row in self.intersections for x in row):
-            raise InvalidGraph("intersection numbers must be nonnegative")
         if len(self.multiplicities) != m + k:
-            raise InvalidGraph(
-                f"expected {m + k} multiplicities, got {len(self.multiplicities)}"
-            )
+            raise InvalidGraph(f"expected {m + k} multiplicities, got {len(self.multiplicities)}")
         if any(d < 1 for d in self.multiplicities):
             raise InvalidGraph("multiplicities must be positive")
-        block = np.array(self.intersections, dtype=np.int64)
-        block.flags.writeable = False
-        object.__setattr__(self, "_block", block)
-        seen = {0}
-        stack = [0]
+        # sorted, a repeated pair follows its first occurrence and is summed into it
+        points: list[tuple[int, int, int]] = []
+        neighbours: list[list[int]] = [[] for _ in range(m + k)]
+        last_i = last_j = -1
+        for point in sorted(self.points):
+            i, j, count = point
+            if not (0 <= i < m and 0 <= j < k):
+                raise InvalidGraph(f"point ({i}, {j}) is outside the {m}-by-{k} block")
+            if count <= 0:
+                if count:
+                    raise InvalidGraph("intersection numbers must be nonnegative")
+            elif i == last_i and j == last_j:
+                points[-1] = (i, j, points[-1][2] + count)
+            else:
+                last_i, last_j = i, j
+                points.append(point)
+                neighbours[i].append(m + j)
+                neighbours[m + j].append(i)
+        object.__setattr__(self, "points", tuple(points))
+        seen, stack = {0}, [0]
         while stack:
-            u = stack.pop()
-            row = m + np.flatnonzero(block[u]) if u < m else np.flatnonzero(block[:, u - m])
-            for w in row.tolist():
+            for w in neighbours[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -111,27 +120,15 @@ class ConfigurationGraph:
             raise DisconnectedGraph("configuration graph is not connected")
 
     @property
-    def m(self) -> int:
-        return len(self.intersections)
-
-    @property
-    def k(self) -> int:
-        return len(self.intersections[0])
-
-    @property
     def size(self) -> int:
         return self.m + self.k
 
-    @property
-    def unit_multiplicities(self) -> bool:
-        return all(d == 1 for d in self.multiplicities)
 
 @dataclass(frozen=True)
 class PerronData:
     mu: float
     v: tuple[float, ...]
     residual: float
-    tolerance: float
 
 
 def perron(g: ConfigurationGraph) -> PerronData:
@@ -144,7 +141,12 @@ def perron(g: ConfigurationGraph) -> PerronData:
     against N itself, blockwise as (d_c B v_d, d_d B^T v_c):
     ||Nv - mu v|| <= DEFAULT_TOL * mu and v > 0, else InvariantViolation.
     """
-    m, block = g.m, g._block
+    import numpy as np
+
+    m = g.m
+    block = np.zeros((m, g.k), dtype=np.int64)
+    for i, j, count in g.points:
+        block[i, j] = count
     d = np.asarray(g.multiplicities, dtype=float)
     root = np.sqrt(d)
     x = root[:m, None] * block * root[None, m:]
@@ -165,9 +167,7 @@ def perron(g: ConfigurationGraph) -> PerronData:
         )
     if not np.all(v > 0):
         raise InvariantViolation("Perron vector is not strictly positive")
-    return PerronData(
-        mu=mu, v=tuple(v.tolist()), residual=residual, tolerance=DEFAULT_TOL
-    )
+    return PerronData(mu=mu, v=tuple(v.tolist()), residual=residual)
 
 
 def multitwist_matrices(mu: float) -> tuple[tuple, tuple]:
@@ -192,12 +192,12 @@ def classify_graph(g: ConfigurationGraph) -> str:
     critical graph is definite, so an earlier zero pivot rules that out).
     Any other non-positive pivot: mu > 2.
     """
-    if sum(map(sum, g.intersections)) > g.size:
+    if sum(count for _, _, count in g.points) > g.size:
         return DOMINANT
     d, m = g.multiplicities, g.m
     rows: list[dict] = [{} for _ in range(g.size)]
-    for i, j in zip(*(axis.tolist() for axis in np.nonzero(g._block))):
-        rows[i][m + j] = rows[m + j][i] = -d[i] * d[m + j] * g.intersections[i][j]
+    for i, j, count in g.points:
+        rows[i][m + j] = rows[m + j][i] = -d[i] * d[m + j] * count
     for i, row in enumerate(rows):
         row[i] = Fraction(2 * d[i])
     heap = sorted((len(row), i) for i, row in enumerate(rows))
@@ -237,7 +237,7 @@ def lattice_certificate(g: ConfigurationGraph) -> dict:
     """
     cls = classify_graph(g)
     status: str | None = None
-    if g.unit_multiplicities:
+    if all(d == 1 for d in g.multiplicities):
         status = FINITE_INDEX_IN_VEECH if cls != DOMINANT else NOT_FINITE_INDEX
     return {
         "graph_class": cls,
@@ -251,20 +251,16 @@ def flat_surface(g: ConfigurationGraph, data: PerronData) -> tuple[list[dict], f
     and their total area.
 
     Each rectangle is the report record ``{id, c_component, d_component,
-    width, height}``.  Point ids run row-major over the pairs (i, j), one per
-    unit of their intersection number.  How the rectangles glue along a
+    width, height}``.  Point ids run over ``g.points`` in order, row-major,
+    one per unit of each count.  How the rectangles glue along a
     component depends on the order in which it meets its points, which the
     intersection numbers do not record, so no gluing is reported.
     """
     v, m = data.v, g.m
-    points = [
-        (i, j)
-        for i, j in zip(*(axis.tolist() for axis in np.nonzero(g._block)))
-        for _ in range(g.intersections[i][j])
-    ]
+    units = ((i, j) for i, j, count in g.points for _ in range(count))
     rectangles = [
         {"id": n, "c_component": i, "d_component": j, "width": v[i], "height": v[m + j]}
-        for n, (i, j) in enumerate(points)
+        for n, (i, j) in enumerate(units)
     ]
     area = sum(r["width"] * r["height"] for r in rectangles)
     if not area > 0:
@@ -295,18 +291,13 @@ def _from_edges(n: int, edges: list[tuple[int, int]]) -> ConfigurationGraph:
                 stack.append(w)
             elif color[w] == color[u]:
                 raise InvalidGraph(
-                    "graph is not bipartite: two crossing multicurves must "
-                    "alternate"
+                    "graph is not bipartite: two crossing multicurves must alternate"
                 )
     c_side = [v for v in range(n) if color[v] == 0]
     d_side = [v for v in range(n) if color[v] == 1]
     index = {v: t for side in (c_side, d_side) for t, v in enumerate(side)}
-    inter = [[0] * len(d_side) for _ in c_side]
-    for u, w in edges:
-        if color[u]:
-            u, w = w, u
-        inter[index[u]][index[w]] += 1
-    return ConfigurationGraph(tuple(map(tuple, inter)), (1,) * n)
+    points = [(index[w], index[u], 1) if color[u] else (index[u], index[w], 1) for u, w in edges]
+    return ConfigurationGraph(len(c_side), len(d_side), points, (1,) * n)
 
 
 def path_family(n: int) -> ConfigurationGraph:
@@ -386,7 +377,8 @@ def parse_family(spec: str) -> ConfigurationGraph:
     return _FAMILY_BUILDERS[name](n)
 
 
-_INTER_TOKEN = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+#: one (i, j, count) triple and the commas after it
+_INTER_TOKEN = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\),*")
 
 
 def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGraph:
@@ -394,9 +386,10 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
 
     ``inter_text`` lists (i, j, count) triples with 1-based component
     indices; the side sizes m and k are the largest indices on each side.
+    A pair may be listed more than once (its counts add up) or with count 0.
     ``mult_text`` is a comma list of m + k multiplicities (default all 1).
     """
-    entries = []
+    entries = []  # 0-based
     cleaned = inter_text.replace(" ", "")
     pos = points = 0
     while pos < len(cleaned):
@@ -412,28 +405,26 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
                 position=pos,
             )
         i, j, count = map(int, match.groups())
-        entries.append((i, j, count))
+        entries.append((i - 1, j - 1, count))
         points += count
         if points > POINT_BUDGET:
+            token = match.group(0).rstrip(",")
             raise GraphParseError(
-                f"more than POINT_BUDGET = {POINT_BUDGET} intersection points, "
-                f"at {match.group(0)!r}",
-                token=match.group(0),
+                f"more than POINT_BUDGET = {POINT_BUDGET} intersection points, at {token!r}",
+                token=token,
                 position=pos,
             )
         pos = match.end()
     if not entries:
         raise GraphParseError("no intersections given", token=inter_text)
-    m = max(e[0] for e in entries)
-    k = max(e[1] for e in entries)
+    rows, columns, _ = zip(*entries)
+    m, k = max(rows) + 1, max(columns) + 1
     _check_budget(m + k, inter_text)
-    inter = [[0] * k for _ in range(m)]
-    for i, j, count in entries:
-        if i < 1 or j < 1:
-            raise GraphParseError(
-                f"component indices are 1-based, got ({i}, {j})", token=f"({i},{j})"
-            )
-        inter[i - 1][j - 1] += count
+    if min(rows) < 0 or min(columns) < 0:
+        i, j = next((i + 1, j + 1) for i, j, _ in entries if i < 0 or j < 0)
+        raise GraphParseError(
+            f"component indices are 1-based, got ({i}, {j})", token=f"({i},{j})"
+        )
     if mult_text.strip():
         try:
             mult = tuple(int(t) for t in mult_text.split(","))
@@ -452,17 +443,19 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
             )
     else:
         mult = (1,) * (m + k)
-    return ConfigurationGraph(tuple(tuple(row) for row in inter), mult)
+    return ConfigurationGraph(m, k, entries, mult)
 
 
 def parse_config_spec(text: str) -> ConfigurationGraph:
     """Parse either a named family or a ``c=..; d=..; inter=..; mult=..`` spec.
 
-    A declared side size c or d must equal the largest index on its side.
+    A declared side size c or d must equal the largest index on its side,
+    and no section may be given twice.
     """
     if "=" not in text:
         return parse_family(text)
     fields = {}
+    repeated = []
     for part in text.split(";"):
         if not part.strip():
             continue
@@ -471,12 +464,17 @@ def parse_config_spec(text: str) -> ConfigurationGraph:
             raise GraphParseError(
                 f"expected key=value, got {part.strip()!r}", token=part.strip()
             )
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            repeated.append(key)
+        fields[key] = value.strip()
     unknown = set(fields) - {"c", "d", "inter", "mult"}
     if unknown:
         raise GraphParseError(
             f"unknown sections {sorted(unknown)}", token=",".join(sorted(unknown))
         )
+    if repeated:
+        raise GraphParseError(f"repeated section {repeated[0]!r}", token=repeated[0])
     if "inter" not in fields:
         raise GraphParseError("missing inter=... section", token="inter")
     declared = {}

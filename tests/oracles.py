@@ -1,10 +1,11 @@
 """Cross-check oracles and corpus graphs that only the tests read.
 
 The package decides every sign and class exactly, finds its selectors by a
-short scan and holds a configuration graph only as its m-by-k intersection
-block; these float evaluations, whole-window enumerations and dense
-(m + k)-square matrices are the independent references the package code is
-compared against.  The closed trivalent corpus graphs and the cut-and-sum
+short scan and holds a configuration graph only as its intersection points;
+these float evaluations, whole-window enumerations and dense (m + k)-square
+matrices are the independent references the package code is compared
+against, and ``dense_graph`` lets a test write a graph as its m-by-k
+intersection matrix.  The closed trivalent corpus graphs and the cut-and-sum
 identity are an oracle over ``blocks.block_dimension``, and the SL2 helpers
 classify the multitwist matrices by their trace in exact rationals.
 """
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from quantcert.blocks import ColoredGraph, block_dimension, level_colors
+from quantcert.veech import ConfigurationGraph
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -30,12 +32,20 @@ def spectral_radius(adj) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
+def dense_graph(inter, multiplicities) -> ConfigurationGraph:
+    """The configuration graph of a dense m-by-k intersection matrix: each
+    entry becomes a point (i, j, count), zeros included, which the
+    constructor drops."""
+    points = [(i, j, count) for i, row in enumerate(inter) for j, count in enumerate(row)]
+    return ConfigurationGraph(len(inter), len(inter[0]), points, tuple(multiplicities))
+
+
 def adjacency(g) -> np.ndarray:
     """Dense multigraph adjacency of a configuration graph, size m + k."""
-    m, size = g.m, g.size
-    adj = np.zeros((size, size), dtype=np.int64)
-    adj[:m, m:] = g.intersections
-    adj[m:, :m] = adj[:m, m:].T
+    m = g.m
+    adj = np.zeros((g.size, g.size), dtype=np.int64)
+    for i, j, count in g.points:
+        adj[i, m + j] = adj[m + j, i] = count
     return adj
 
 

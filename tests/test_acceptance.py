@@ -14,6 +14,7 @@ from oracles import (
     adjacency,
     chain_graph,
     cut_identity_check,
+    dense_graph,
     dumbbell_graph,
     gram_ratio_float,
     selector_window,
@@ -149,7 +150,7 @@ def test_criterion_06_perron_anchors():
         veech.cycle_family(8),
         veech.cycle_family(10),
         veech.star_family(4),
-        veech.ConfigurationGraph(((2,),), (1, 1)),
+        veech.ConfigurationGraph(1, 1, ((0, 0, 2),), (1, 1)),
     ]
     for g in critical_corpus:
         data = veech.perron(g)
@@ -172,7 +173,7 @@ def test_criterion_06_perron_anchors():
         for _ in range(rng.randint(0, 4)):
             inter[rng.randrange(m)][rng.randrange(k)] += 1
         try:
-            g = veech.ConfigurationGraph(tuple(map(tuple, inter)), (1,) * (m + k))
+            g = dense_graph(inter, (1,) * (m + k))
         except Exception:
             continue
         radius = spectral_radius(adjacency(g))

@@ -328,7 +328,10 @@ class TestExitCodes:
                     caught.append((path.name, node.lineno, sorted(names & package)))
         assert caught == []
         assert {"UsageError", "GraphParseError", "InvariantViolation"} <= package
-        assert len(in_main) == 2
+        # main's handlers: the two exit-code mappings and the closed stdout
+        assert [ast.unparse(node.type) for node in in_main] == [
+            "UsageError", "QuantcertError", "BrokenPipeError"
+        ]
 
     def test_internal_invariant_violation_exits_3(self, capsys, monkeypatch):
         from quantcert.errors import InvariantViolation
@@ -388,6 +391,17 @@ class TestContract:
             (("orbits", "0", str(10**30), "--labeled"), "LIST_BUDGET = 200000"),
             (("orbits", str(10**30), "0"), "LIST_BUDGET = 200000"),
             (("veech", "--inter", ""), "no intersections given"),
+            (("veech", "inter=(1,1,1); mult=1,1; mult=2,2"), "repeated section 'mult'"),
+            (("veech", "inter=(1,1,1); inter=(1,2,1)"), "repeated section 'inter'"),
+            (("veech", "c=1; d=1; inter=(1,1,1); d=1"), "repeated section 'd'"),
+            (
+                ("blocks", "vertices=1; vertices=2; edges=1-2,1-2,1-2", "--level", "5"),
+                "repeated section 'vertices' at position 11",
+            ),
+            (
+                ("blocks", "vertices=2; edges=1-2; edges=1-2,1-2", "--level", "5"),
+                "repeated section 'edges' at position 22",
+            ),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(
@@ -443,6 +457,22 @@ class TestContract:
         argv = ["--format", "json", "veech", "--inter", COMPLETE_141]
         assert (proc.returncode, proc.stdout, proc.stderr) == run_quietly(argv)
 
+    def test_closed_stdout_ends_the_output_not_the_command(self):
+        """``certify 1..3000 | head -1``: the 187 KB table outgrows the pipe,
+        so the command is still writing when the reader closes it."""
+        with subprocess.Popen(
+            [sys.executable, "-m", "quantcert.cli", "certify", "1..3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first.startswith(b"p=1 ")
+        assert (code, err) == (EXIT_OK, b"")
+
     def test_dense_graph_parses_without_a_pair_budget(self):
         from quantcert import veech
         from quantcert.errors import DisconnectedGraph
@@ -450,7 +480,7 @@ class TestContract:
         graph = veech.parse_intersections(COMPLETE_64 + ",(65,1,1)")
         assert (graph.m, graph.k) == (65, 64)
         graph = veech.parse_intersections(f"{COMPLETE_64},(1,1,2),(64,64,1)")
-        assert graph.intersections[0][0] == 3
+        assert graph.points[0] == (0, 0, 3)
         with pytest.raises(DisconnectedGraph, match="not connected"):
             veech.parse_intersections(COMPLETE_64 + ",(65,1,0)")
 

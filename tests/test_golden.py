@@ -2,13 +2,16 @@
 hashes were taken: each request's whole stdout is pinned by its sha256.
 
 The other CLI tests check parts of a report; this one checks all of it, key
-order, indentation and table layout included.  ``veech`` is left out: its
-floats come from ``eigh`` and may differ in the last place across builds.
+order, indentation and table layout included.  A ``veech`` report is pinned
+after its float fields are dropped (``VEECH_FLOATS`` and each rectangle's
+width and height): they come from ``eigh`` and may differ in the last place
+across builds, while every other field is exact.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -46,3 +49,55 @@ def test_stdout_is_byte_identical(argv):
         code = main(list(argv))
     assert code == EXIT_OK
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
+
+
+K141_141 = ",".join(f"({i},{j},1)" for i in range(1, 142) for j in range(1, 142))
+
+#: top-level float fields of a veech report's results
+VEECH_FLOATS = ("mu", "eigenvector", "residual", "dt_c", "dt_d", "total_area")
+
+#: id -> (veech argv, sha256 of the JSON report without its float fields)
+VEECH_GOLDEN = {
+    "A:2000": (
+        ("A:2000",),
+        "2b726fe3239562adb3952982a40c26386dc3e952cb412dfe7d55e6059f33abd0",
+    ),
+    "cycle:1998": (
+        ("cycle:1998",),
+        "769cd2aabfd208eb81cd1f91503a61aa0f135a69353ee2790006836513c6137c",
+    ),
+    "star:1999": (
+        ("star:1999",),
+        "cd2c4cc82be9ce96e252e4e35115cf7de6761c81a925d5dce465862fcb944490",
+    ),
+    "E:8": (("E:8",), "a4a3901315d8df040be22f82e611f66472e0ab7f01d37ed0622f438c0eab02d4"),
+    "K141_141": (
+        ("--inter", K141_141),
+        "782eae0d23abe1ad8165a05ddf83f1be8a5ea7f3d07640a34558aa01e61cac45",
+    ),
+    # (1,1) given twice and (2,2) with count 0
+    "repeated_and_zero": (
+        ("--inter", "(1,1,1),(2,1,1),(1,1,2),(2,2,0),(1,2,1)", "--mult", "1,2,3,1"),
+        "697367b9f87cf514dbc030f5b2ae81fa1e8fbcad37232eff79b2809f7c47d0c6",
+    ),
+    "spec": (
+        ("c=2; d=3; inter=(1,1,1),(1,2,2),(2,2,1),(2,3,1); mult=1,2,1,1,3",),
+        "ac6c7e6f9386d7848f1c9c2eef5d45040f36481db1c6c6a5bb792d6a41830639",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VEECH_GOLDEN))
+def test_veech_exact_fields_are_byte_identical(name):
+    argv, digest = VEECH_GOLDEN[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["veech", *argv, "--format", "json"])
+    assert code == EXIT_OK
+    doc = json.loads(out.getvalue())
+    for key in VEECH_FLOATS:
+        del doc["results"][key]
+    for rectangle in doc["results"]["rectangles"]:
+        del rectangle["width"], rectangle["height"]
+    exact = json.dumps(doc, sort_keys=True, indent=2)
+    assert hashlib.sha256(exact.encode()).hexdigest() == digest

@@ -13,6 +13,7 @@ from oracles import (
     ELLIPTIC,
     PARABOLIC,
     adjacency,
+    dense_graph,
     intersection_matrix,
     sl2,
     sl2_inverse,
@@ -53,39 +54,67 @@ from quantcert.veech import (
 
 class TestConfigurationGraph:
     def test_single_intersection(self):
-        g = ConfigurationGraph(((1,),), (1, 1))
-        assert g.m == 1 and g.k == 1
+        g = ConfigurationGraph(1, 1, ((0, 0, 1),), (1, 1))
+        assert g.m == 1 and g.k == 1 and g.points == ((0, 0, 1),)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
-            ConfigurationGraph(((1, 0), (0, 1)), (1, 1, 1, 1))
+            ConfigurationGraph(2, 2, ((0, 0, 1), (1, 1, 1)), (1, 1, 1, 1))
+        with pytest.raises(DisconnectedGraph):
+            dense_graph(((1, 0), (0, 1)), (1, 1, 1, 1))
+        # a zero count is no intersection: (1, 1) does not join the two halves
+        with pytest.raises(DisconnectedGraph):
+            ConfigurationGraph(2, 2, ((0, 0, 1), (1, 1, 1), (1, 0, 0)), (1,) * 4)
 
-    def test_block_built_once_and_read_only(self):
-        """The m-by-k intersection block is the one matrix a graph holds."""
-        g = ConfigurationGraph(((2, 1), (0, 3)), (1, 1, 1, 1))
-        block = g._block
-        assert block.dtype == np.int64 and block.tolist() == [[2, 1], [0, 3]]
-        with pytest.raises(ValueError):
-            block[0, 1] = 5
-        # a solve and a classification read it and leave it the only array
+    def test_graph_holds_only_its_points(self):
+        """Repeated pairs are summed, zeros dropped and the triples sorted;
+        the four fields are all a graph holds, and no step adds an array."""
+        given = [(1, 1, 2), (0, 1, 1), (0, 0, 2), (1, 1, 1), (1, 0, 0), (0, 1, 0)]
+        g = ConfigurationGraph(2, 2, given, (1, 1, 1, 1))
+        assert g.points == ((0, 0, 2), (0, 1, 1), (1, 1, 3))
+        assert g == ConfigurationGraph(2, 2, g.points, (1, 1, 1, 1))
         assert perron(g).mu > 0 and classify_graph(g) == DOMINANT
-        matrices = [value for value in vars(g).values() if isinstance(value, np.ndarray)]
-        assert len(matrices) == 1 and matrices[0] is block
+        flat_surface(g, perron(g))
+        assert set(vars(g)) == {"m", "k", "points", "multiplicities"}
+
+    def test_points_outside_the_block_or_negative_rejected(self):
+        for point in ((2, 0, 1), (0, 3, 1), (-1, 0, 1), (0, -1, 1)):
+            with pytest.raises(InvalidGraph, match="outside the 2-by-3 block"):
+                ConfigurationGraph(2, 3, ((0, 0, 1), point), (1,) * 5)
+        with pytest.raises(InvalidGraph, match="nonnegative"):
+            ConfigurationGraph(1, 1, ((0, 0, 2), (0, 0, -1)), (1, 1))
+        with pytest.raises(InvalidGraph, match="at least one component"):
+            ConfigurationGraph(0, 1, (), (1,))
+
+    def test_parse_and_classify_hold_no_block(self):
+        """Traced peak of parsing and classifying the longest path admitted.
+
+        Both read the 1999 points once; an m-by-k block at m = k = 1000
+        would be 8 MB on its own.
+        """
+        parse_config_spec("A:20")  # leave one-time imports out of the trace
+        tracemalloc.start()
+        try:
+            assert classify_graph(parse_config_spec(f"A:{VERTEX_BUDGET}")) == RECESSIVE
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_bad_multiplicities(self):
         with pytest.raises(InvalidGraph):
-            ConfigurationGraph(((1,),), (1, 0))
+            ConfigurationGraph(1, 1, ((0, 0, 1),), (1, 0))
         with pytest.raises(InvalidGraph):
-            ConfigurationGraph(((1,),), (1,))
+            ConfigurationGraph(1, 1, ((0, 0, 1),), (1,))
 
 
 class TestIntersectionMatrix:
     def test_unit_multiplicities(self):
-        g = ConfigurationGraph(((1,),), (1, 1))
+        g = ConfigurationGraph(1, 1, ((0, 0, 1),), (1, 1))
         assert intersection_matrix(g).tolist() == [[0, 1], [1, 0]]
 
     def test_row_scaling_by_multiplicity(self):
-        g = ConfigurationGraph(((1,),), (2, 3))
+        g = ConfigurationGraph(1, 1, ((0, 0, 1),), (2, 3))
         assert intersection_matrix(g).tolist() == [[0, 2], [3, 0]]
 
     def test_path_graph(self):
@@ -96,7 +125,7 @@ class TestIntersectionMatrix:
 
 class TestPerron:
     def test_swap_matrix(self):
-        data = perron(ConfigurationGraph(((1,),), (1, 1)))  # N = [[0, 1], [1, 0]]
+        data = perron(ConfigurationGraph(1, 1, ((0, 0, 1),), (1, 1)))  # N = [[0, 1], [1, 0]]
         assert abs(data.mu - 1.0) < 1e-9
         assert all(abs(x - 1 / math.sqrt(2)) < 1e-9 for x in data.v)
 
@@ -116,7 +145,7 @@ class TestPerron:
         # first side of a 2 x 3 block and on the second side of its transpose
         real_eigh = np.linalg.eigh
         for block in (((1, 1, 0), (0, 1, 1)), ((1, 0), (1, 1), (0, 1))):
-            g = ConfigurationGraph(block, (1,) * 5)
+            g = dense_graph(block, (1,) * 5)
             x = np.asarray(block, dtype=float)
             gram = x @ x.T if g.m <= g.k else x.T @ x
             seen = []
@@ -173,7 +202,7 @@ class TestPerron:
                     inter[rng.randrange(m)][j] = 1
             mult = tuple(rng.randint(1, 5) if weighted else 1 for _ in range(m + k))
             try:
-                g = ConfigurationGraph(tuple(map(tuple, inter)), mult)
+                g = dense_graph(inter, mult)
             except DisconnectedGraph:
                 continue
             data = perron(g)
@@ -252,12 +281,12 @@ class TestClassifyGraph:
         assert classify_graph(cycle_family(6)) == CRITICAL
         assert classify_graph(cycle_family(8)) == CRITICAL
         assert classify_graph(star_family(4)) == CRITICAL
-        doubled = ConfigurationGraph(((2,),), (1, 1))
+        doubled = ConfigurationGraph(1, 1, ((0, 0, 2),), (1, 1))
         assert classify_graph(doubled) == CRITICAL
 
     def test_dominant(self):
         assert classify_graph(star_family(5)) == DOMINANT
-        complete_23 = ConfigurationGraph(((1, 1, 1), (1, 1, 1)), (1,) * 5)
+        complete_23 = dense_graph(((1, 1, 1), (1, 1, 1)), (1,) * 5)
         assert classify_graph(complete_23) == DOMINANT
 
     @pytest.mark.parametrize("n", [250, 500, 1000])
@@ -284,9 +313,9 @@ class TestClassifyGraph:
             raise AssertionError("classify_graph eliminated a graph with E > V")
 
         monkeypatch.setattr(veech.heapq, "heappop", no_pop)
-        complete_64 = ConfigurationGraph(((1,) * 64,) * 64, (1,) * 128)
-        weighted_23 = ConfigurationGraph(((1, 1, 1), (1, 1, 1)), (1, 2, 3, 1, 2))
-        tripled = ConfigurationGraph(((3,),), (1, 1))
+        complete_64 = dense_graph(((1,) * 64,) * 64, (1,) * 128)
+        weighted_23 = dense_graph(((1, 1, 1), (1, 1, 1)), (1, 2, 3, 1, 2))
+        tripled = ConfigurationGraph(1, 1, ((0, 0, 3),), (1, 1))
         for g in (complete_64, weighted_23, tripled):
             assert classify_graph(g) == DOMINANT
 
@@ -296,9 +325,9 @@ class TestClassifyGraph:
             assert abs(data.mu - 2.0) <= 1e-9
 
     def test_nonunit_multiplicities_classified_exactly(self):
-        g = ConfigurationGraph(((1,),), (2, 2))  # N = [[0,2],[2,0]], radius 2
+        g = ConfigurationGraph(1, 1, ((0, 0, 1),), (2, 2))  # N = [[0,2],[2,0]], radius 2
         assert classify_graph(g) == CRITICAL
-        g = ConfigurationGraph(((1,),), (2, 3))  # radius sqrt(6)
+        g = ConfigurationGraph(1, 1, ((0, 0, 1),), (2, 3))  # radius sqrt(6)
         assert classify_graph(g) == DOMINANT
 
     def test_weighted_stars_against_closed_form(self):
@@ -309,7 +338,7 @@ class TestClassifyGraph:
         for a in range(1, 13):
             for leaves in (1, 2, 3):
                 for bs in itertools.combinations_with_replacement(range(1, 5), leaves):
-                    g = ConfigurationGraph(((1,) * leaves,), (a, *bs))
+                    g = dense_graph(((1,) * leaves,), (a, *bs))
                     mu_sq = a * sum(bs)
                     expected = by_sign[(mu_sq > 4) - (mu_sq < 4)]
                     assert classify_graph(g) == expected, (a, bs)
@@ -349,7 +378,7 @@ class TestClassifyGraph:
             mult = tuple(rng.randint(1, 3) for _ in range(m + k))
         else:
             mult = (1,) * (m + k)
-        return ConfigurationGraph(tuple(map(tuple, inter)), mult)
+        return dense_graph(inter, mult)
 
     def test_combinatorial_matches_spectral_on_random_corpus(self):
         # half unit multiplicities, half drawn from {1, 2, 3}; a quarter dense,
@@ -373,7 +402,7 @@ class TestClassifyGraph:
                 expected = DOMINANT
             cls = classify_graph(g)
             assert cls == expected, (g, radius)
-            points_over_vertices = sum(map(sum, g.intersections)) > g.size
+            points_over_vertices = adjacency(g).sum() > 2 * g.size
             assert cls == DOMINANT or not points_over_vertices, g
             sides.add(points_over_vertices)
             checked += 1
@@ -395,14 +424,14 @@ class TestLatticeCertificate:
         assert abs(perron(cycle_family(6)).mu - 2.0) <= 1e-9
 
     def test_complete_bipartite_2x3(self):
-        g = ConfigurationGraph(((1, 1, 1), (1, 1, 1)), (1,) * 5)
+        g = dense_graph(((1, 1, 1), (1, 1, 1)), (1,) * 5)
         cert = lattice_certificate(g)
         assert cert["lattice_status"] == NOT_FINITE_INDEX
         assert abs(perron(g).mu - math.sqrt(6)) < 1e-9
         assert not cert["teichmuller_curve_by_mu"]
 
     def test_taxonomy_not_applied_to_weighted_graphs(self):
-        g = ConfigurationGraph(((1,),), (2, 3))
+        g = ConfigurationGraph(1, 1, ((0, 0, 1),), (2, 3))
         cert = lattice_certificate(g)
         assert cert["lattice_status"] is None
         assert not cert["teichmuller_curve_by_mu"]  # mu = sqrt(6) > 2
@@ -410,7 +439,7 @@ class TestLatticeCertificate:
 
 class TestFlatSurface:
     def test_single_square(self):
-        g = ConfigurationGraph(((1,),), (1, 1))
+        g = ConfigurationGraph(1, 1, ((0, 0, 1),), (1, 1))
         rectangles, _ = flat_surface(g, perron(g))
         assert len(rectangles) == 1
         rect = rectangles[0]
@@ -428,11 +457,8 @@ class TestFlatSurface:
     def test_area_matches_incidence_sum(self):
         for g in (path_family(4), cycle_family(6), star_family(3)):
             data = perron(g)
-            expected = sum(
-                g.intersections[i][j] * data.v[i] * data.v[g.m + j]
-                for i in range(g.m)
-                for j in range(g.k)
-            )
+            v = np.asarray(data.v)
+            expected = v @ adjacency(g) @ v / 2
             _, total_area = flat_surface(g, data)
             assert abs(total_area - expected) < 1e-12
             assert total_area > 0
@@ -445,7 +471,7 @@ class TestFlatSurface:
     @pytest.mark.parametrize("inter", [((2, 1), (1, 0)), ((2, 1), (1, 1))])
     def test_rectangles_in_point_id_order(self, inter):
         # points 0 and 1 are the two (1, 1) intersections
-        g = ConfigurationGraph(inter, (1,) * 4)
+        g = dense_graph(inter, (1,) * 4)
         rectangles, _ = flat_surface(g, perron(g))
         assert [r["id"] for r in rectangles] == list(range(len(rectangles)))
         assert [(r["c_component"], r["d_component"]) for r in rectangles][:4] == [
@@ -454,18 +480,18 @@ class TestFlatSurface:
 
     def test_no_area_is_an_invariant_violation(self):
         # perron never returns a zero vector, so this is a bug, not bad input
-        zero = veech.PerronData(mu=1.0, v=(0.0,) * 3, residual=0.0, tolerance=0.0)
+        zero = veech.PerronData(mu=1.0, v=(0.0,) * 3, residual=0.0)
         with pytest.raises(InvariantViolation, match="no area"):
             flat_surface(path_family(3), zero)
 
     def test_area_invariant_under_relabeling(self):
         inter = ((1, 1, 0), (0, 1, 1))
-        g = ConfigurationGraph(inter, (1,) * 5)
+        g = dense_graph(inter, (1,) * 5)
         base = flat_surface(g, perron(g))[1]
         for rows in ((1, 0), (0, 1)):
             for cols in ((2, 1, 0), (1, 0, 2), (0, 2, 1)):
                 permuted = tuple(tuple(inter[i][j] for j in cols) for i in rows)
-                h = ConfigurationGraph(permuted, (1,) * 5)
+                h = dense_graph(permuted, (1,) * 5)
                 assert abs(flat_surface(h, perron(h))[1] - base) < 1e-9
 
 
@@ -483,16 +509,16 @@ class TestParsing:
         "spec, m, k, intersections",
         [
             # vertex 0's side first, each side in vertex order
-            ("A:5", 3, 2, ((1, 0), (1, 1), (0, 1))),
-            ("D:5", 3, 2, ((1, 0), (1, 1), (1, 0))),
-            ("E:6", 3, 3, ((1, 0, 0), (1, 1, 1), (0, 1, 0))),
-            ("cycle:6", 3, 3, ((1, 0, 1), (1, 1, 0), (0, 1, 1))),
-            ("star:3", 1, 3, ((1, 1, 1),)),
+            ("A:5", 3, 2, ((0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1))),
+            ("D:5", 3, 2, ((0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 0, 1))),
+            ("E:6", 3, 3, ((0, 0, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 1, 1))),
+            ("cycle:6", 3, 3, ((0, 0, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1))),
+            ("star:3", 1, 3, ((0, 0, 1), (0, 1, 1), (0, 2, 1))),
         ],
     )
     def test_family_sides(self, spec, m, k, intersections):
         g = parse_family(spec)
-        assert (g.m, g.k, g.intersections) == (m, k, intersections)
+        assert (g.m, g.k, g.points) == (m, k, intersections)
 
     def test_vertex_budget(self):
         assert parse_family(f"star:{VERTEX_BUDGET - 1}").size == VERTEX_BUDGET
@@ -536,3 +562,17 @@ class TestParsing:
     def test_bad_multiplicity_count(self):
         with pytest.raises(GraphParseError):
             parse_intersections("(1,1,1)", "1,1,1")
+
+    def test_repeated_and_zero_triples(self):
+        g = parse_intersections("(2,1,1),(1,1,1),(1,2,0),(1,1,2),(2,2,0),(2,2,1)")
+        assert (g.m, g.k, g.points) == (2, 2, ((0, 0, 3), (1, 0, 1), (1, 1, 1)))
+        # a side size counts a zero-count index, which then meets nothing
+        with pytest.raises(DisconnectedGraph):
+            parse_intersections("(1,1,1),(2,1,0)")
+
+    @pytest.mark.parametrize("section", ["c", "d", "inter", "mult"])
+    def test_repeated_section_rejected(self, section):
+        fields = {"c": "1", "d": "1", "inter": "(1,1,1)", "mult": "1,1"}
+        spec = "; ".join(f"{key}={value}" for key, value in fields.items())
+        with pytest.raises(GraphParseError, match=f"repeated section '{section}'"):
+            parse_config_spec(f"{spec}; {section}={fields[section]}")
