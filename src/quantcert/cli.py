@@ -2,9 +2,11 @@
 
 Every command builds a deterministic report (command echo, inputs, results,
 provenance notes, tool version) and renders it as a table or as canonically
-ordered JSON.  Exit codes: 0 on success (an uncertified level is a result,
-not an error), 2 on a ``UsageError`` (raised where the broken input rule
-lives), 3 on any other package error.  ``main`` is the only place that
+ordered JSON.  One field may arrive as JSON text already (a JSON ``orbits``
+request writes its orbit list from the side pairs), which the writer splices
+in; every other value it walks.  Exit codes: 0 on success (an uncertified
+level is a result, not an error), 2 on a ``UsageError`` (raised where the
+broken input rule lives), 3 on any other package error.  ``main`` is the only place that
 maps an error to an exit code.  A reader that closes stdout early (``| head``)
 ends the output, not the command: it still exits 0, with nothing on stderr.
 
@@ -32,13 +34,18 @@ EXIT_INTERNAL = 3
 RANGE_BUDGET = 100000
 
 
+class _JSONText(str):
+    """JSON text already written at depth 0, which ``_write`` splices in as is."""
+
+
 def _dump(report: dict) -> str:
     """``report`` as canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2)``.
 
     json turns its C encoder off when ``indent`` is given and builds the text
     from nested pure-Python generators.  This walks the report once, appends
     every piece to one flat list and joins the list once; per-container joins
-    would be faster per call but hold more memory at peak.
+    would be faster per call but hold more memory at peak.  A ``_JSONText``
+    value is not walked: its text goes in whole, re-indented to its depth.
     """
     out: list[str] = []
     _write(report, "\n", out)
@@ -49,12 +56,16 @@ def _write(value, newline: str, out: list[str]) -> None:
     """Append the JSON text of ``value`` to ``out``; ``newline`` indents the line it is on.
 
     Scalars render as json renders them, subclasses of str, int and float
-    included (a numpy float64 prints as its float).  Any other type raises
+    included (a numpy float64 prints as its float), except that a
+    ``_JSONText`` is already JSON and goes in as is.  Any other type raises
     TypeError, and so does a dict key that is not a str (json would coerce
     it), from ``encode_basestring_ascii``.
     """
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        if type(value) is _JSONText:
+            out.append(value.replace("\n", newline))
+        else:
+            out.append(encode_basestring_ascii(value))
     elif value is None:
         out.append("null")
     elif value is True:
@@ -274,13 +285,18 @@ def _print_veech_table(report: dict, quiet: bool) -> None:
 # orbits
 
 def cmd_orbits(args) -> dict:
-    curve_types = orbits.enumerate_orbits(args.g, args.n, labeled=args.labeled)
+    if args.format == "json":
+        count, text = orbits.orbit_list_json(args.g, args.n, labeled=args.labeled)
+        listing = _JSONText(text)
+    else:
+        listing = orbits.enumerate_orbits(args.g, args.n, labeled=args.labeled)
+        count = len(listing)
     result = {
         "g": args.g,
         "n": args.n,
         "labeled": args.labeled,
-        "count": len(curve_types),
-        "orbits": curve_types,
+        "count": count,
+        "orbits": listing,
         "h2": orbits.h2_bounds(args.g, args.n),
     }
     return _report(
@@ -383,7 +399,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    out_format = args.format_sub or args.format or "table"
+    args.format = args.format_sub or args.format or "table"
     quiet = args.quiet_sub or args.quiet
     try:
         report = _COMMANDS[args.command](args)
@@ -394,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        if out_format == "json":
+        if args.format == "json":
             print(_dump(report))
         else:
             _TABLE_PRINTERS[args.command](report, quiet)

@@ -8,12 +8,15 @@ neither a disk (0, 0) nor a once-punctured disk (0, 1).
 
 With labeled punctures (the pure group) the sides carry puncture subsets;
 without labels (the full group) only the cardinalities matter.  Either way
-the count has a closed form (``count_orbits``), and ``enumerate_orbits``
-checks its list against it.  The unlabeled count N_{g,n} is the
-normal-generator count of the power subgroup, the rank of the invariant
-homomorphism module, and the lower bound in the degree-2 cohomology
-estimate lower <= dim H^2 <= n + 1 + N_{g,n} (the upper bound valid for
-g >= 4).
+the count has a closed form (``count_orbits``).  One generator yields the
+separating types as pairs of sides; ``enumerate_orbits`` builds the JSON
+records from it, and ``orbit_list_json`` the JSON text of that list without
+building the records.  Both check their length against the closed form.
+
+The unlabeled count N_{g,n} is the normal-generator count of the power
+subgroup, the rank of the invariant homomorphism module, and the lower bound
+in the degree-2 cohomology estimate lower <= dim H^2 <= n + 1 + N_{g,n} (the
+upper bound valid for g >= 4).
 """
 
 from __future__ import annotations
@@ -80,14 +83,15 @@ def _check_budget(g: int, n: int, labeled: bool) -> int:
     return count
 
 
-def _separating_types(g: int, n: int, labeled: bool) -> list[list[dict]]:
-    """Each unordered pair of complementary sides once, as [lower, upper].
+def _separating_types(g: int, n: int, labeled: bool):
+    """Each unordered pair of complementary sides once, as ``(lower, upper)``.
 
-    Sides compare by (genus, puncture_count, punctures), and the lower
-    side's key strictly increases along the list: (g1, n1) runs up to its
-    complement, and puncture subsets come in ``itertools.combinations`` order.
+    A side is ``(genus, p)``: p is its puncture count, or when labeled the
+    tuple of its puncture labels.  Sides compare by (genus, puncture count,
+    labels), and the lower side's key strictly increases along the pairs:
+    (g1, n1) runs up to its complement, and puncture subsets come in
+    ``itertools.combinations`` order.
     """
-    types: list[list[dict]] = []
     for g1 in range(g // 2 + 1):
         g2 = g - g1
         for n1 in range(n + 1 if g1 < g2 else n // 2 + 1):
@@ -95,9 +99,7 @@ def _separating_types(g: int, n: int, labeled: bool) -> list[list[dict]]:
             if (g1, n1) in _FORBIDDEN_SIDES or (g2, n2) in _FORBIDDEN_SIDES:
                 continue
             if not labeled:
-                types.append(
-                    [{"genus": g1, "puncture_count": n1}, {"genus": g2, "puncture_count": n2}]
-                )
+                yield (g1, n1), (g2, n2)
                 continue
             # the complements of the n1-subsets, in combinations order, are
             # the n2-subsets in reverse combinations order
@@ -105,11 +107,20 @@ def _separating_types(g: int, n: int, labeled: bool) -> list[list[dict]]:
             for a, b in zip(itertools.combinations(range(n), n1), uppers):
                 if (g1, n1) == (g2, n2) and a and a[0] != 0:
                     break  # equal sides: the lower one holds label 0, and those come first
-                types.append([
-                    {"genus": g1, "puncture_count": n1, "punctures": list(a)},
-                    {"genus": g2, "puncture_count": n2, "punctures": list(b)},
-                ])
-    return types
+                yield (g1, a), (g2, b)
+
+
+def _check_listed(g: int, n: int, listed: int, count: int) -> None:
+    if listed != count:
+        raise InvariantViolation(
+            f"(g, n) = ({g}, {n}) lists {listed} curve types, the closed form gives {count}"
+        )
+
+
+def _side_record(genus: int, p) -> dict:
+    if isinstance(p, int):
+        return {"genus": genus, "puncture_count": p}
+    return {"genus": genus, "puncture_count": len(p), "punctures": list(p)}
 
 
 def enumerate_orbits(g: int, n: int, labeled: bool = False) -> list[dict]:
@@ -118,12 +129,48 @@ def enumerate_orbits(g: int, n: int, labeled: bool = False) -> list[dict]:
     the lower side.  The list is checked against ``count_orbits``."""
     count = _check_budget(g, n, labeled)
     out = [{"kind": NONSEPARATING}] if g >= 1 else []
-    out.extend({"kind": SEPARATING, "sides": sides} for sides in _separating_types(g, n, labeled))
-    if len(out) != count:
-        raise InvariantViolation(
-            f"(g, n) = ({g}, {n}) lists {len(out)} curve types, the closed form gives {count}"
-        )
+    out.extend(
+        {"kind": SEPARATING, "sides": [_side_record(*lower), _side_record(*upper)]}
+        for lower, upper in _separating_types(g, n, labeled)
+    )
+    _check_listed(g, n, len(out), count)
     return out
+
+
+# The text of one record of ``enumerate_orbits`` as an item of the list, as
+# json.dumps(..., sort_keys=True, indent=2) writes it at depth 0.
+_NONSEPARATING_JSON = '\n  {\n    "kind": "nonseparating"\n  }'
+_SEPARATING_JSON = (
+    '\n  {\n    "kind": "separating",\n    "sides": [\n      {%s\n      },\n      {%s\n      }\n    ]\n  }'
+)
+_SIDE_JSON = '\n        "genus": %d,\n        "puncture_count": %d'
+_LABELS_JSON = ',\n        "punctures": [\n          %s\n        ]'
+_LABEL_SEPARATOR = ",\n          "
+
+
+def _side_json(genus: int, p) -> str:
+    if isinstance(p, int):
+        return _SIDE_JSON % (genus, p)
+    if not p:
+        return _SIDE_JSON % (genus, 0) + ',\n        "punctures": []'
+    return _SIDE_JSON % (genus, len(p)) + _LABELS_JSON % _LABEL_SEPARATOR.join(map(str, p))
+
+
+def orbit_list_json(g: int, n: int, labeled: bool = False) -> tuple[int, str]:
+    """The count and the JSON text of ``enumerate_orbits(g, n, labeled)``.
+
+    The text is ``json.dumps(records, sort_keys=True, indent=2)`` exactly,
+    built from the side pairs without building the records; the item count
+    is checked against ``count_orbits`` as ``enumerate_orbits`` checks it.
+    """
+    count = _check_budget(g, n, labeled)
+    items = [_NONSEPARATING_JSON] if g >= 1 else []
+    items.extend(
+        _SEPARATING_JSON % (_side_json(*lower), _side_json(*upper))
+        for lower, upper in _separating_types(g, n, labeled)
+    )
+    _check_listed(g, n, len(items), count)
+    return count, ("[" + ",".join(items) + "\n]" if items else "[]")
 
 
 def h2_bounds(g: int, n: int) -> dict:

@@ -377,8 +377,8 @@ def parse_family(spec: str) -> ConfigurationGraph:
     return _FAMILY_BUILDERS[name](n)
 
 
-#: one (i, j, count) triple and the commas after it
-_INTER_TOKEN = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\),*")
+#: one (i, j, count) triple and the commas after it, whitespace removed
+_INTER_TOKEN = re.compile(r"\((\d+),(\d+),(\d+)\),*")
 
 
 def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGraph:
@@ -388,9 +388,11 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
     indices; the side sizes m and k are the largest indices on each side.
     A pair may be listed more than once (its counts add up) or with count 0.
     ``mult_text`` is a comma list of m + k multiplicities (default all 1).
+    Whitespace anywhere in ``inter_text`` is ignored, so a file may list one
+    triple per line; error positions count the text without it.
     """
     entries = []  # 0-based
-    cleaned = inter_text.replace(" ", "")
+    cleaned = "".join(inter_text.split())
     pos = points = 0
     while pos < len(cleaned):
         if cleaned[pos] == ",":
@@ -404,7 +406,15 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
                 token=cleaned[pos : pos + 12],
                 position=pos,
             )
-        i, j, count = map(int, match.groups())
+        try:
+            i, j, count = map(int, match.groups())
+        except ValueError:  # a numeral longer than int() converts
+            token = match.group(0).rstrip(",")
+            raise GraphParseError(
+                f"numeral too long in intersection token at position {pos}: {token[:12]!r}...",
+                token=token,
+                position=pos,
+            ) from None
         entries.append((i - 1, j - 1, count))
         points += count
         if points > POINT_BUDGET:

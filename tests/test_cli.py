@@ -3,6 +3,7 @@ import ast
 import contextlib
 import enum
 import io
+import itertools
 import json
 import math
 import os
@@ -190,12 +191,17 @@ class TestOrbitsCommand:
         assert code == EXIT_USAGE
 
     def test_list_short_of_the_closed_form_exits_3(self, capsys, monkeypatch):
+        # the table takes the records and JSON the text, from the same side pairs
         separating_types = orbits._separating_types
-        monkeypatch.setattr(orbits, "_separating_types", lambda *a: separating_types(*a)[1:])
-        code, _, err = run(capsys, "orbits", "4", "0")
-        assert code == 3
-        assert "internal error" in err
-        assert "closed form gives 3" in err
+        monkeypatch.setattr(
+            orbits, "_separating_types", lambda *a: itertools.islice(separating_types(*a), 1, None)
+        )
+        for out_format in ("table", "json"):
+            code, out, err = run(capsys, "orbits", "4", "0", "--format", out_format)
+            assert code == 3
+            assert out == ""
+            assert "internal error" in err
+            assert "closed form gives 3" in err
 
 
 #: one JSON request per subcommand
@@ -402,6 +408,9 @@ class TestContract:
                 ("blocks", "vertices=2; edges=1-2; edges=1-2,1-2", "--level", "5"),
                 "repeated section 'edges' at position 22",
             ),
+            (("veech", "--inter", f"(1,1,{'9' * 5000})"), "numeral too long"),
+            (("veech", "--inter", f"({'9' * 5000},1,1)"), "numeral too long"),
+            (("veech", f"inter=(1,1,{'9' * 5000})"), "numeral too long"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(
@@ -456,6 +465,13 @@ class TestContract:
         )
         argv = ["--format", "json", "veech", "--inter", COMPLETE_141]
         assert (proc.returncode, proc.stdout, proc.stderr) == run_quietly(argv)
+
+    @pytest.mark.parametrize("between", ["\n", "\t"])
+    def test_inter_list_from_stdin_may_span_lines(self, monkeypatch, between):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"(1,1,1),{between}(1,2,1){between}"))
+        code, out, err = run_quietly(["veech", "--inter", "-", "--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["results"]["k"] == 2
 
     def test_closed_stdout_ends_the_output_not_the_command(self):
         """``certify 1..3000 | head -1``: the 187 KB table outgrows the pipe,

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from quantcert.cli import EXIT_OK, main
+from quantcert.orbits import enumerate_orbits
 
 #: argv -> sha256 of stdout
 GOLDEN = {
@@ -29,6 +30,16 @@ GOLDEN = {
         "9864e81f441d17ef91062f9fe76cae8963730bcf56deb71256754caa4e3324d1",
     ("orbits", "5", "4", "--format", "json"):
         "b9c63fa749be5d55812c7e3af4214fc8e03ab8b2f51d0abe1bc4856aaf55cdd0",
+    ("orbits", "4", "12", "--labeled", "--format", "json"):
+        "ea50ae1ea154c98d6cf221d9a2592549cb3813270d36094452ef43d1e5fcf35c",
+    ("orbits", "4", "0", "--labeled", "--format", "json"):
+        "41cdb2345a0a6034d5bd3138c86a4149d09edec6a460011dada0d4bc19960c48",
+    ("orbits", "0", "8", "--labeled", "--format", "json"):
+        "9cc22706cd261b3499c4cbc6e420b6a5be3ad11e1f8e47b7099c866443797bae",
+    ("orbits", "12", "16", "--format", "json"):
+        "d03f59cfa927b672cb92ced79d1cba67a330b1d45394fd12f19b17951c29f066",
+    ("orbits", "3", "2", "--labeled"):
+        "ba364f3702cbd6368bf3b8e20b8b2a82f65c792343c063a95900725820c96461",
     ("blocks", "tadpole", "--tail", "2", "--level", "16", "--format", "json"):
         "7d6ff5531ff6ce83674433bb972a585bdb7be928a3e963db6e47223401c4f641",
     ("blocks", "tadpole", "--tail", "4", "--level", "40"):
@@ -49,6 +60,26 @@ def test_stdout_is_byte_identical(argv):
         code = main(list(argv))
     assert code == EXIT_OK
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+def test_orbit_list_text_matches_its_records(labeled):
+    """The JSON path writes the orbit list from the side pairs as text; the
+    records of ``enumerate_orbits``, dumped by json, are its slow oracle."""
+    checked = 0
+    for g in range(7):
+        for n in range(11):
+            if 2 - 2 * g - n >= 0:
+                continue
+            argv = ["orbits", str(g), str(n), "--format", "json"] + ["--labeled"] * labeled
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == EXIT_OK
+            report = json.loads(out.getvalue())
+            report["results"]["orbits"] = enumerate_orbits(g, n, labeled)
+            assert out.getvalue() == json.dumps(report, sort_keys=True, indent=2) + "\n", argv
+            checked += 1
+    assert checked == 73
 
 
 K141_141 = ",".join(f"({i},{j},1)" for i in range(1, 142) for j in range(1, 142))

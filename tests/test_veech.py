@@ -559,6 +559,13 @@ class TestParsing:
             parse_intersections("(1,1,1),(2;1,1)")
         assert err.value.position > 0
 
+    @pytest.mark.parametrize("between", ["\n", "\t", " \r\n\t "])
+    def test_whitespace_between_triples_is_ignored(self, between):
+        g = parse_intersections(f"(1,1,1),{between}(1,2,1){between}")
+        assert g == parse_intersections("(1,1,1),(1,2,1)")
+        g = parse_intersections(f"(1,1,1){between}(2,1,1)")
+        assert (g.m, g.k, g.points) == (2, 1, ((0, 0, 1), (1, 0, 1)))
+
     def test_bad_multiplicity_count(self):
         with pytest.raises(GraphParseError):
             parse_intersections("(1,1,1)", "1,1,1")
