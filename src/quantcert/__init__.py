@@ -20,6 +20,7 @@ Submodules:
   orbits     simple-closed-curve orbit counts and degree-2 cohomology
              bounds; enumerate_orbits (or, as JSON text, orbit_list_json)
              and h2_bounds return the report's orbit list and h2 record
+  grammar    the numerals and key=value sections every parser reads
   cli        the quantcert command-line tool, which assembles those
              records into one report per request
 """

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphParseError, InvalidColor, InvalidGraph, UsageError
+from .grammar import comma_tokens, numeral, sections
 
 #: Most vertices of a parsed graph and highest level the CLI accepts.  A count
 #: costs |palette|^2 per handle and tail, plus |palette|^3 once if some g >= 3.
@@ -187,85 +188,43 @@ def block_dimension(graph: ColoredGraph, p: int) -> int:
     return dim
 
 
-def _tokens(value: str, start: int):
-    """Nonempty comma-separated tokens of ``value`` with their positions.
-
-    ``start`` is the position of ``value`` in the parsed text.
-    """
-    for piece in value.split(","):
-        tok = piece.strip()
-        if tok:
-            yield tok, start + len(piece) - len(piece.lstrip())
-        start += len(piece) + 1
-
-
 def parse_colored_graph(text: str) -> ColoredGraph:
     """Parse ``vertices=n; edges=u-v,...; tails=v:color,...``.
 
-    Whitespace-insensitive; loops are written ``u-u``; the edges and tails
-    sections may be empty or absent, and no section may be given twice.
-    Parse errors name the offending token and its character position in the
-    input; a graph that parses but is not trivalent raises InvalidGraph.
+    Sections, numerals and positions follow ``grammar``; blanks around a
+    token, a numeral or a separator are ignored.  Loops are written ``u-u``;
+    the edges and tails sections may be empty or absent.  Parse errors name
+    the offending token and its character position in the input; a graph
+    that parses but is not trivalent raises InvalidGraph.
     """
-    vertices: tuple[int, ...] | None = None
-    edges: list[tuple[int, int]] = []
-    tails: list[tuple[int, int]] = []
-    sections = {"edges": ("-", edges), "tails": (":", tails)}
-    seen: set[str] = set()
-    repeated: tuple[str, int] | None = None
-    offset = 0
-    for part in text.split(";"):
-        pos, offset = offset, offset + len(part) + 1
-        if not part.strip():
-            continue
-        if "=" not in part:
-            raise GraphParseError(
-                f"expected key=value, got {part.strip()!r} at position {pos}",
-                token=part.strip(),
-                position=pos,
-            )
-        key, _, value = part.partition("=")
-        value_pos = pos + len(key) + 1
-        key = key.strip()
-        if key in seen and repeated is None:
-            repeated = key, pos
-        seen.add(key)
-        if key == "vertices":
-            try:
-                n = int(value)
-            except ValueError:
-                n = -1  # reported with the negative counts
-            if n < 0:
-                raise GraphParseError(
-                    f"invalid vertex count {value.strip()!r} at position {pos}",
-                    token=value.strip(),
-                    position=pos,
-                )
-            if n > VERTEX_BUDGET:
-                message = f"graph has {n} vertices, over VERTEX_BUDGET = {VERTEX_BUDGET}"
-                raise GraphParseError(message, token=value.strip(), position=pos)
-            vertices = tuple(range(1, n + 1))
-        elif key in sections:
-            sep, pairs = sections[key]
-            for tok, tpos in _tokens(value, value_pos):
-                try:
-                    a, _, b = tok.partition(sep)
-                    pairs.append((int(a), int(b)))
-                except ValueError:
-                    raise GraphParseError(
-                        f"invalid {key[:-1]} token {tok!r} at position {tpos}",
-                        token=tok,
-                        position=tpos,
-                    ) from None
-        else:
-            raise GraphParseError(
-                f"unknown section {key!r} at position {pos}", token=key, position=pos
-            )
-    if vertices is None:
+    found = sections(text, ("vertices", "edges", "tails"))
+    if "vertices" not in found:
         raise GraphParseError("missing vertices=... section", token="vertices")
-    if repeated:
-        key, pos = repeated
+    value, pos, _ = found["vertices"]
+    try:
+        n = numeral(value)
+    except ValueError:
+        n = -1  # reported with the negative counts
+    if n < 0:
         raise GraphParseError(
-            f"repeated section {key!r} at position {pos}", token=key, position=pos
+            f"invalid vertex count {value.strip()!r} at position {pos}",
+            token=value.strip(),
+            position=pos,
         )
-    return ColoredGraph(vertices, tuple(edges), tuple(tails))
+    if n > VERTEX_BUDGET:
+        message = f"graph has {n} vertices, over VERTEX_BUDGET = {VERTEX_BUDGET}"
+        raise GraphParseError(message, token=value.strip(), position=pos)
+    pairs = {"edges": [], "tails": []}
+    for key, sep in (("edges", "-"), ("tails", ":")):
+        value, _, start = found.get(key, ("", 0, 0))
+        for tok, tpos in comma_tokens(value, start):
+            a, _, b = tok.partition(sep)
+            try:
+                pairs[key].append((numeral(a), numeral(b)))
+            except ValueError:
+                raise GraphParseError(
+                    f"invalid {key[:-1]} token {tok!r} at position {tpos}",
+                    token=tok,
+                    position=tpos,
+                ) from None
+    return ColoredGraph(tuple(range(1, n + 1)), **pairs)

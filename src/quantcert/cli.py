@@ -10,9 +10,10 @@ broken input rule lives), 3 on any other package error.  ``main`` is the only pl
 maps an error to an exit code.  A reader that closes stdout early (``| head``)
 ends the output, not the command: it still exits 0, with nothing on stderr.
 
-The argument parser is built once, at import; ``main(argv)`` may be called
-any number of times in one process, and each call parses into a fresh
-namespace, so no flag or default carries over from one request to the next.
+Every integer a request reads is a ``grammar.numeral``.  The argument parser
+is built once, at import; ``main(argv)`` may be called any number of times
+in one process, and each call parses into a fresh namespace, so no flag or
+default carries over from one request to the next.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__, blocks, certify, orbits, veech
 from .errors import QuantcertError, UsageError
+from .grammar import numeral
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -126,12 +128,10 @@ def _report(command: str, inputs: dict, results, provenance: list[str]) -> dict:
 
 
 def _parse_level_range(text: str) -> tuple[int, int]:
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        if ".." in text:
-            lo_text, _, hi_text = text.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
+        lo = numeral(lo_text)
+        hi = numeral(hi_text) if dots else lo
     except ValueError:
         raise UsageError(f"invalid level range {text!r}; expected N or N..M") from None
     if lo < 1 or hi < lo:
@@ -362,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_blocks.add_argument(
         "graph", help="'tadpole' or 'vertices=n; edges=u-v,...; tails=v:color,...'"
     )
-    p_blocks.add_argument("--tail", type=int, default=None, help="tadpole tail color")
-    p_blocks.add_argument("--level", type=int, required=True)
+    p_blocks.add_argument("--tail", type=numeral, default=None, help="tadpole tail color")
+    p_blocks.add_argument("--level", type=numeral, required=True)
 
     p_veech = sub.add_parser(
         "veech", parents=[common], help="Perron data and multitwist classification"
@@ -380,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits = sub.add_parser(
         "orbits", parents=[common], help="curve orbit counts and H^2 bounds"
     )
-    p_orbits.add_argument("g", type=int)
-    p_orbits.add_argument("n", type=int)
+    p_orbits.add_argument("g", type=numeral)
+    p_orbits.add_argument("n", type=numeral)
     p_orbits.add_argument("--labeled", action="store_true")
     return parser
 

@@ -46,6 +46,7 @@ from .errors import (
     InvalidGraph,
     InvariantViolation,
 )
+from .grammar import numeral, sections
 
 RECESSIVE = "recessive"
 CRITICAL = "critical"
@@ -368,7 +369,7 @@ def parse_family(spec: str) -> ConfigurationGraph:
             token=spec,
         )
     try:
-        n = int(arg.strip())
+        n = numeral(arg)
     except ValueError:
         raise GraphParseError(
             f"invalid family size {arg.strip()!r} in {spec!r}", token=arg.strip()
@@ -377,8 +378,9 @@ def parse_family(spec: str) -> ConfigurationGraph:
     return _FAMILY_BUILDERS[name](n)
 
 
-#: one (i, j, count) triple and the commas after it, whitespace removed
-_INTER_TOKEN = re.compile(r"\((\d+),(\d+),(\d+)\),*")
+#: the commas and blanks before one (i, j, count) triple, with blanks around
+#: each numeral, and the triple; or before the first character of a bad token
+_INTER_TOKEN = re.compile(r"[\s,]*(?:(\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\))|[^\s,])")
 
 
 def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGraph:
@@ -388,28 +390,23 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
     indices; the side sizes m and k are the largest indices on each side.
     A pair may be listed more than once (its counts add up) or with count 0.
     ``mult_text`` is a comma list of m + k multiplicities (default all 1).
-    Whitespace anywhere in ``inter_text`` is ignored, so a file may list one
-    triple per line; error positions count the text without it.
+    Blanks may stand around each numeral and between triples, so a file may
+    list one triple per line, but never inside a numeral; error positions
+    count the text as given.  At most ``POINT_BUDGET`` triples may be
+    listed, and their counts may add up to at most ``POINT_BUDGET``.
     """
     entries = []  # 0-based
-    cleaned = "".join(inter_text.split())
-    pos = points = 0
-    while pos < len(cleaned):
-        if cleaned[pos] == ",":
-            pos += 1
-            continue
-        match = _INTER_TOKEN.match(cleaned, pos)
-        if not match:
-            raise GraphParseError(
-                f"invalid intersection token at position {pos}: "
-                f"{cleaned[pos:pos + 12]!r}",
-                token=cleaned[pos : pos + 12],
-                position=pos,
-            )
+    points = 0
+    for match in _INTER_TOKEN.finditer(inter_text):
+        if not match.lastindex:
+            pos = match.end() - 1
+            token = inter_text[pos : pos + 12]
+            message = f"invalid intersection token at position {pos}: {token!r}"
+            raise GraphParseError(message, token=token, position=pos)
         try:
-            i, j, count = map(int, match.groups())
+            i, j, count = map(numeral, match.group(2, 3, 4))
         except ValueError:  # a numeral longer than int() converts
-            token = match.group(0).rstrip(",")
+            token, pos = match.group(1), match.start(1)
             raise GraphParseError(
                 f"numeral too long in intersection token at position {pos}: {token[:12]!r}...",
                 token=token,
@@ -417,14 +414,14 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
             ) from None
         entries.append((i - 1, j - 1, count))
         points += count
-        if points > POINT_BUDGET:
-            token = match.group(0).rstrip(",")
+        if points > POINT_BUDGET or len(entries) > POINT_BUDGET:
+            token, pos = match.group(1), match.start(1)
+            what = "intersection points" if points > POINT_BUDGET else "listed triples"
             raise GraphParseError(
-                f"more than POINT_BUDGET = {POINT_BUDGET} intersection points, at {token!r}",
+                f"more than POINT_BUDGET = {POINT_BUDGET} {what}, at {token!r}",
                 token=token,
                 position=pos,
             )
-        pos = match.end()
     if not entries:
         raise GraphParseError("no intersections given", token=inter_text)
     rows, columns, _ = zip(*entries)
@@ -437,7 +434,7 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
         )
     if mult_text.strip():
         try:
-            mult = tuple(int(t) for t in mult_text.split(","))
+            mult = tuple(map(numeral, mult_text.split(",")))
         except ValueError:
             raise GraphParseError(
                 f"invalid multiplicity list {mult_text!r}", token=mult_text
@@ -459,39 +456,20 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
 def parse_config_spec(text: str) -> ConfigurationGraph:
     """Parse either a named family or a ``c=..; d=..; inter=..; mult=..`` spec.
 
-    A declared side size c or d must equal the largest index on its side,
-    and no section may be given twice.
+    Sections and numerals follow ``grammar``.  A declared side size c or d
+    must equal the largest index on its side.
     """
     if "=" not in text:
         return parse_family(text)
-    fields = {}
-    repeated = []
-    for part in text.split(";"):
-        if not part.strip():
-            continue
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise GraphParseError(
-                f"expected key=value, got {part.strip()!r}", token=part.strip()
-            )
-        key = key.strip()
-        if key in fields:
-            repeated.append(key)
-        fields[key] = value.strip()
-    unknown = set(fields) - {"c", "d", "inter", "mult"}
-    if unknown:
-        raise GraphParseError(
-            f"unknown sections {sorted(unknown)}", token=",".join(sorted(unknown))
-        )
-    if repeated:
-        raise GraphParseError(f"repeated section {repeated[0]!r}", token=repeated[0])
+    found = sections(text, ("c", "d", "inter", "mult"))
+    fields = {key: value.strip() for key, (value, _, _) in found.items()}
     if "inter" not in fields:
         raise GraphParseError("missing inter=... section", token="inter")
     declared = {}
     for key in ("c", "d"):
         if key in fields:
             try:
-                declared[key] = int(fields[key])
+                declared[key] = numeral(fields[key])
             except ValueError:
                 raise GraphParseError(
                     f"invalid side size {key}={fields[key]!r}", token=fields[key]

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -368,7 +369,7 @@ class TestContract:
             (("veech", "c=100000; inter=(1,1,1)"), "VERTEX_BUDGET = 2000"),
             (("veech", "F:4"), "unknown family"),
             (("veech", "A:x"), "invalid family size"),
-            (("orbits", "2", "x"), "invalid int value"),
+            (("orbits", "2", "x"), "invalid numeral value"),
             (("veech", "--inter", "(1,1,99999999999999999999)"), "POINT_BUDGET = 20000"),
             (("veech", "--inter", "(1,1,300000)"), "POINT_BUDGET = 20000"),
             (("veech", "--inter", "(1,1,1)", "--mult", "1,10000000"), "MULTIPLICITY_CAP"),
@@ -411,6 +412,23 @@ class TestContract:
             (("veech", "--inter", f"(1,1,{'9' * 5000})"), "numeral too long"),
             (("veech", "--inter", f"({'9' * 5000},1,1)"), "numeral too long"),
             (("veech", f"inter=(1,1,{'9' * 5000})"), "numeral too long"),
+            (("certify", "1_0"), "invalid level range '1_0'"),
+            (("certify", "+7"), "invalid level range '+7'"),
+            (("certify", "\u0661..\u0663"), "invalid level range"),
+            (("veech", "A:+4"), "invalid family size '+4'"),
+            (("orbits", "1_0", "0"), "invalid numeral value: '1_0'"),
+            (("blocks", "tadpole", "--tail", "0_2", "--level", "7"), "invalid numeral value"),
+            (("veech", "--inter", "(\u0661,1,1)"), "invalid intersection token at position 0"),
+            (("veech", "--inter", "(1,1,1 0)"), "invalid intersection token at position 0"),
+            (("veech", "--inter", "(1 2,1,1),(1,1,1)"), "invalid intersection token"),
+            (("veech", "--inter", "(1,1,1)", "--mult", "1_0,1"), "invalid multiplicity list"),
+            (("veech", "c=1; d=1; inter=(1,1,1); e=1; f=2"), "unknown section 'e' at position 24"),
+            (("veech", "c=1; d=1_0; inter=(1,1,1)"), "invalid side size d='1_0'"),
+            (
+                ("blocks", "vertices=1; edges=1-1; tails=1:+2", "--level", "7"),
+                "invalid tail token '1:+2'",
+            ),
+            (("blocks", "vertices=\u0662; edges=1-2", "--level", "7"), "invalid vertex count"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(
@@ -428,6 +446,17 @@ class TestContract:
         assert message in err
         assert "Traceback" not in err
         assert elapsed < 0.5
+
+    def test_point_budget_counts_listed_triples(self):
+        """Zero-count triples add no points, yet each one listed is parsed."""
+        for inter in ("(1,1,1)" + ",(1,1,0)" * 20000, ",".join(["(1,1,0)"] * 20001)):
+            start = time.perf_counter()
+            code, _, err = run_quietly(["veech", "--inter", inter])
+            assert time.perf_counter() - start < 0.5
+            assert (code, "POINT_BUDGET = 20000 listed triples" in err) == (EXIT_USAGE, True)
+        code, out, err = run_quietly(["veech", "--inter", ",".join(["(1,1,1)"] * 20000)])
+        assert (code, err) == (EXIT_OK, "")
+        assert "20000 rectangles" in out
 
     def test_range_budget_edge_at_the_parser(self):
         assert cli._parse_level_range(f"1..{cli.RANGE_BUDGET}") == (1, cli.RANGE_BUDGET)
@@ -634,14 +663,15 @@ class TestSharedParser:
 
 
 def check_contract(argv):
-    """Exit 0 or 2, no traceback, and JSON that round-trips byte for byte."""
+    """Exit 0 or 2, no traceback, and JSON that round-trips byte for byte;
+    returns the exit code and stdout."""
     code, out, err = run_quietly(argv)
     assert code in (EXIT_OK, EXIT_USAGE)
     assert "Traceback" not in err
     if code == EXIT_OK and "json" in argv:
         doc = json.loads(out)
         assert json.dumps(doc, sort_keys=True, indent=2) == out.rstrip("\n")
-    return code
+    return code, out
 
 
 def with_format(command, args, where):
@@ -757,3 +787,65 @@ class TestVeechBlocksProperty:
     @given(args=BLOCKS_ARGS, where=FORMAT_PLACES)
     def test_blocks_exits_0_or_2_with_consistent_json(self, args, where):
         check_contract(with_format("blocks", args, where))
+
+
+#: one valid request per input form: a level range, the tadpole flags, a
+#: trivalent graph spec, a family, a configuration spec, --inter with
+#: --mult, and a surface
+FUZZ_REQUESTS = [
+    ("certify", "3..9"),
+    ("blocks", "tadpole", "--tail", "2", "--level", "16"),
+    ("blocks", "vertices=2; edges=1-2,1-2; tails=1:2,2:2", "--level", "9"),
+    ("veech", "star:4"),
+    ("veech", "c=2; d=1; inter=(1,1,1),(2,1,2); mult=1,2,1"),
+    ("veech", "--inter", "(1,1,1),(2,1,2)", "--mult", "1,2,1"),
+    ("orbits", "3", "2", "--labeled"),
+]
+#: numerals, words, the range dots, and any other single character
+FUZZ_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+|\.\.|.", re.S)
+SEPARATORS = (";", ",", ":", "-", "=", "..")
+NUMERAL_SWAPS = ["0", "-1", "+1", "1_0", "\u0661", "1 0", "9" * 5000]
+#: swaps that the numeral rule refuses wherever they stand
+NOT_NUMERALS = {"+1", "1_0", "\u0661", "1 0"}
+
+
+@st.composite
+def mutated_requests(draw):
+    """A valid request with one token-level change in one argument: a blank
+    inserted between two tokens, a section repeated, a separator dropped, or
+    a numeral swapped.  Returns the request, the changed argv, the kind of
+    change and the swapped-in text."""
+    request = draw(st.sampled_from(FUZZ_REQUESTS))
+    argv = list(request)
+    n = draw(st.sampled_from([n for n, arg in enumerate(argv) if n and re.search("[0-9]", arg)]))
+    tokens = FUZZ_TOKEN.findall(argv[n])
+    numerals = [t for t, tok in enumerate(tokens) if tok.isdigit()]
+    separators = [t for t, tok in enumerate(tokens) if tok in SEPARATORS]
+    kinds = ["swap"] + ["blank"] * (len(tokens) > 1)
+    kinds += ["drop"] * bool(separators) + ["repeat"] * ("=" in argv[n])
+    kind, swap = draw(st.sampled_from(kinds)), None
+    if kind == "swap":
+        swap = draw(st.sampled_from(NUMERAL_SWAPS))
+        tokens[draw(st.sampled_from(numerals))] = swap
+    elif kind == "blank":
+        tokens.insert(draw(st.integers(1, len(tokens) - 1)), draw(st.sampled_from(" \t\n")))
+    elif kind == "drop":
+        del tokens[draw(st.sampled_from(separators))]
+    else:
+        tokens.append(";" + draw(st.sampled_from(argv[n].split(";"))))
+    argv[n] = "".join(tokens)
+    return request, argv, kind, swap
+
+
+class TestInputGrammarFuzz:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(case=mutated_requests())
+    def test_token_mutations_keep_the_contract(self, case):
+        request, argv, kind, swap = case
+        code, out = check_contract([*argv, "--format", "json"])
+        if kind == "blank":
+            base_code, base_out = check_contract([*request, "--format", "json"])
+            assert code == base_code == EXIT_OK
+            assert json.loads(out)["results"] == json.loads(base_out)["results"]
+        elif kind == "repeat" or swap in NOT_NUMERALS:
+            assert code == EXIT_USAGE

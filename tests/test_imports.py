@@ -69,3 +69,30 @@ def test_every_public_name_is_read_by_the_package_or_the_benchmark():
         if not name.startswith("_") and name not in read
     }
     assert not unread
+
+
+def test_input_text_becomes_an_int_only_in_grammar():
+    """One numeral rule: no parser calls or passes ``int``, and no argparse
+    option converts with ``type=int``; ``grammar.numeral`` does it all."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parsers = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and "parse" in node.name
+        ]
+        for node in (inner for parser in parsers for inner in ast.walk(parser)):
+            if isinstance(node, ast.Call) and any(
+                isinstance(arg, ast.Name) and arg.id == "int" for arg in [node.func, *node.args]
+            ):
+                found.append((path.name, node.lineno, ast.unparse(node)))
+        found += [
+            (path.name, node.value.lineno, "type=int")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.keyword)
+            and node.arg == "type"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "int"
+        ]
+    assert not found

@@ -566,6 +566,19 @@ class TestParsing:
         g = parse_intersections(f"(1,1,1){between}(2,1,1)")
         assert (g.m, g.k, g.points) == (2, 1, ((0, 0, 1), (1, 0, 1)))
 
+    @pytest.mark.parametrize(
+        "text", ["(1,1,1 0)", "(1 2,1,1),(1,1,1)", "(\u0661,1,1)", "(1,1,+1)", "(1,1,1_0)"]
+    )
+    def test_only_ascii_numerals_without_inner_blanks(self, text):
+        with pytest.raises(GraphParseError, match="invalid intersection token at position 0"):
+            parse_intersections(text)
+
+    def test_blanks_around_numerals_and_positions_in_the_text_as_given(self):
+        assert parse_intersections("( 1 ,\t1 , 2\n)") == parse_intersections("(1,1,2)")
+        with pytest.raises(GraphParseError) as err:
+            parse_intersections(" (1,1,1),\n (2;1,1)")
+        assert (err.value.token, err.value.position) == ("(2;1,1)", 11)
+
     def test_bad_multiplicity_count(self):
         with pytest.raises(GraphParseError):
             parse_intersections("(1,1,1)", "1,1,1")
