@@ -8,9 +8,12 @@ characters of the text as given, blanks included.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import GraphParseError
 
 
+@functools.lru_cache(maxsize=2048)  # an intersection list repeats its indices
 def numeral(text: str) -> int:
     """The integer ``text`` writes; ValueError if it is not a numeral."""
     digits = text.strip().removeprefix("-")

@@ -378,9 +378,11 @@ def parse_family(spec: str) -> ConfigurationGraph:
     return _FAMILY_BUILDERS[name](n)
 
 
-#: the commas and blanks before one (i, j, count) triple, with blanks around
-#: each numeral, and the triple; or before the first character of a bad token
-_INTER_TOKEN = re.compile(r"[\s,]*(?:(\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\))|[^\s,])")
+#: commas and blanks, then an (i, j, count) triple with blanks around each
+#: numeral, the first character of a bad token, or the end of the text
+_INTER_TOKEN = re.compile(
+    r"[\s,]*(?:(\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\))|([^\s,])|\Z)"
+)
 
 
 def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGraph:
@@ -398,8 +400,10 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
     entries = []  # 0-based
     points = 0
     for match in _INTER_TOKEN.finditer(inter_text):
-        if not match.lastindex:
-            pos = match.end() - 1
+        if match.lastindex is None:  # only commas and blanks were left
+            break
+        if match.lastindex == 5:
+            pos = match.start(5)
             token = inter_text[pos : pos + 12]
             message = f"invalid intersection token at position {pos}: {token!r}"
             raise GraphParseError(message, token=token, position=pos)
@@ -407,21 +411,15 @@ def parse_intersections(inter_text: str, mult_text: str = "") -> ConfigurationGr
             i, j, count = map(numeral, match.group(2, 3, 4))
         except ValueError:  # a numeral longer than int() converts
             token, pos = match.group(1), match.start(1)
-            raise GraphParseError(
-                f"numeral too long in intersection token at position {pos}: {token[:12]!r}...",
-                token=token,
-                position=pos,
-            ) from None
+            message = f"numeral too long in intersection token at position {pos}: {token[:12]!r}..."
+            raise GraphParseError(message, token=token, position=pos) from None
         entries.append((i - 1, j - 1, count))
         points += count
         if points > POINT_BUDGET or len(entries) > POINT_BUDGET:
             token, pos = match.group(1), match.start(1)
             what = "intersection points" if points > POINT_BUDGET else "listed triples"
-            raise GraphParseError(
-                f"more than POINT_BUDGET = {POINT_BUDGET} {what}, at {token!r}",
-                token=token,
-                position=pos,
-            )
+            message = f"more than POINT_BUDGET = {POINT_BUDGET} {what}, at {token!r}"
+            raise GraphParseError(message, token=token, position=pos)
     if not entries:
         raise GraphParseError("no intersections given", token=inter_text)
     rows, columns, _ = zip(*entries)

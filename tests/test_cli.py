@@ -458,6 +458,17 @@ class TestContract:
         assert (code, err) == (EXIT_OK, "")
         assert "20000 rectangles" in out
 
+    @pytest.mark.parametrize("tail", [",", " ", "\n,"])
+    @pytest.mark.parametrize("form", ["--inter", "inter="])
+    def test_trailing_commas_and_blanks_are_read_at_once(self, form, tail):
+        inter = "(1,1,1)" + tail * (10**5 // len(tail))
+        argv = ["veech", "--inter", inter] if form == "--inter" else ["veech", "inter=" + inter]
+        start = time.perf_counter()
+        code, out, err = run_quietly(argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (EXIT_OK, "")
+        assert "1 rectangles" in out
+
     def test_range_budget_edge_at_the_parser(self):
         assert cli._parse_level_range(f"1..{cli.RANGE_BUDGET}") == (1, cli.RANGE_BUDGET)
         assert cli._parse_level_range("5..100004") == (5, 100004)
