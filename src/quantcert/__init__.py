@@ -18,8 +18,8 @@ Submodules:
              surfaces; lattice_certificate and flat_surface return the
              report's class fields and rectangle records
   orbits     simple-closed-curve orbit counts and degree-2 cohomology
-             bounds; enumerate_orbits (or, as JSON text, orbit_list_json)
-             and h2_bounds return the report's orbit list and h2 record
+             bounds; orbit_types (side pairs) or orbit_list_json (JSON
+             text) and h2_bounds return the report's orbit list and h2 record
   grammar    the numerals and key=value sections every parser reads
   cli        the quantcert command-line tool, which assembles those
              records into one report per request

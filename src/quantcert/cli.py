@@ -196,7 +196,8 @@ def _print_certify_table(report: dict, quiet: bool) -> None:
 def cmd_blocks(args) -> dict:
     if args.level > blocks.LEVEL_BUDGET:
         raise UsageError(f"level {args.level} is over LEVEL_BUDGET = {blocks.LEVEL_BUDGET}")
-    if args.graph == "tadpole":
+    tadpole = args.graph.strip() == "tadpole"  # blanks around a name are ignored
+    if tadpole:
         if args.tail is None:
             raise UsageError("the tadpole graph needs --tail")
         graph = blocks.tadpole_graph(args.tail)
@@ -212,7 +213,7 @@ def cmd_blocks(args) -> dict:
         },
         "level": args.level,
     }
-    if args.graph == "tadpole":
+    if tadpole:
         result["loop_colors"] = list(blocks.tadpole_basis(args.tail, args.level))
         result["dimension"] = len(result["loop_colors"])
     else:
@@ -288,9 +289,8 @@ def cmd_orbits(args) -> dict:
     if args.format == "json":
         count, text = orbits.orbit_list_json(args.g, args.n, labeled=args.labeled)
         listing = _JSONText(text)
-    else:
-        listing = orbits.enumerate_orbits(args.g, args.n, labeled=args.labeled)
-        count = len(listing)
+    else:  # a quiet table prints the count only, so it lists nothing
+        count, listing = orbits.orbit_types(args.g, args.n, args.labeled, listed=not args.quiet)
     result = {
         "g": args.g,
         "n": args.n,
@@ -308,15 +308,13 @@ def _print_orbits_table(report: dict, quiet: bool) -> None:
     result = report["results"]
     print(f"orbits({result['g']}, {result['n']}): {result['count']}")
     if not quiet:
-        for entry in result["orbits"]:
-            if entry["kind"] == orbits.NONSEPARATING:
-                print("  nonseparating")
-            else:
-                sides = " | ".join(
-                    f"g={s['genus']},n={s.get('punctures', s['puncture_count'])}"
-                    for s in entry["sides"]
-                )
-                print(f"  separating: {sides}")
+        if result["g"] >= 1:
+            print("  nonseparating")
+        for pair in result["orbits"]:
+            sides = " | ".join(
+                f"g={genus},n={list(p) if result['labeled'] else p}" for genus, p in pair
+            )
+            print(f"  separating: {sides}")
     h2 = result["h2"]
     validity = "" if h2["upper_bound_valid"] else "  (upper bound needs g >= 4)"
     print(f"H^2 bounds: lower {h2['lower_rank']}, upper {h2['upper_bound']}{validity}")
@@ -333,12 +331,10 @@ _TABLE_PRINTERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # --format/--quiet are accepted both before and after the subcommand
+    # --format/--quiet go before or after the subcommand; a flag given after it wins
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", dest="format_sub", choices=("table", "json"), default=None
-    )
-    common.add_argument("--quiet", dest="quiet_sub", action="store_true")
+    common.add_argument("--format", choices=("table", "json"), default=argparse.SUPPRESS)
+    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="quantcert",
@@ -347,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
             "dimensions, multitwist Veech data and curve-orbit counts."
         ),
     )
-    parser.add_argument("--format", choices=("table", "json"), default=None)
+    parser.add_argument("--format", choices=("table", "json"), default="table")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -399,8 +395,6 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    args.format = args.format_sub or args.format or "table"
-    quiet = args.quiet_sub or args.quiet
     try:
         report = _COMMANDS[args.command](args)
     except UsageError as exc:
@@ -413,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             print(_dump(report))
         else:
-            _TABLE_PRINTERS[args.command](report, quiet)
+            _TABLE_PRINTERS[args.command](report, args.quiet)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (``| head``): stop writing, and send what

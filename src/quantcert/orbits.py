@@ -9,9 +9,9 @@ neither a disk (0, 0) nor a once-punctured disk (0, 1).
 With labeled punctures (the pure group) the sides carry puncture subsets;
 without labels (the full group) only the cardinalities matter.  Either way
 the count has a closed form (``count_orbits``).  One generator yields the
-separating types as pairs of sides; ``enumerate_orbits`` builds the JSON
-records from it, and ``orbit_list_json`` the JSON text of that list without
-building the records.  Both check their length against the closed form.
+separating types as pairs of sides, the one form of an orbit list, which
+``orbit_types`` lists and ``orbit_list_json`` writes straight to JSON text.
+Both check their length against the closed form.
 
 The unlabeled count N_{g,n} is the normal-generator count of the power
 subgroup, the rank of the invariant homomorphism module, and the lower bound
@@ -24,9 +24,6 @@ from __future__ import annotations
 import itertools
 
 from .errors import InvariantViolation, NonHyperbolic, UsageError
-
-NONSEPARATING = "nonseparating"
-SEPARATING = "separating"
 
 _FORBIDDEN_SIDES = {(0, 0), (0, 1)}
 
@@ -117,30 +114,23 @@ def _check_listed(g: int, n: int, listed: int, count: int) -> None:
         )
 
 
-def _side_record(genus: int, p) -> dict:
-    if isinstance(p, int):
-        return {"genus": genus, "puncture_count": p}
-    return {"genus": genus, "puncture_count": len(p), "punctures": list(p)}
-
-
-def enumerate_orbits(g: int, n: int, labeled: bool = False) -> list[dict]:
-    """Deterministic orbit list as JSON records: ``{"kind": "nonseparating"}``
-    first, then ``{"kind": "separating", "sides": [lower, upper]}`` ordered by
-    the lower side.  The list is checked against ``count_orbits``."""
+def orbit_types(g: int, n: int, labeled: bool = False, listed: bool = True) -> tuple:
+    """The orbit count and the separating types as ``(lower, upper)`` side
+    pairs; the nonseparating type (g >= 1) is in the count only.  The list
+    must fit LIST_BUDGET and the pairs must match the count; with ``listed``
+    false the pairs are not enumerated and come back as None."""
     count = _check_budget(g, n, labeled)
-    out = [{"kind": NONSEPARATING}] if g >= 1 else []
-    out.extend(
-        {"kind": SEPARATING, "sides": [_side_record(*lower), _side_record(*upper)]}
-        for lower, upper in _separating_types(g, n, labeled)
-    )
-    _check_listed(g, n, len(out), count)
-    return out
+    if not listed:
+        return count, None
+    pairs = list(_separating_types(g, n, labeled))
+    _check_listed(g, n, (g >= 1) + len(pairs), count)
+    return count, pairs
 
 
-# The text of one record of ``enumerate_orbits`` as an item of the list, as
+# The text of one record as an item of the list, as
 # json.dumps(..., sort_keys=True, indent=2) writes it at depth 0.
-_NONSEPARATING_JSON = '\n  {\n    "kind": "nonseparating"\n  }'
-_SEPARATING_JSON = (
+_NONSEP_JSON = '\n  {\n    "kind": "nonseparating"\n  }'
+_PAIR_JSON = (
     '\n  {\n    "kind": "separating",\n    "sides": [\n      {%s\n      },\n      {%s\n      }\n    ]\n  }'
 )
 _SIDE_JSON = '\n        "genus": %d,\n        "puncture_count": %d'
@@ -157,16 +147,15 @@ def _side_json(genus: int, p) -> str:
 
 
 def orbit_list_json(g: int, n: int, labeled: bool = False) -> tuple[int, str]:
-    """The count and the JSON text of ``enumerate_orbits(g, n, labeled)``.
-
-    The text is ``json.dumps(records, sort_keys=True, indent=2)`` exactly,
-    built from the side pairs without building the records; the item count
-    is checked against ``count_orbits`` as ``enumerate_orbits`` checks it.
-    """
+    """The count and the JSON text of the orbit list, checked as ``orbit_types``
+    checks it: ``{"kind": "nonseparating"}`` when g >= 1, then ``{"kind":
+    "separating", "sides": [lower, upper]}`` per side pair, a side being
+    ``{"genus", "puncture_count"}`` and, when labeled, its ``"punctures"``.
+    The text is ``json.dumps(list, sort_keys=True, indent=2)`` exactly."""
     count = _check_budget(g, n, labeled)
-    items = [_NONSEPARATING_JSON] if g >= 1 else []
+    items = [_NONSEP_JSON] if g >= 1 else []
     items.extend(
-        _SEPARATING_JSON % (_side_json(*lower), _side_json(*upper))
+        _PAIR_JSON % (_side_json(*lower), _side_json(*upper))
         for lower, upper in _separating_types(g, n, labeled)
     )
     _check_listed(g, n, len(items), count)

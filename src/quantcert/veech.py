@@ -16,10 +16,10 @@ recessive / critical / dominant class below (Leininger, Geom. Topol. 8,
 2004).  The flat surface is the union of one v_i-by-v_j rectangle per
 intersection point.
 
-A graph holds only those numbers, as (i, j, count) triples; every step but
-the eigensolve reads them once, in time linear in their number.  The graph
-is bipartite, so its adjacency A is one m-by-k block B, which ``perron``
-alone builds.  With D = (D_c, D_d) the diagonal of multiplicities, N = DA
+A graph, a named family too, holds only those (i, j, count) triples; every
+step but the eigensolve reads them once, in time linear in their number.
+The graph is bipartite, so its adjacency A is one m-by-k block B, built by
+``perron`` alone.  With D = (D_c, D_d) the diagonal of multiplicities, N = DA
 is similar to D^(1/2) A D^(1/2) = [[0, X], [X^T, 0]] with
 X = D_c^(1/2) B D_d^(1/2), so mu is the top singular value of X.  The
 recessive / critical / dominant class (mu below, equal to or above 2) is
@@ -273,72 +273,53 @@ def flat_surface(g: ConfigurationGraph, data: PerronData) -> tuple[list[dict], f
 # ---------------------------------------------------------------------------
 # construction helpers and the input DSL
 
-def _from_edges(n: int, edges: list[tuple[int, int]]) -> ConfigurationGraph:
-    """Split a connected bipartite multigraph on vertices 0..n-1, given by its
-    edge list, into the two-sided intersection form (vertex 0 on the first
-    side, each side in increasing vertex order)."""
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for u, w in edges:
-        neighbours[u].append(w)
-        neighbours[w].append(u)
-    color = [-1] * n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in neighbours[u]:
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                stack.append(w)
-            elif color[w] == color[u]:
-                raise InvalidGraph(
-                    "graph is not bipartite: two crossing multicurves must alternate"
-                )
-    c_side = [v for v in range(n) if color[v] == 0]
-    d_side = [v for v in range(n) if color[v] == 1]
-    index = {v: t for side in (c_side, d_side) for t, v in enumerate(side)}
-    points = [(index[w], index[u], 1) if color[u] else (index[u], index[w], 1) for u, w in edges]
-    return ConfigurationGraph(len(c_side), len(d_side), points, (1,) * n)
+def _unit_graph(m: int, k: int, points: list) -> ConfigurationGraph:
+    return ConfigurationGraph(m, k, points, (1,) * (m + k))
+
+
+def _path_points(n: int) -> list[tuple[int, int, int]]:
+    """The points of a path on vertices 0..n-1.  Vertex v is component v // 2
+    of side v % 2, so edge (v, v + 1) is the point ((v + 1) // 2, v // 2), and
+    a leaf added to the path is the last component of its side."""
+    return [((v + 1) // 2, v // 2, 1) for v in range(n - 1)]
 
 
 def path_family(n: int) -> ConfigurationGraph:
     """The A-family: a path on n vertices."""
     if n < 2:
         raise InvalidGraph("path family needs at least 2 vertices")
-    return _from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def _forked_path(n: int, fork: int) -> ConfigurationGraph:
-    """A path on n - 1 vertices with an extra leaf n - 1 on vertex ``fork``."""
-    return _from_edges(n, [(i, i + 1) for i in range(n - 2)] + [(fork, n - 1)])
+    return _unit_graph((n + 1) // 2, n // 2, _path_points(n))
 
 
 def forked_path_family(n: int) -> ConfigurationGraph:
-    """The D-family: a path on n - 1 vertices with one extra fork leaf."""
+    """The D-family: a path on n - 1 vertices with a leaf on vertex 1."""
     if n < 4:
         raise InvalidGraph("forked path family needs at least 4 vertices")
-    return _forked_path(n, 1)
+    return _unit_graph(n // 2 + 1, (n - 1) // 2, _path_points(n - 1) + [(n // 2, 0, 1)])
 
 
 def exceptional_family(n: int) -> ConfigurationGraph:
-    """The E-family trees for n in {6, 7, 8}: arms (1, 2, n - 4)."""
+    """The E-family trees for n in {6, 7, 8}: arms (1, 2, n - 4), a path on
+    n - 1 vertices with a leaf on vertex 2."""
     if n not in (6, 7, 8):
         raise InvalidGraph("exceptional family exists for 6, 7, 8 only")
-    return _forked_path(n, 2)
+    return _unit_graph(n // 2, (n + 1) // 2, _path_points(n - 1) + [(1, (n - 1) // 2, 1)])
 
 
 def cycle_family(n: int) -> ConfigurationGraph:
     """A cycle on n vertices; n must be even to admit a bipartition."""
     if n < 3:
         raise InvalidGraph("cycle family needs at least 3 vertices")
-    return _from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    if n % 2:
+        raise InvalidGraph("graph is not bipartite: two crossing multicurves must alternate")
+    return _unit_graph(n // 2, n // 2, _path_points(n) + [(0, n // 2 - 1, 1)])
 
 
 def star_family(leaves: int) -> ConfigurationGraph:
     """A star with the given number of leaves."""
     if leaves < 1:
         raise InvalidGraph("star family needs at least 1 leaf")
-    return _from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return _unit_graph(1, leaves, [(0, j, 1) for j in range(leaves)])
 
 
 def _check_budget(vertices: int, token: str) -> None:

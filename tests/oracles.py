@@ -7,7 +7,10 @@ matrices are the independent references the package code is compared
 against, and ``dense_graph`` lets a test write a graph as its m-by-k
 intersection matrix.  The closed trivalent corpus graphs and the cut-and-sum
 identity are an oracle over ``blocks.block_dimension``, and the SL2 helpers
-classify the multitwist matrices by their trace in exact rationals.
+classify the multitwist matrices by their trace in exact rationals.  The
+named families built from edge lists by a BFS 2-colouring are the oracle for
+the family builders, which write their points directly, and the orbit list
+as JSON records the oracle for the JSON text written from side pairs.
 """
 
 import itertools
@@ -17,6 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from quantcert.blocks import ColoredGraph, block_dimension, level_colors
+from quantcert.errors import InvalidGraph
+from quantcert.orbits import orbit_types
 from quantcert.veech import ConfigurationGraph
 
 ELLIPTIC = "elliptic"
@@ -38,6 +43,83 @@ def dense_graph(inter, multiplicities) -> ConfigurationGraph:
     constructor drops."""
     points = [(i, j, count) for i, row in enumerate(inter) for j, count in enumerate(row)]
     return ConfigurationGraph(len(inter), len(inter[0]), points, tuple(multiplicities))
+
+
+def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> ConfigurationGraph:
+    """Split a connected bipartite multigraph on vertices 0..n-1, given by its
+    edge list, into the two-sided intersection form by a BFS 2-colouring
+    (vertex 0 on the first side, each side in increasing vertex order)."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for u, w in edges:
+        neighbours[u].append(w)
+        neighbours[w].append(u)
+    color = [-1] * n
+    color[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in neighbours[u]:
+            if color[w] == -1:
+                color[w] = 1 - color[u]
+                stack.append(w)
+            elif color[w] == color[u]:
+                raise InvalidGraph(
+                    "graph is not bipartite: two crossing multicurves must alternate"
+                )
+    c_side = [v for v in range(n) if color[v] == 0]
+    d_side = [v for v in range(n) if color[v] == 1]
+    index = {v: t for side in (c_side, d_side) for t, v in enumerate(side)}
+    points = [(index[w], index[u], 1) if color[u] else (index[u], index[w], 1) for u, w in edges]
+    return ConfigurationGraph(len(c_side), len(d_side), points, (1,) * n)
+
+
+def family_from_edges(name: str, n: int) -> ConfigurationGraph:
+    """The named family ``name:n`` from its edge list, with the size checks of
+    ``veech``; the oracle for the family builders, which write their points."""
+    path = [(i, i + 1) for i in range(n - 2)]  # a path on n - 1 vertices
+    if name == "A":
+        if n < 2:
+            raise InvalidGraph("path family needs at least 2 vertices")
+        return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    if name == "D":
+        if n < 4:
+            raise InvalidGraph("forked path family needs at least 4 vertices")
+        return graph_from_edges(n, path + [(1, n - 1)])
+    if name == "E":
+        if n not in (6, 7, 8):
+            raise InvalidGraph("exceptional family exists for 6, 7, 8 only")
+        return graph_from_edges(n, path + [(2, n - 1)])
+    if name == "cycle":
+        if n < 3:
+            raise InvalidGraph("cycle family needs at least 3 vertices")
+        return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    if n < 1:
+        raise InvalidGraph("star family needs at least 1 leaf")
+    return graph_from_edges(n + 1, [(0, i) for i in range(1, n + 1)])
+
+
+NONSEPARATING = "nonseparating"
+SEPARATING = "separating"
+
+
+def _side_record(genus: int, p) -> dict:
+    if isinstance(p, int):
+        return {"genus": genus, "puncture_count": p}
+    return {"genus": genus, "puncture_count": len(p), "punctures": list(p)}
+
+
+def enumerate_orbits(g: int, n: int, labeled: bool = False) -> list[dict]:
+    """The orbit list as JSON records: ``{"kind": "nonseparating"}`` first,
+    then ``{"kind": "separating", "sides": [lower, upper]}`` per side pair of
+    ``orbits.orbit_types``; json.dumps of it is the oracle of the JSON text
+    that ``orbits.orbit_list_json`` writes."""
+    _, pairs = orbit_types(g, n, labeled)
+    out = [{"kind": NONSEPARATING}] if g >= 1 else []
+    out.extend(
+        {"kind": SEPARATING, "sides": [_side_record(*lower), _side_record(*upper)]}
+        for lower, upper in pairs
+    )
+    return out
 
 
 def adjacency(g) -> np.ndarray:

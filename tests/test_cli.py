@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from quantcert import cli, errors, orbits
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
+from test_orbits import no_enumeration
 
 
 def run(capsys, *argv):
@@ -100,6 +101,16 @@ class TestBlocksCommand:
         assert "internal error" not in err
         assert "palette" in err
 
+
+    @pytest.mark.parametrize("name", [" tadpole", "tadpole ", "\ttadpole\n"])
+    def test_blanks_around_tadpole_are_ignored(self, capsys, name):
+        argv = ("--tail", "2", "--level", "7", "--format", "json")
+        code, out, err = run(capsys, "blocks", name, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["inputs"]["graph"] == name
+        _, plain, _ = run(capsys, "blocks", "tadpole", *argv)
+        assert doc["results"] == json.loads(plain)["results"]
 
     def test_budgets_admit_their_bounds(self, capsys):
         code, out, _ = run(capsys, "blocks", "tadpole", "--tail", "0", "--level", "800")
@@ -191,8 +202,23 @@ class TestOrbitsCommand:
         code, _, err = run(capsys, "orbits", "0", "2")
         assert code == EXIT_USAGE
 
+    def test_quiet_table_lists_nothing(self, capsys, monkeypatch):
+        argv = ("orbits", "4", "12", "--labeled", "--quiet")
+        expected = run(capsys, *argv)
+        assert expected[0] == EXIT_OK
+        assert expected[1].splitlines() == [
+            "orbits(4, 12): 10228",
+            "H^2 bounds: lower 32, upper 45",
+        ]
+        monkeypatch.setattr(orbits, "_separating_types", no_enumeration)
+        assert run(capsys, *argv) == expected
+        # the list budget still decides the exit code
+        code, _, err = run(capsys, "orbits", "1", "65", "--labeled", "--quiet")
+        assert code == EXIT_USAGE
+        assert "LIST_BUDGET" in err
+
     def test_list_short_of_the_closed_form_exits_3(self, capsys, monkeypatch):
-        # the table takes the records and JSON the text, from the same side pairs
+        # the table takes the side pairs and JSON the text, from the same generator
         separating_types = orbits._separating_types
         monkeypatch.setattr(
             orbits, "_separating_types", lambda *a: itertools.islice(separating_types(*a), 1, None)
@@ -304,6 +330,14 @@ class TestJsonDiscipline:
 class TestExitCodes:
     def test_flags_work_after_subcommand(self, capsys):
         code, out, _ = run(capsys, "certify", "7", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"][0]["p"] == 7
+
+    def test_format_on_both_sides_the_later_wins(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "certify", "7", "--format", "table")
+        assert code == EXIT_OK
+        assert out.startswith("p=7 ")
+        code, out, _ = run(capsys, "--format", "table", "certify", "7", "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["results"][0]["p"] == 7
 

@@ -15,8 +15,8 @@ import json
 
 import pytest
 
+from oracles import enumerate_orbits
 from quantcert.cli import EXIT_OK, main
-from quantcert.orbits import enumerate_orbits
 
 #: argv -> sha256 of stdout
 GOLDEN = {

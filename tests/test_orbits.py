@@ -3,14 +3,12 @@ import json
 
 import pytest
 
+from oracles import NONSEPARATING, SEPARATING, enumerate_orbits
 from quantcert.errors import NonHyperbolic, UsageError
 from quantcert import orbits
 from quantcert.orbits import (
     LIST_BUDGET,
-    NONSEPARATING,
-    SEPARATING,
     count_orbits,
-    enumerate_orbits,
     h2_bounds,
 )
 

@@ -14,6 +14,7 @@ from oracles import (
     PARABOLIC,
     adjacency,
     dense_graph,
+    family_from_edges,
     intersection_matrix,
     sl2,
     sl2_inverse,
@@ -519,6 +520,31 @@ class TestParsing:
     def test_family_sides(self, spec, m, k, intersections):
         g = parse_family(spec)
         assert (g.m, g.k, g.points) == (m, k, intersections)
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("A", path_family),
+            ("D", forked_path_family),
+            ("E", exceptional_family),
+            ("cycle", cycle_family),
+            ("star", star_family),
+        ],
+    )
+    def test_family_matches_its_edge_list(self, name, build):
+        """Points, sides and multiplicities, or the exception and its message,
+        at every size from -1 up to VERTEX_BUDGET vertices."""
+
+        def outcome(builder, n):
+            try:
+                g = builder(n)
+            except InvalidGraph as exc:
+                return type(exc), str(exc)
+            return g.m, g.k, g.points, g.multiplicities
+
+        top = VERTEX_BUDGET - 1 if name == "star" else VERTEX_BUDGET
+        for n in range(-1, top + 1):
+            assert outcome(build, n) == outcome(lambda n: family_from_edges(name, n), n), n
 
     def test_vertex_budget(self):
         assert parse_family(f"star:{VERTEX_BUDGET - 1}").size == VERTEX_BUDGET
