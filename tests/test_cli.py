@@ -102,7 +102,9 @@ class TestBlocksCommand:
         assert "palette" in err
 
 
-    @pytest.mark.parametrize("name", [" tadpole", "tadpole ", "\ttadpole\n"])
+    @pytest.mark.parametrize(
+        "name", [" tadpole", "tadpole ", "\ttadpole\n"], ids=["leading", "trailing", "tab-newline"]
+    )
     def test_blanks_around_tadpole_are_ignored(self, capsys, name):
         argv = ("--tail", "2", "--level", "7", "--format", "json")
         code, out, err = run(capsys, "blocks", name, *argv)
