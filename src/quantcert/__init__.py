@@ -15,8 +15,9 @@ Submodules:
              provenance notes
   veech      configuration graphs, Perron data, the exact recessive /
              critical / dominant class, multitwist matrices and flat
-             surfaces; lattice_certificate and flat_surface return the
-             report's class fields and rectangle records
+             surfaces; lattice_certificate and flat_surface (records) or
+             flat_surface_json (JSON text) return the report's class
+             fields and rectangle list
   orbits     simple-closed-curve orbit counts and degree-2 cohomology
              bounds; orbit_types (side pairs) or orbit_list_json (JSON
              text) and h2_bounds return the report's orbit list and h2 record

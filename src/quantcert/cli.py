@@ -2,9 +2,10 @@
 
 Every command builds a deterministic report (command echo, inputs, results,
 provenance notes, tool version) and renders it as a table or as canonically
-ordered JSON.  One field may arrive as JSON text already (a JSON ``orbits``
-request writes its orbit list from the side pairs), which the writer splices
-in; every other value it walks.  Exit codes: 0 on success (an uncertified
+ordered JSON.  Two fields may arrive as JSON text already (a JSON ``orbits``
+request writes its orbit list from the side pairs, and a JSON ``veech``
+request its rectangle list from the intersection points), which the writer
+splices in; every other value it walks.  Exit codes: 0 on success (an uncertified
 level is a result, not an error), 2 on a ``UsageError`` (raised where the
 broken input rule lives), 3 on any other package error.  ``main`` is the only place that
 maps an error to an exit code.  A reader that closes stdout early (``| head``)
@@ -246,7 +247,11 @@ def cmd_veech(args) -> dict:
         raise UsageError("give a graph spec (e.g. A:3) or --inter")
     data = veech.perron(graph)
     dt_c, dt_d = veech.multitwist_matrices(data.mu)
-    rectangles, total_area = veech.flat_surface(graph, data)
+    if args.format == "json":
+        text, total_area = veech.flat_surface_json(graph, data)
+        rectangles = _JSONText(text)
+    else:
+        rectangles, total_area = veech.flat_surface(graph, data)
     result = {
         "m": graph.m,
         "k": graph.k,

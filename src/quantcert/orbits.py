@@ -22,6 +22,7 @@ upper bound valid for g >= 4).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import InvariantViolation, NonHyperbolic, UsageError
 
@@ -80,15 +81,19 @@ def _check_budget(g: int, n: int, labeled: bool) -> int:
     return count
 
 
-def _separating_types(g: int, n: int, labeled: bool):
-    """Each unordered pair of complementary sides once, as ``(lower, upper)``.
+def _separating_types(g: int, n: int, labeled: bool, form=None):
+    """Each unordered pair of complementary sides once, as ``(g1, lower, g2,
+    upper)``: the genus and the ``form`` of the puncture side of each, a side
+    being its puncture count, or when labeled the tuple of its puncture
+    labels (``form`` None keeps it as it is).
 
-    A side is ``(genus, p)``: p is its puncture count, or when labeled the
-    tuple of its puncture labels.  Sides compare by (genus, puncture count,
-    labels), and the lower side's key strictly increases along the pairs:
-    (g1, n1) runs up to its complement, and puncture subsets come in
-    ``itertools.combinations`` order.
+    Sides compare by (genus, puncture count, labels), and the lower side's
+    key strictly increases along the pairs: the side types (g1, n1) run up
+    to their complement in blocks, and within a labeled block the lower
+    subsets come in ``itertools.combinations`` order.  The form of each
+    subset is made once per subset size, for every block of that size.
     """
+    forms: dict[int, list] = {}  # subset size -> the form of each subset, in combinations order
     for g1 in range(g // 2 + 1):
         g2 = g - g1
         for n1 in range(n + 1 if g1 < g2 else n // 2 + 1):
@@ -96,15 +101,20 @@ def _separating_types(g: int, n: int, labeled: bool):
             if (g1, n1) in _FORBIDDEN_SIDES or (g2, n2) in _FORBIDDEN_SIDES:
                 continue
             if not labeled:
-                yield (g1, n1), (g2, n2)
+                yield (g1, n1, g2, n2) if form is None else (g1, form(n1), g2, form(n2))
                 continue
+            for size in (n1, n2):
+                if size not in forms:
+                    subsets = itertools.combinations(range(n), size)
+                    forms[size] = list(subsets if form is None else map(form, subsets))
+            lowers = forms[n1]
+            if (g1, n1) == (g2, n2):
+                # equal sides: the lower one holds label 0, and those come first
+                lowers = lowers[: math.comb(n - 1, n1 - 1) if n1 else 1]
             # the complements of the n1-subsets, in combinations order, are
             # the n2-subsets in reverse combinations order
-            uppers = reversed(list(itertools.combinations(range(n), n2)))
-            for a, b in zip(itertools.combinations(range(n), n1), uppers):
-                if (g1, n1) == (g2, n2) and a and a[0] != 0:
-                    break  # equal sides: the lower one holds label 0, and those come first
-                yield (g1, a), (g2, b)
+            for lower, upper in zip(lowers, reversed(forms[n2])):
+                yield g1, lower, g2, upper
 
 
 def _check_listed(g: int, n: int, listed: int, count: int) -> None:
@@ -116,34 +126,38 @@ def _check_listed(g: int, n: int, listed: int, count: int) -> None:
 
 def orbit_types(g: int, n: int, labeled: bool = False, listed: bool = True) -> tuple:
     """The orbit count and the separating types as ``(lower, upper)`` side
-    pairs; the nonseparating type (g >= 1) is in the count only.  The list
-    must fit LIST_BUDGET and the pairs must match the count; with ``listed``
-    false the pairs are not enumerated and come back as None."""
+    pairs, a side being ``(genus, p)`` with p its puncture count or, when
+    labeled, the tuple of its labels; the nonseparating type (g >= 1) is in
+    the count only.  The list must fit LIST_BUDGET and the pairs must match
+    the count; with ``listed`` false the pairs are not enumerated and come
+    back as None."""
     count = _check_budget(g, n, labeled)
     if not listed:
         return count, None
-    pairs = list(_separating_types(g, n, labeled))
+    pairs = [((g1, a), (g2, b)) for g1, a, g2, b in _separating_types(g, n, labeled)]
     _check_listed(g, n, (g >= 1) + len(pairs), count)
     return count, pairs
 
 
 # The text of one record as an item of the list, as
-# json.dumps(..., sort_keys=True, indent=2) writes it at depth 0.
+# json.dumps(..., sort_keys=True, indent=2) writes it at depth 0; a side is
+# its genus, then the text of its puncture count and labels.
 _NONSEP_JSON = '\n  {\n    "kind": "nonseparating"\n  }'
 _PAIR_JSON = (
-    '\n  {\n    "kind": "separating",\n    "sides": [\n      {%s\n      },\n      {%s\n      }\n    ]\n  }'
+    '\n  {\n    "kind": "separating",\n    "sides": [\n      {\n        "genus": %d,%s\n      },'
+    '\n      {\n        "genus": %d,%s\n      }\n    ]\n  }'
 )
-_SIDE_JSON = '\n        "genus": %d,\n        "puncture_count": %d'
+_COUNT_JSON = '\n        "puncture_count": %d'
 _LABELS_JSON = ',\n        "punctures": [\n          %s\n        ]'
 _LABEL_SEPARATOR = ",\n          "
 
 
-def _side_json(genus: int, p) -> str:
+def _punctures_json(p) -> str:
     if isinstance(p, int):
-        return _SIDE_JSON % (genus, p)
+        return _COUNT_JSON % p
     if not p:
-        return _SIDE_JSON % (genus, 0) + ',\n        "punctures": []'
-    return _SIDE_JSON % (genus, len(p)) + _LABELS_JSON % _LABEL_SEPARATOR.join(map(str, p))
+        return _COUNT_JSON % 0 + ',\n        "punctures": []'
+    return _COUNT_JSON % len(p) + _LABELS_JSON % _LABEL_SEPARATOR.join(map(str, p))
 
 
 def orbit_list_json(g: int, n: int, labeled: bool = False) -> tuple[int, str]:
@@ -154,10 +168,7 @@ def orbit_list_json(g: int, n: int, labeled: bool = False) -> tuple[int, str]:
     The text is ``json.dumps(list, sort_keys=True, indent=2)`` exactly."""
     count = _check_budget(g, n, labeled)
     items = [_NONSEP_JSON] if g >= 1 else []
-    items.extend(
-        _PAIR_JSON % (_side_json(*lower), _side_json(*upper))
-        for lower, upper in _separating_types(g, n, labeled)
-    )
+    items.extend(map(_PAIR_JSON.__mod__, _separating_types(g, n, labeled, _punctures_json)))
     _check_listed(g, n, len(items), count)
     return count, ("[" + ",".join(items) + "\n]" if items else "[]")
 

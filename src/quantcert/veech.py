@@ -14,7 +14,8 @@ mu scales the derivative matrices of the two multitwists,
 and tr(DT_c DT_d) = 2 - mu^2, so the trace of their product restates the
 recessive / critical / dominant class below (Leininger, Geom. Topol. 8,
 2004).  The flat surface is the union of one v_i-by-v_j rectangle per
-intersection point.
+intersection point; a JSON report takes their list as text, written
+straight from the points (``flat_surface_json``).
 
 A graph, a named family too, holds only those (i, j, count) triples; every
 step but the eigensolve reads them once, in time linear in their number.
@@ -27,8 +28,8 @@ decided exactly, with no tolerance, for every multiplicity vector: mu < 2,
 mu = 2 or mu > 2 as the integer matrix 2D - DAD (congruent to 2D^-1 - A)
 is definite, singular semidefinite or indefinite.  A graph with more
 intersection points than vertices is dominant by counting; on the rest,
-trees and graphs with one cycle, a rational LDL^T factorization decides,
-with no fill-in.
+trees and graphs with one cycle, an LDL^T factorization decides, with no
+fill-in, in exact rationals held as reduced pairs of Python ints.
 The two-multitwist group of a unit-multiplicity graph has finite index in
 the stabilizer of the flat surface precisely in the first two classes.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DisconnectedGraph,
@@ -187,7 +188,9 @@ def classify_graph(g: ConfigurationGraph) -> str:
     dominant at once.  Otherwise the connected graph is a tree or has one
     cycle, and symmetric elimination in rationals on M = 2D - DAD, congruent
     to 2I - D^(1/2) A D^(1/2), never fills in: it takes from a lazy heap the
-    row with fewest nonzeros, then lowest index.  All pivots positive: M is
+    row with fewest nonzeros, then lowest index.  Each entry is a reduced
+    (numerator, denominator) pair of ints, denominator positive, reduced by
+    one gcd per update.  All pivots positive: M is
     definite, mu < 2.  Only the last pivot zero: M is semidefinite of
     nullity one, mu = 2 (every proper principal submatrix of a connected
     critical graph is definite, so an earlier zero pivot rules that out).
@@ -196,11 +199,12 @@ def classify_graph(g: ConfigurationGraph) -> str:
     if sum(count for _, _, count in g.points) > g.size:
         return DOMINANT
     d, m = g.multiplicities, g.m
+    # each entry is a reduced (numerator, denominator) pair, denominator > 0
     rows: list[dict] = [{} for _ in range(g.size)]
     for i, j, count in g.points:
-        rows[i][m + j] = rows[m + j][i] = -d[i] * d[m + j] * count
+        rows[i][m + j] = rows[m + j][i] = (-d[i] * d[m + j] * count, 1)
     for i, row in enumerate(rows):
-        row[i] = Fraction(2 * d[i])
+        row[i] = (2 * d[i], 1)
     heap = sorted((len(row), i) for i, row in enumerate(rows))
     remaining = set(range(g.size))
     while remaining:
@@ -209,17 +213,24 @@ def classify_graph(g: ConfigurationGraph) -> str:
         if pivot_row not in remaining or length != len(row):
             continue  # stale: eliminated, or pushed again with a new length
         remaining.remove(pivot_row)
-        pivot = row.pop(pivot_row, 0)
+        pivot, pivot_den = row.pop(pivot_row, (0, 1))
         if pivot <= 0:
             return CRITICAL if pivot == 0 and not remaining else DOMINANT
-        for i, a in row.items():
+        for i, (a, a_den) in row.items():
+            # the factor a / pivot, unreduced, with a positive denominator
+            f, f_den = a * pivot_den, a_den * pivot
             target = rows[i]
             before = len(target)
             del target[pivot_row]
-            for j, b in row.items():
-                value = target.get(j, 0) - a * b / pivot
+            for j, (b, b_den) in row.items():
+                t, t_den = target.get(j, (0, 1))
+                # t - f * b, over the common denominator t_den * f_den * b_den
+                fb_den = f_den * b_den
+                value = t * fb_den - f * b * t_den
                 if value:
-                    target[j] = value
+                    den = t_den * fb_den
+                    r = gcd(value, den)
+                    target[j] = (value // r, den // r)
                 else:
                     target.pop(j, None)
             if len(target) != before:
@@ -247,6 +258,21 @@ def lattice_certificate(g: ConfigurationGraph) -> dict:
     }
 
 
+def _units(g: ConfigurationGraph):
+    """(i, j) once per unit of each count, over ``g.points`` in order."""
+    return ((i, j) for i, j, count in g.points for _ in range(count))
+
+
+def _area(g: ConfigurationGraph, v: tuple[float, ...]) -> float:
+    """The total area, summed per unit in point-id order."""
+    m = g.m
+    area = sum(v[i] * v[m + j] for i, j in _units(g))
+    if not area > 0:
+        # v > 0 and a connected graph has a point
+        raise InvariantViolation("flat surface has no area")
+    return area
+
+
 def flat_surface(g: ConfigurationGraph, data: PerronData) -> tuple[list[dict], float]:
     """One rectangle per intersection point, sized by the Perron vector of g,
     and their total area.
@@ -258,16 +284,33 @@ def flat_surface(g: ConfigurationGraph, data: PerronData) -> tuple[list[dict], f
     intersection numbers do not record, so no gluing is reported.
     """
     v, m = data.v, g.m
-    units = ((i, j) for i, j, count in g.points for _ in range(count))
     rectangles = [
         {"id": n, "c_component": i, "d_component": j, "width": v[i], "height": v[m + j]}
-        for n, (i, j) in enumerate(units)
+        for n, (i, j) in enumerate(_units(g))
     ]
-    area = sum(r["width"] * r["height"] for r in rectangles)
-    if not area > 0:
-        # v > 0 and a connected graph has a point
-        raise InvariantViolation("flat surface has no area")
-    return rectangles, area
+    return rectangles, _area(g, v)
+
+
+# One rectangle record as an item of the list, as
+# json.dumps(..., sort_keys=True, indent=2) writes it at depth 0.
+_RECTANGLE_JSON = (
+    '\n  {\n    "c_component": %d,\n    "d_component": %d,\n    "height": %s,'
+    '\n    "id": %d,\n    "width": %s\n  }'
+)
+
+
+def flat_surface_json(g: ConfigurationGraph, data: PerronData) -> tuple[str, float]:
+    """The JSON text of the rectangle list of ``flat_surface``, exactly
+    ``json.dumps(rectangles, sort_keys=True, indent=2)``, and the same total
+    area.  The text is written straight from the points, each side length
+    formatted once; v > 0 is finite, so every float is its ``repr``."""
+    m = g.m
+    sides = [float.__repr__(x) for x in data.v]
+    items = [
+        _RECTANGLE_JSON % (i, j, sides[m + j], n, sides[i])
+        for n, (i, j) in enumerate(_units(g))
+    ]
+    return "[" + ",".join(items) + "\n]", _area(g, data.v)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,15 @@ against, and ``dense_graph`` lets a test write a graph as its m-by-k
 intersection matrix.  The closed trivalent corpus graphs and the cut-and-sum
 identity are an oracle over ``blocks.block_dimension``, and the SL2 helpers
 classify the multitwist matrices by their trace in exact rationals.  The
-named families built from edge lists by a BFS 2-colouring are the oracle for
-the family builders, which write their points directly, and the orbit list
-as JSON records the oracle for the JSON text written from side pairs.
+elimination in ``Fraction`` entries is the oracle for the class, which the
+package decides on integer pairs, and ``random_connected_bipartite`` draws
+small graphs for the corpus tests.  The named families built from edge
+lists by a BFS 2-colouring are the oracle for the family builders, which
+write their points directly, and the orbit list as JSON records the oracle
+for the JSON text written from side pairs.
 """
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +26,7 @@ import numpy as np
 from quantcert.blocks import ColoredGraph, block_dimension, level_colors
 from quantcert.errors import InvalidGraph
 from quantcert.orbits import orbit_types
-from quantcert.veech import ConfigurationGraph
+from quantcert.veech import CRITICAL, DOMINANT, RECESSIVE, ConfigurationGraph
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -30,11 +34,50 @@ ANOSOV = "anosov"
 
 
 def spectral_radius(adj) -> float:
-    """Float spectral radius; the cross-check oracle for ``veech.classify_graph``."""
+    """Float spectral radius; a cross-check oracle for ``veech.classify_graph``."""
     mat = np.asarray(adj, dtype=float)
     if np.allclose(mat, mat.T):
         return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
+
+
+def classify_by_fractions(g: ConfigurationGraph) -> str:
+    """The class by the same elimination as ``veech.classify_graph`` (E > V
+    dominant at once; otherwise LDL^T of 2D - DAD, fewest nonzeros first,
+    from a lazy heap), with every entry a ``Fraction``: the slow oracle of
+    the integer-pair elimination, next to the float ``spectral_radius``."""
+    if sum(count for _, _, count in g.points) > g.size:
+        return DOMINANT
+    d, m = g.multiplicities, g.m
+    rows: list[dict] = [{} for _ in range(g.size)]
+    for i, j, count in g.points:
+        rows[i][m + j] = rows[m + j][i] = -d[i] * d[m + j] * count
+    for i, row in enumerate(rows):
+        row[i] = Fraction(2 * d[i])
+    heap = sorted((len(row), i) for i, row in enumerate(rows))
+    remaining = set(range(g.size))
+    while remaining:
+        length, pivot_row = heapq.heappop(heap)
+        row = rows[pivot_row]
+        if pivot_row not in remaining or length != len(row):
+            continue  # stale: eliminated, or pushed again with a new length
+        remaining.remove(pivot_row)
+        pivot = row.pop(pivot_row, 0)
+        if pivot <= 0:
+            return CRITICAL if pivot == 0 and not remaining else DOMINANT
+        for i, a in row.items():
+            target = rows[i]
+            before = len(target)
+            del target[pivot_row]
+            for j, b in row.items():
+                value = target.get(j, 0) - a * b / pivot
+                if value:
+                    target[j] = value
+                else:
+                    target.pop(j, None)
+            if len(target) != before:
+                heapq.heappush(heap, (len(target), i))
+    return RECESSIVE
 
 
 def dense_graph(inter, multiplicities) -> ConfigurationGraph:
@@ -43,6 +86,46 @@ def dense_graph(inter, multiplicities) -> ConfigurationGraph:
     constructor drops."""
     points = [(i, j, count) for i, row in enumerate(inter) for j, count in enumerate(row)]
     return ConfigurationGraph(len(inter), len(inter[0]), points, tuple(multiplicities))
+
+
+def random_connected_bipartite(rng, weighted: bool, dense: bool = False) -> ConfigurationGraph:
+    """A random connected configuration graph of at most 12 vertices: each
+    vertex is wired to one placed on the other side, then up to 3 (or, when
+    ``dense``, m * k) extra points land anywhere; multiplicities are drawn
+    from {1, 2, 3} when ``weighted``.  Raises DisconnectedGraph when the
+    wiring leaves two halves apart."""
+    m = rng.randint(1, 6)
+    k = rng.randint(1, 12 - m) if m < 11 else 1
+    inter = [[0] * k for _ in range(m)]
+    order = [("c", i) for i in range(m)] + [("d", j) for j in range(k)]
+    rng.shuffle(order)
+    placed = [order[0]]
+    for vertex in order[1:]:
+        side, idx = vertex
+        partners = [v for v in placed if v[0] != side]
+        if not partners:
+            placed.append(vertex)
+            continue
+        _, pidx = rng.choice(partners)
+        if side == "c":
+            inter[idx][pidx] += 1
+        else:
+            inter[pidx][idx] += 1
+        placed.append(vertex)
+    # a vertex may have been placed before any partner existed; wire it now
+    for i in range(m):
+        if not any(inter[i]):
+            inter[i][rng.randrange(k)] = 1
+    for j in range(k):
+        if not any(row[j] for row in inter):
+            inter[rng.randrange(m)][j] = 1
+    for _ in range(rng.randint(0, m * k if dense else 3)):
+        inter[rng.randrange(m)][rng.randrange(k)] += 1
+    if weighted:
+        mult = tuple(rng.randint(1, 3) for _ in range(m + k))
+    else:
+        mult = (1,) * (m + k)
+    return dense_graph(inter, mult)
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> ConfigurationGraph:

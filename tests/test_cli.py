@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_connected_bipartite
 from quantcert import cli, errors, orbits
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
 from test_orbits import no_enumeration
@@ -316,6 +318,38 @@ class TestJsonDiscipline:
             code, out, _ = run(capsys, *argv)
             assert code == EXIT_OK
             assert json.loads(out)["command"] == argv[2]
+
+    def test_veech_rectangles_text_matches_the_records(self, capsys):
+        """A JSON veech request writes its rectangle list as text; the report
+        a table request builds, with one record per rectangle, dumped by
+        json, is its oracle, floats and total area included."""
+        families = {
+            "A": (2, 3, 5, 17, 2000),
+            "D": (4, 5, 9, 2000),
+            "E": (6, 7, 8),
+            "cycle": (4, 6, 50, 1998),
+            "star": (1, 4, 5, 1999),
+        }
+        requests = [[f"{name}:{n}"] for name, sizes in families.items() for n in sizes]
+        requests += [["--inter", COMPLETE_64], ["--inter", COMPLETE_64 + ",(65,1,1)"]]
+        rng = random.Random(5)
+        while len(requests) < 120:
+            try:
+                g = random_connected_bipartite(rng, weighted=True, dense=len(requests) % 4 == 0)
+            except errors.DisconnectedGraph:
+                continue
+            inter = ",".join(f"({i + 1},{j + 1},{count})" for i, j, count in g.points)
+            mult = ",".join(map(str, g.multiplicities))
+            if len(requests) % 2:
+                requests.append(["--inter", inter, "--mult", mult])
+            else:
+                requests.append([f"c={g.m}; d={g.k}; inter={inter}; mult={mult}"])
+        for argv in requests:
+            code, out, err = run(capsys, "--format", "json", "veech", *argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            report = cli.cmd_veech(cli._PARSER.parse_args(["veech", *argv]))
+            assert isinstance(report["results"]["rectangles"], list)
+            assert out == json.dumps(report, sort_keys=True, indent=2) + "\n", argv
 
     def test_exact_fields_are_integers(self, capsys):
         _, out, _ = run(capsys, "--format", "json", "certify", "16")

@@ -235,6 +235,23 @@ class TestEnumerateOrbits:
             assert len(doc["sides"]) == 2
             for side in doc["sides"]:
                 assert "punctures" in side
+        # the text written from the side pairs is json.dumps of the records
+        # built from the side pairs of orbit_types, on every list that fits
+        checked = 0
+        for g in range(7):
+            for n in range(13):
+                if 2 - 2 * g - n >= 0:
+                    continue
+                for labeled in (False, True):
+                    try:
+                        count, text = orbits.orbit_list_json(g, n, labeled)
+                    except UsageError:
+                        continue
+                    docs = enumerate_orbits(g, n, labeled)
+                    assert count == len(docs)
+                    assert text == json.dumps(docs, sort_keys=True, indent=2), (g, n, labeled)
+                    checked += 1
+        assert checked == 173
 
 
 class TestH2Bounds:

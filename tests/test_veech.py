@@ -13,9 +13,12 @@ from oracles import (
     ELLIPTIC,
     PARABOLIC,
     adjacency,
+    classify_by_fractions,
     dense_graph,
     family_from_edges,
+    graph_from_edges,
     intersection_matrix,
+    random_connected_bipartite,
     sl2,
     sl2_inverse,
     sl2_mul,
@@ -34,6 +37,7 @@ from quantcert.veech import (
     DOMINANT,
     FINITE_INDEX_IN_VEECH,
     NOT_FINITE_INDEX,
+    MULTIPLICITY_CAP,
     RECESSIVE,
     VERTEX_BUDGET,
     ConfigurationGraph,
@@ -347,40 +351,6 @@ class TestClassifyGraph:
                     assert cert["teichmuller_curve_by_mu"] == (expected != DOMINANT)
                     assert abs(perron(g).mu - math.sqrt(mu_sq)) <= 1e-12 * mu_sq
 
-    def _random_connected_bipartite(self, rng, weighted, dense=False):
-        m = rng.randint(1, 6)
-        k = rng.randint(1, 12 - m) if m < 11 else 1
-        inter = [[0] * k for _ in range(m)]
-        order = [("c", i) for i in range(m)] + [("d", j) for j in range(k)]
-        rng.shuffle(order)
-        placed = [order[0]]
-        for vertex in order[1:]:
-            side, idx = vertex
-            partners = [v for v in placed if v[0] != side]
-            if not partners:
-                placed.append(vertex)
-                continue
-            _, pidx = rng.choice(partners)
-            if side == "c":
-                inter[idx][pidx] += 1
-            else:
-                inter[pidx][idx] += 1
-            placed.append(vertex)
-        # a vertex may have been placed before any partner existed; wire it now
-        for i in range(m):
-            if not any(inter[i]):
-                inter[i][rng.randrange(k)] = 1
-        for j in range(k):
-            if not any(row[j] for row in inter):
-                inter[rng.randrange(m)][j] = 1
-        for _ in range(rng.randint(0, m * k if dense else 3)):
-            inter[rng.randrange(m)][rng.randrange(k)] += 1
-        if weighted:
-            mult = tuple(rng.randint(1, 3) for _ in range(m + k))
-        else:
-            mult = (1,) * (m + k)
-        return dense_graph(inter, mult)
-
     def test_combinatorial_matches_spectral_on_random_corpus(self):
         # half unit multiplicities, half drawn from {1, 2, 3}; a quarter dense,
         # with up to m * k extra points, so both E > V and E <= V are checked
@@ -389,7 +359,7 @@ class TestClassifyGraph:
         sides = set()
         while checked < 320:
             try:
-                g = self._random_connected_bipartite(
+                g = random_connected_bipartite(
                     rng, weighted=checked % 2 == 1, dense=checked % 8 >= 6
                 )
             except DisconnectedGraph:
@@ -408,6 +378,92 @@ class TestClassifyGraph:
             sides.add(points_over_vertices)
             checked += 1
         assert sides == {False, True}
+
+
+    def test_integer_pairs_match_fractions_and_spectral(self):
+        """The integer-pair elimination against the same elimination in
+        Fractions and against the float spectral radius, on random trees,
+        trees with one count-2 point and one-cycle graphs (E <= V, so every
+        one reaches the elimination), with unit, small and capped
+        multiplicities, plus affine shapes and weighted edges at mu = 2."""
+        rng = random.Random(20261018)
+        graphs = [random_sparse_graph(rng) for _ in range(2400)]
+        graphs += [cycle_family(n) for n in range(4, 21, 2)] + [star_family(4)]
+        graphs += [parse_family(spec) for spec in ("E:6", "E:7", "E:8", "D:9")]
+        # the affine trees D~n (a path with a fork at each end) and E~6
+        graphs += [graph_from_edges(len(edges) + 1, edges) for edges in AFFINE_TREES]
+        graphs += [ConfigurationGraph(1, 1, ((0, 0, 1),), d) for d in ((1, 4), (4, 1), (2, 2))]
+        graphs.append(ConfigurationGraph(1, 2, ((0, 0, 1), (0, 1, 1)), (1, 2, 2)))
+        seen = {RECESSIVE: 0, CRITICAL: 0, DOMINANT: 0}
+        for g in graphs:
+            assert sum(count for _, _, count in g.points) <= g.size, g
+            radius = spectral_radius(intersection_matrix(g))
+            if radius < 2 - 1e-9:
+                expected = RECESSIVE
+            elif radius <= 2 + 1e-9:
+                expected = CRITICAL
+            else:
+                expected = DOMINANT
+            cls = classify_graph(g)
+            assert cls == classify_by_fractions(g) == expected, (g, radius)
+            seen[cls] += 1
+        assert min(seen.values()) >= 50, seen
+        assert any(max(g.multiplicities) > 10**5 for g in graphs)
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (f"A:{VERTEX_BUDGET}", RECESSIVE),  # mu = 2 cos(pi / 2001)
+            (f"cycle:{VERTEX_BUDGET - 2}", CRITICAL),
+            (f"star:{VERTEX_BUDGET - 1}", DOMINANT),  # mu = sqrt(1999)
+        ],
+    )
+    def test_integer_pairs_match_fractions_at_the_budget(self, spec, expected):
+        g = parse_family(spec)
+        assert classify_graph(g) == classify_by_fractions(g) == expected
+
+
+#: affine Dynkin trees as edge lists, each critical with unit multiplicities
+AFFINE_TREES = [
+    [(0, 2), (1, 2)] + [(v, v + 1) for v in range(2, n - 3)] + [(n - 3, n - 2), (n - 3, n - 1)]
+    for n in range(6, 12)
+] + [[(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]]
+
+
+def random_sparse_graph(rng) -> ConfigurationGraph:
+    """A random tree on 2 to 14 vertices, as it stands, with one point of
+    count 2, or with one more edge closing a cycle; sides by depth parity.
+    Multiplicities are all 1, drawn from 1..4, or all 1 but one vertex at
+    up to ``MULTIPLICITY_CAP``."""
+    size = rng.randint(2, 14)
+    parent = [0] + [rng.randrange(v) for v in range(1, size)]
+    side = [0] * size
+    for v in range(1, size):
+        side[v] = 1 - side[parent[v]]
+    edges = {(parent[v], v): 1 for v in range(1, size)}
+    kind = rng.randrange(3)
+    if kind == 1:
+        edges[rng.choice(list(edges))] = 2
+    elif kind == 2:
+        chords = [
+            (u, w) for u in range(size) for w in range(u + 1, size)
+            if side[u] != side[w] and (u, w) not in edges
+        ]
+        if chords:
+            edges[rng.choice(chords)] = 1
+    index = [sum(side[u] == side[v] for u in range(v)) for v in range(size)]
+    m = side.count(0)
+    points = [
+        (index[u], index[w], count) if side[u] == 0 else (index[w], index[u], count)
+        for (u, w), count in edges.items()
+    ]
+    weights = rng.randrange(3)
+    mult = [rng.randint(1, 4) if weights == 1 else 1 for _ in range(size)]
+    if weights == 2:
+        mult[rng.randrange(size)] = rng.randint(1, MULTIPLICITY_CAP)
+    # multiplicities run over the first side, then the second, each in index order
+    order = sorted(range(size), key=lambda v: (side[v], index[v]))
+    return ConfigurationGraph(m, size - m, points, tuple(mult[v] for v in order))
 
 
 class TestLatticeCertificate:
