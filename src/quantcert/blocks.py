@@ -2,10 +2,12 @@
 
 A level p >= 5 determines a palette of colors: the even integers 0, 2, ...,
 p-3 when p is odd, and the full range 0, 1, ..., (p-4)/2 when p is even.
-Palette membership is therefore a range-and-parity test (``in_palette``).
 Three colors meeting at a trivalent vertex are admissible when they satisfy
 the triangle inequalities, have even sum, and their sum stays below the
-level bound (2p-4 for odd p, p-4 for even p).
+level bound (2p-4 for odd p, p-4 for even p).  In palette positions, with
+(bound, step, scale) = ``_geometry(p)``, (p-2, 1, 2) for odd p and (p-4, 2, 1)
+for even p, color c sits at c // scale in 0..bound // 2, and the y with
+(x, b, y) admissible form the slice |x-b| .. min(x+b, bound-x-b), stride step.
 
 A block space is attached to a trivalent graph whose vertices all have
 degree three, counting loops twice and boundary tails once.  Its dimension
@@ -24,46 +26,42 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .errors import GraphParseError, InvalidColor, InvalidGraph, UsageError
 from .grammar import comma_tokens, numeral, sections
 
-#: Most vertices of a parsed graph and highest level the CLI accepts.  A count
-#: costs |palette|^2 per handle and tail, plus |palette|^3 once if some g >= 3.
+#: Most vertices of a parsed graph and highest level the CLI accepts.  A count costs
+#: |palette| slice sums per tail or handle, plus |palette|^2 once for H if some g >= 3.
 VERTEX_BUDGET = 100
 LEVEL_BUDGET = 800
 
 
-def level_colors(p: int) -> tuple[int, ...]:
-    """Palette of colors for level p."""
+def _geometry(p: int) -> tuple[int, int, int]:
+    """(bound, step, scale) of level p in palette positions; see the module docstring."""
     if p < 5:
         raise UsageError(f"level must be at least 5, got {p}")
-    if p % 2:
-        return tuple(range(0, p - 2, 2))
-    return tuple(range(0, (p - 4) // 2 + 1))
+    return (p - 2, 1, 2) if p % 2 else (p - 4, 2, 1)
+
+
+def level_colors(p: int) -> tuple[int, ...]:
+    """Palette of colors for level p."""
+    bound, _, scale = _geometry(p)
+    return tuple(range(0, bound // 2 * scale + 1, scale))
 
 
 def in_palette(c: int, p: int) -> bool:
     """Whether c is a color of level p, i.e. ``c in level_colors(p)``."""
-    if p < 5:
-        raise UsageError(f"level must be at least 5, got {p}")
-    if p % 2:
-        return 0 <= c <= p - 3 and c % 2 == 0
-    return 0 <= c <= (p - 4) // 2
-
-
-def admissible_bound(p: int) -> int:
-    """Largest allowed color sum at a vertex of level p."""
-    return 2 * p - 4 if p % 2 else p - 4
+    bound, _, scale = _geometry(p)
+    return c % scale == 0 and 0 <= c <= bound // 2 * scale
 
 
 def _fits(a, b, c, p: int):
-    """Even sum, level bound and triangle inequalities; elementwise on arrays."""
+    """Even sum, level bound and triangle inequalities; on arrays only in the tests' oracle."""
+    bound, _, scale = _geometry(p)
     s = a + b + c
     triangle = (abs(a - b) <= c) & (c <= a + b)
-    return (s % 2 == 0) & (s <= admissible_bound(p)) & triangle
+    return (s % 2 == 0) & (s <= bound * scale) & triangle
 
 
 def _admissible(a: int, b: int, c: int, p: int) -> bool:
@@ -75,13 +73,14 @@ def _admissible(a: int, b: int, c: int, p: int) -> bool:
 def tadpole_basis(i: int, p: int) -> tuple[int, ...]:
     """Increasing loop colors a with (a, a, i) admissible; the tadpole basis.
 
-    The triangle inequality and the level bound confine a to the interval
-    ceil(i/2) <= a <= (bound - i)/2, so only that interval is filtered.
+    In positions (x, x, b) is admissible for b/2 <= x <= (bound - b)/2 when step divides b.
     """
+    bound, step, scale = _geometry(p)
     if not in_palette(i, p):
         raise InvalidColor(f"tail color {i} is not in the level-{p} palette")
-    lo, hi = (i + 1) // 2, (admissible_bound(p) - i) // 2
-    return tuple(a for a in range(lo, hi + 1) if _admissible(a, a, i, p))
+    b = i // scale
+    hi = (bound - b) // 2 if b % step == 0 else -1  # an odd tail closes no loop at even p
+    return tuple(range((b + 1) // 2 * scale, hi * scale + 1, scale))
 
 
 @dataclass(frozen=True)
@@ -149,12 +148,11 @@ def block_dimension_bruteforce(graph: ColoredGraph, p: int) -> int:
 def block_dimension(graph: ColoredGraph, p: int) -> int:
     """Number of admissible colorings of the free edges of ``graph``.
 
-    Uses the fusion-ring product of the module docstring.  The matrices
-    commute, H = sum_c h_c N_c with h_c the tadpole loop count of c,
-    e_0 N_a = e_a and H e_0 = h, so a component is one dot product around
-    matrix-vector products in Python ints.
+    The fusion-ring product of the module docstring on palette positions: N_b v is one
+    slice sum per entry, and as the matrices commute, H = sum_c h_c N_c has row y = N_y h
+    (h_c the tadpole loop count of c); e_0 N_a = e_a and H e_0 = h close each component.
     """
-    cols = np.array(level_colors(p))
+    bound, step, scale = _geometry(p)
     if not all(in_palette(c, p) for _v, c in graph.tails):
         return 0
     root = {v: v for v in graph.vertices}
@@ -171,20 +169,21 @@ def block_dimension(graph: ColoredGraph, p: int) -> int:
     excess.subtract(find(v) for v in graph.vertices)  # E - V = g - 1 per component
     ops = {r: [None] * (e + 1) for r, e in excess.items()}  # None stands for H
     for v, c in graph.tails:
-        ops[find(v)].append(c)
+        ops[find(v)].append(c // scale)
+    positions = range(bound // 2 + 1)
 
-    def fusion(b: int) -> np.ndarray:
-        return _fits(cols[:, None], b, cols[None, :], p)
+    def fusion(b: int, v: list[int]) -> list[int]:
+        return [sum(v[abs(x - b) : min(x + b, bound - x - b) + 1 : step]) for x in positions]
 
-    h = _fits(cols, cols, cols[:, None], p).sum(axis=1)
+    h = [len(tadpole_basis(x * scale, p)) for x in positions]
     if max(excess.values(), default=0) >= 2:
-        handle = sum(int(hc) * fusion(c) for c, hc in zip(cols.tolist(), h))
+        handle = [fusion(y, h) for y in positions]
     dim = 1
     for first, last, *middle in ops.values():
-        v = (h if last is None else cols == last).astype(object)
+        v = h if last is None else [int(x == last) for x in positions]
         for op in middle:
-            v = (handle if op is None else fusion(op)) @ v
-        dim *= int((h if first is None else cols == first) @ v)
+            v = [sum(map(mul, row, v)) for row in handle] if op is None else fusion(op, v)
+        dim *= sum(map(mul, h, v)) if first is None else v[first]
     return dim
 
 

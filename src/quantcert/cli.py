@@ -59,7 +59,7 @@ def _write(value, newline: str, out: list[str]) -> None:
     """Append the JSON text of ``value`` to ``out``; ``newline`` indents the line it is on.
 
     Scalars render as json renders them, subclasses of str, int and float
-    included (a numpy float64 prints as its float), except that a
+    included (the Perron solve's float64 prints as its float), except that a
     ``_JSONText`` is already JSON and goes in as is.  Any other type raises
     TypeError, and so does a dict key that is not a str (json would coerce
     it), from ``encode_basestring_ascii``.

@@ -6,8 +6,9 @@ these float evaluations, whole-window enumerations and dense (m + k)-square
 matrices are the independent references the package code is compared
 against, and ``dense_graph`` lets a test write a graph as its m-by-k
 intersection matrix.  The closed trivalent corpus graphs and the cut-and-sum
-identity are an oracle over ``blocks.block_dimension``, and the SL2 helpers
-classify the multitwist matrices by their trace in exact rationals.  The
+identity are an oracle over ``blocks.block_dimension``, and so is the
+Verlinde formula in floats, which shares no code with ``blocks``; the SL2
+helpers classify the multitwist matrices by their trace in exact rationals.  The
 elimination in ``Fraction`` entries is the oracle for the class, which the
 package decides on integer pairs, and ``random_connected_bipartite`` draws
 small graphs for the corpus tests.  The named families built from edge
@@ -300,6 +301,24 @@ def cut_identity_check(graph: ColoredGraph, cut_edges: tuple[int, ...], p: int) 
         for coloring in itertools.product(level_colors(p), repeat=len(cut_edges))
     )
     return block_dimension(graph, p) == rhs
+
+
+def verlinde_dimension(genus: int, tails, p: int) -> float:
+    """Block dimension of a connected surface by the Verlinde formula, in floats.
+
+    Sum over palette colors c of H_c^(genus-1) prod_i lambda_{a_i}(c), with
+    theta_c = pi (c+1)/r, lambda_b(c) = sin((b+1) theta_c)/sin theta_c, and
+    H_c = r/(4 sin^2 theta_c) for odd p (r = p) or r/(2 sin^2 theta_c) for
+    even p (r = p/2).  The palette is written out here, not read from ``blocks``.
+    """
+    r, k = (p, 4) if p % 2 else (p // 2, 2)
+    total = 0.0
+    for c in range(0, p - 2, 2) if p % 2 else range(r - 1):
+        theta = math.pi * (c + 1) / r
+        sin = math.sin(theta)
+        lambdas = math.prod(math.sin((a + 1) * theta) / sin for a in tails)
+        total += (r / (k * sin * sin)) ** (genus - 1) * lambdas
+    return total
 
 
 def sl2(a, b, c, d) -> tuple[Fraction, ...]:

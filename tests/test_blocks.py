@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 import time
@@ -5,7 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import chain_graph, cut_identity_check, dumbbell_graph, theta_graph
+from oracles import (
+    chain_graph,
+    cut_identity_check,
+    dumbbell_graph,
+    theta_graph,
+    verlinde_dimension,
+)
 from quantcert.blocks import (
     ColoredGraph,
     _admissible,
@@ -46,7 +54,7 @@ class TestInPalette:
                 assert in_palette(c, p) == (c in cols), (c, p)
 
     def test_tadpole_interval_matches_full_palette_filter(self):
-        for p in range(5, 151):
+        for p in [*range(5, 151), *range(795, 801)]:
             cols = level_colors(p)
             for i in range(-2, p + 1):
                 if i in cols:
@@ -229,6 +237,21 @@ def _ring_of_tadpoles(k: int) -> ColoredGraph:
     return ColoredGraph(tuple(range(1, 2 * k + 1)), ring + pendants + loops)
 
 
+def _caterpillar(n: int) -> ColoredGraph:
+    """A path of n vertices, tail color 2v at vertex v and a second tail at each end."""
+    edges = tuple((v, v + 1) for v in range(1, n))
+    tails = tuple((v, 2 * v) for v in range(1, n + 1)) + ((1, 2), (n, 2 * n))
+    return ColoredGraph(tuple(range(1, n + 1)), edges, tails)
+
+
+def _prism(k: int) -> ColoredGraph:
+    """C_k x K_2: two k-cycles joined by k rungs; closed, first Betti number k + 1."""
+    ring = tuple((i, i % k + 1) for i in range(1, k + 1))
+    other = tuple((u + k, v + k) for u, v in ring)
+    rungs = tuple((i, i + k) for i in range(1, k + 1))
+    return ColoredGraph(tuple(range(1, 2 * k + 1)), ring + other + rungs)
+
+
 def _random_trivalent(rng: random.Random, p: int) -> ColoredGraph:
     """Random pairing of half-edges on 1-5 vertices, some left as tails.
 
@@ -298,6 +321,56 @@ class TestAgainstOracles:
             p = rng.randint(15, 40)
             g = _random_trivalent(rng, p)
             assert block_dimension(g, p) == _eliminate(g, p), (g, p)
+
+    def test_verlinde_formula_matches_on_connected_graphs(self):
+        """Tadpoles, theta, K4 and three-tailed vertices against the float sum."""
+        checked = 0
+        for p in range(5, 60):
+            cols = level_colors(p)
+            picks = sorted({cols[0], cols[1], cols[len(cols) // 2], cols[-1]})
+            cases = [(tadpole_graph(a), 1, (a,)) for a in cols]
+            cases += [(theta_graph(), 2, ()), (_k4(), 3, ())]
+            cases += [
+                (ColoredGraph((1,), (), tuple((1, a) for a in tails)), 0, tails)
+                for tails in itertools.combinations_with_replacement(picks, 3)
+            ]
+            for g, genus, tails in cases:
+                dim, expected = block_dimension(g, p), verlinde_dimension(genus, tails, p)
+                assert abs(dim - expected) <= 1e-6 * max(dim, 1), (g, p, expected)
+                checked += 1
+        assert checked == 1997
+
+    @pytest.mark.parametrize(
+        "graph, p, bits, digest",
+        [
+            pytest.param(
+                _caterpillar(100), 799, 609,
+                "97aee2a95b0f05346ba159bf90608dd0a3b800fa5df48fb344443a7d36e54f6a",
+                id="caterpillar-799",
+            ),
+            pytest.param(
+                _caterpillar(100), 800, 595,
+                "f04e23a635c90b11ab4ff6dc28a00488e5a39f822c9425ce3469962729935f7c",
+                id="caterpillar-800",
+            ),
+            pytest.param(
+                _prism(10), 400, 188,
+                "48d3df38e58e1eb0e32f0f76c72e3ffe703899a370d7dbbd97986911a41173e8",
+                id="prism10-400",
+            ),
+            pytest.param(
+                _prism(10), 401, 207,
+                "9058d2d8a9cff92ca30837003a5563ca46afefee663d6845529b38dff9c7a4bc",
+                id="prism10-401",
+            ),
+        ],
+    )
+    def test_values_past_the_oracles_reach_are_pinned(self, graph, p, bits, digest):
+        """Bit length and sha256 of the decimal, as the numpy fusion-matrix
+        product computed them: 102 tails at the top level, and a genus-11
+        closed graph."""
+        dim = block_dimension(graph, p)
+        assert (dim.bit_length(), hashlib.sha256(str(dim).encode()).hexdigest()) == (bits, digest)
 
     @pytest.mark.parametrize("p, expected", [(81, 196430508), (121, 2180952642)])
     def test_k4_at_high_level_is_pinned_and_fast(self, p, expected):

@@ -32,6 +32,30 @@ def test_sources_import_only_stdlib_numpy_or_the_package():
     assert not foreign
 
 
+def _numpy_import_sites(path: Path):
+    """(module, innermost enclosing function or None) of each numpy import."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first: an inner def overwrites its outer one
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] == "numpy" for name in names):
+            yield path.stem, owner.get(id(node))
+
+
+def test_numpy_is_imported_only_by_burau_or_inside_veech_perron():
+    """Module level only in ``burau``, inside a function only in ``veech.perron``."""
+    sites = {site for path in SOURCES for site in _numpy_import_sites(path)}
+    assert sites <= {("burau", None), ("veech", "perron")}
+
+
 def test_pyproject_lists_only_numpy():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
