@@ -70,17 +70,19 @@ def _admissible(a: int, b: int, c: int, p: int) -> bool:
     return in_range and _fits(a, b, c, p)
 
 
-def tadpole_basis(i: int, p: int) -> tuple[int, ...]:
-    """Increasing loop colors a with (a, a, i) admissible; the tadpole basis.
+def _loop_positions(b: int, bound: int, step: int) -> range:
+    """Positions x with (x, x, b) admissible: b/2 <= x <= (bound - b)/2 when step divides b."""
+    hi = (bound - b) // 2 if b % step == 0 else -1  # an odd tail closes no loop at even p
+    return range((b + 1) // 2, hi + 1)
 
-    In positions (x, x, b) is admissible for b/2 <= x <= (bound - b)/2 when step divides b.
-    """
+
+def tadpole_basis(i: int, p: int) -> tuple[int, ...]:
+    """Increasing loop colors a with (a, a, i) admissible; the tadpole basis."""
     bound, step, scale = _geometry(p)
     if not in_palette(i, p):
         raise InvalidColor(f"tail color {i} is not in the level-{p} palette")
-    b = i // scale
-    hi = (bound - b) // 2 if b % step == 0 else -1  # an odd tail closes no loop at even p
-    return tuple(range((b + 1) // 2 * scale, hi * scale + 1, scale))
+    loops = _loop_positions(i // scale, bound, step)
+    return tuple(range(loops.start * scale, loops.stop * scale, scale))
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def block_dimension(graph: ColoredGraph, p: int) -> int:
     def fusion(b: int, v: list[int]) -> list[int]:
         return [sum(v[abs(x - b) : min(x + b, bound - x - b) + 1 : step]) for x in positions]
 
-    h = [len(tadpole_basis(x * scale, p)) for x in positions]
+    h = [len(_loop_positions(x, bound, step)) for x in positions]
     if max(excess.values(), default=0) >= 2:
         handle = [fusion(y, h) for y in positions]
     dim = 1

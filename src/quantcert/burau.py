@@ -32,6 +32,7 @@ float arithmetic is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,9 +104,9 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def minus_q_order(q: RootOfUnity) -> int:
-    """Multiplicative order of -q."""
-    minus_one = RootOfUnity(2, 1)
-    return (minus_one * q).multiplicative_order()
+    """Multiplicative order of -q: with q = zeta_n^e, -q = zeta_2n^(n + 2e)."""
+    n = q.order
+    return 2 * n // math.gcd(2 * n, n + 2 * q.exponent)
 
 
 def burau_is_finite(order_of_minus_q: int) -> bool:

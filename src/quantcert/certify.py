@@ -7,17 +7,20 @@ divisible by 4 with k = p/4 >= 4, the 5-dimensional block with boundary
 color 2k - 6 carries an indefinite invariant Hermitian form; infiniteness
 follows once every potential invariant subspace is excluded (even route).
 
+Every twist eigenvalue mu_a = (-1)^a A^(a(a+2)), A = zeta_2p^ell, is a power
+of zeta_2p, and both routes decide on its exponent mod 2p (``roots``).
 Invariant subspaces of dimension 1 or 2 (complements reduce to these) are
 indexed by sub-multisets of the twist-eigenvalue ratios
-lambda_i = mu_(k-3+i) / mu_(k-1), mu_a = (-1)^a A^(a(a+2)) as in ``roots``:
+lambda_i = mu_(k-3+i) / mu_(k-1):
 
     (lambda_0, ..., lambda_4) = (-z^4, z, 1, -z, -z^4),   z = A^(2k+1),
 
 and each case must fail a scalar identity -- (prod lambda)^6 = lambda_i^30
 for singletons, (prod lambda)^12 = (lambda_i lambda_j)^30 for pairs --
-checked by exact exponent arithmetic.  A case that survives it is resolved
-only if it is the span case {lambda_0, lambda_2}, by the indefiniteness of
-the form on that span; its partner {lambda_1, lambda_3} never survives.
+checked as a congruence mod 2p on the exponents.  A case that survives it
+is resolved only if it is the span case {lambda_0, lambda_2}, by the
+indefiniteness of the form on that span; its partner {lambda_1, lambda_3}
+never survives.
 The irreducibility of a surviving restriction is not machine-checkable and
 is recorded as externally asserted; see UNCERTIFIABLE_LEVELS for when that
 assertion is available.
@@ -29,9 +32,8 @@ import math
 from collections import Counter
 
 from . import blocks, hermitian
-from .burau import burau_is_finite, minus_q_order
 from .errors import InvariantViolation
-from .roots import RootOfUnity, twist_eigenvalue
+from .roots import twist_exponent
 
 ROUTE_ODD = "odd_burau"
 ROUTE_EVEN = "even_coxeter"
@@ -59,52 +61,47 @@ def odd_part(p: int) -> int:
     return p
 
 
-def eigenvalue_tuple(p: int, ell: int) -> tuple[RootOfUnity, ...]:
-    """Twist eigenvalues of loop colors k-3..k+1 over that of color k-1.
+def eigenvalue_tuple(p: int, ell: int) -> tuple[int, ...]:
+    """Twist eigenvalues of loop colors k-3..k+1 over that of color k-1, as
+    exponents of zeta_2p in 0..2p-1.
 
     Needs p = 4k, k >= 4, a primitive ell.  The ratios are (-z^4, z, 1, -z,
-    -z^4) in order 2p, with z = A^(2k+1) and A = zeta_2p^ell.
+    -z^4), with z = A^(2k+1) and A = zeta_2p^ell.
     """
     k = hermitian._check_level(p, ell)
-    mus = [twist_eigenvalue(a, p, ell) for a in range(k - 3, k + 2)]
-    base = mus[2].inverse()
-    return tuple(mu * base for mu in mus)
+    mus = [twist_exponent(a, p, ell) for a in range(k - 3, k + 2)]
+    return tuple((mu - mus[2]) % (2 * p) for mu in mus)
 
 
-def scalar_obstruction(product: RootOfUnity, subset: tuple[RootOfUnity, ...]) -> str:
-    """Check the scalar identity forced by an invariant subspace.
+def scalar_obstruction(p: int, product: int, subset: tuple[int, ...]) -> str:
+    """Check the scalar identity forced by an invariant subspace, mod 2p.
 
-    ``product`` is the product of the eigenvalue tuple and ``subset`` a
-    sub-multiset of it of size 1 or 2.  Returns SCALAR_OBSTRUCTED when the
-    identity fails (the subspace cannot exist) and SURVIVES when it holds
-    identically.
+    ``product`` is the exponent of the product of the eigenvalue tuple and
+    ``subset`` a sub-multiset of the tuple of size 1 or 2, all exponents of
+    zeta_2p.  The identity reads 6 |S| product = 30 sum(S) mod 2p.  Returns
+    SCALAR_OBSTRUCTED when it fails (the subspace cannot exist) and SURVIVES
+    when it holds identically.
     """
     if len(subset) not in (1, 2):
         raise ValueError("subspace case must have size 1 or 2")
-    lhs = product ** (6 * len(subset))
-    rhs = math.prod(subset[1:], start=subset[0]) ** 30
-    return SURVIVES if lhs == rhs else SCALAR_OBSTRUCTED
+    holds = (6 * len(subset) * product - 30 * sum(subset)) % (2 * p) == 0
+    return SURVIVES if holds else SCALAR_OBSTRUCTED
 
 
-def _odd_block(q: int) -> tuple[tuple[int, ...], RootOfUnity]:
-    """Loop colors of the 2-dimensional block at (level q, tail q - 5) and
-    its Burau parameter -mu_b/mu_a, with mu_a the twist eigenvalue of color a."""
-    basis = blocks.tadpole_basis(q - 5, q)
-    if len(basis) != 2:
-        raise InvariantViolation(
-            f"expected a 2-dimensional block at (level {q}, tail {q - 5}), got {basis}"
-        )
-    mu_a, mu_b = (twist_eigenvalue(a, q) for a in basis)
-    return basis, RootOfUnity.minus_one(2 * q) * mu_b * mu_a.inverse()
+def _root_text(e: int, p: int) -> str:
+    """zeta_2p^e as a report writes it."""
+    return f"zeta_{2 * p}^{e}" if e else "1"
 
 
 def odd_certificate(p: int) -> dict:
     """Certify via the odd part q = p / 2^v2(p) when q >= 7.
 
-    The block at level q with boundary color q - 5 is 2-dimensional; the
-    braid image there is the reduced 2-strand-generator representation at a
-    parameter whose negative is a primitive q-th root of unity, hence an
-    infinite triangle group for q outside {2, 3, 4, 5}.
+    The block at level q with boundary color q - 5 is 2-dimensional, with
+    loop colors (a, b); the braid image there is the reduced 2-strand-generator
+    representation at the parameter -mu_b/mu_a.  Its negative mu_b/mu_a is
+    zeta_2q^(e_b - e_a); it is checked to be a primitive q-th root of unity,
+    hence the image is an infinite triangle group, as q >= 7 lies outside
+    {2, 3, 4, 5}.
     """
     if p < 1:
         raise ValueError(f"level must be positive, got {p}")
@@ -115,11 +112,15 @@ def odd_certificate(p: int) -> dict:
             "route": ROUTE_UNCERTIFIED,
             "failed": [f"odd part {q} of level {p} is smaller than 7"],
         }
-    order = minus_q_order(_odd_block(q)[1])
+    basis = blocks.tadpole_basis(q - 5, q)
+    if len(basis) != 2:
+        raise InvariantViolation(
+            f"expected a 2-dimensional block at (level {q}, tail {q - 5}), got {basis}"
+        )
+    a, b = basis
+    order = 2 * q // math.gcd(2 * q, twist_exponent(b, q) - twist_exponent(a, q))
     if order != q:
         raise InvariantViolation(f"-parameter has order {order}, expected {q}")
-    if burau_is_finite(order):
-        raise InvariantViolation(f"odd part {q} >= 7 but braid image marked finite")
     return {"p": p, "route": ROUTE_ODD, "odd_part": q, "boundary_color": q - 5}
 
 
@@ -146,9 +147,7 @@ def _irreducibility_asserted(p: int) -> tuple[bool, str]:
     )
 
 
-def _distinct_submultisets(
-    lams: tuple[RootOfUnity, ...]
-) -> list[tuple[RootOfUnity, ...]]:
+def _distinct_submultisets(lams: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All distinct size-1 and size-2 sub-multisets of the eigenvalue tuple.
 
     Eigenvalues are grouped by value (lambda_0 = lambda_4 always), so the
@@ -156,7 +155,7 @@ def _distinct_submultisets(
     and 3 are covered by these via orthogonality.
     """
     counts = Counter(lams)
-    distinct = sorted(counts, key=lambda lam: (lam.order, lam.exponent))
+    distinct = sorted(counts)
     return [(lam,) for lam in distinct] + [
         (a, b)
         for i, a in enumerate(distinct)
@@ -191,22 +190,22 @@ def even_certificate(p: int) -> dict:
     if not profile.indefinite:
         raise InvariantViolation(f"window selector {ell} is not indefinite at level {p}")
     lams = eigenvalue_tuple(p, ell)
-    product = math.prod(lams[1:], start=lams[0])
-    if lams[1].multiplicative_order() != 2 * p:
+    product = sum(lams)
+    if math.gcd(lams[1], 2 * p) != 1:
         raise InvariantViolation(f"z = A^(2k+1) is not primitive at level {p}")
 
     licensed, license_note = _irreducibility_asserted(p)
     span_pattern = Counter((lams[0], lams[2]))
-    class_signs: dict[RootOfUnity, set[int]] = {}
+    class_signs: dict[int, set[int]] = {}
     for lam, sign in zip(lams, profile.diagonal_signs):
         class_signs.setdefault(lam, set()).add(sign)
     cases: list[dict] = []
     failures: list[str] = []
 
     for subset in _distinct_submultisets(lams):
-        label = "{" + ", ".join(str(lam) for lam in subset) + "}"
-        multiset = sorted(str(lam) for lam in subset)
-        if scalar_obstruction(product, subset) == SCALAR_OBSTRUCTED:
+        label = "{" + ", ".join(_root_text(lam, p) for lam in subset) + "}"
+        multiset = sorted(_root_text(lam, p) for lam in subset)
+        if scalar_obstruction(p, product, subset) == SCALAR_OBSTRUCTED:
             cases.append({"multiset": multiset, "resolution": SCALAR_OBSTRUCTED})
             continue
         # Only the span case can survive the scalar test.  Its partner

@@ -250,8 +250,9 @@ def cmd_veech(args) -> dict:
     if args.format == "json":
         text, total_area = veech.flat_surface_json(graph, data)
         rectangles = _JSONText(text)
-    else:
-        rectangles, total_area = veech.flat_surface(graph, data)
+    else:  # a table prints only the number of rectangles and their total area
+        rectangles = sum(count for _i, _j, count in graph.points)
+        total_area = veech._area(graph, data.v)
     result = {
         "m": graph.m,
         "k": graph.k,
@@ -284,7 +285,7 @@ def _print_veech_table(report: dict, quiet: bool) -> None:
             for key in ("dt_c", "dt_d")
         )
         print(f"DT_c = {dt_c}, DT_d = {dt_d}")
-        print(f"{len(result['rectangles'])} rectangles, total area {result['total_area']:.12g}")
+        print(f"{result['rectangles']} rectangles, total area {result['total_area']:.12g}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Exact arithmetic with roots of unity, and the twist eigenvalues.
+"""Twist eigenvalues as exponents of one root of unity, and the residue-sign rule.
 
-A root of unity zeta_N^e is stored as the pair (order N, exponent e mod N);
-products, powers, orders and equality tests are modular arithmetic on the
-exponents and never touch floating point.  Equality across different orders
-is decided at the least common multiple of the orders; the stored pair is
-deliberately not reduced, so exponent identities stay transparent.
+At level p every twist eigenvalue is a power of zeta_2p, so the package
+holds it as its exponent mod 2p (``twist_exponent``): products are sums,
+quotients differences, and the multiplicative order of zeta_2p^e is
+2p / gcd(2p, e).  ``RootOfUnity`` is the (order, exponent) pair that names
+the closure probe's parameter q = zeta_N^e.
 
 The sign of sin(2*pi*m/p) is decided exactly by the position of the residue
 m mod p in (0, p) (``_sin_sign``); ``hermitian`` takes every factor sign of
@@ -20,8 +20,10 @@ from .blocks import in_palette
 from .errors import InvalidColor, NonPrimitiveRoot
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RootOfUnity:
+    """zeta_order^exponent, with the exponent reduced mod the order."""
+
     order: int
     exponent: int
 
@@ -29,48 +31,6 @@ class RootOfUnity:
         if self.order < 1:
             raise ValueError(f"order must be positive, got {self.order}")
         object.__setattr__(self, "exponent", self.exponent % self.order)
-
-    def _canonical(self) -> tuple[int, int]:
-        g = math.gcd(self.exponent, self.order)
-        return (self.order // g, (self.exponent // g) % (self.order // g))
-
-    def __eq__(self, other):
-        if not isinstance(other, RootOfUnity):
-            return NotImplemented
-        l = math.lcm(self.order, other.order)
-        return (self.exponent * (l // self.order)) % l == (
-            other.exponent * (l // other.order)
-        ) % l
-
-    def __hash__(self):
-        return hash(self._canonical())
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        l = math.lcm(self.order, other.order)
-        return RootOfUnity(
-            l, self.exponent * (l // self.order) + other.exponent * (l // other.order)
-        )
-
-    def __pow__(self, m: int) -> "RootOfUnity":
-        """zeta_N^(e*m mod N); m may be negative."""
-        return RootOfUnity(self.order, (self.exponent * m) % self.order)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.order, -self.exponent)
-
-    def multiplicative_order(self) -> int:
-        return self.order // math.gcd(self.order, self.exponent)
-
-    def __str__(self) -> str:
-        if self.exponent == 0:
-            return "1"
-        return f"zeta_{self.order}^{self.exponent}"
-
-    @classmethod
-    def minus_one(cls, order: int) -> "RootOfUnity":
-        if order % 2:
-            raise ValueError("-1 needs an even order")
-        return cls(order, order // 2)
 
 
 def _sin_sign(m: int, p: int) -> int:
@@ -87,14 +47,15 @@ def _check_selector(ell: int, p: int) -> None:
         raise NonPrimitiveRoot(f"gcd({ell}, {2 * p}) != 1: selector is not primitive")
 
 
-def twist_eigenvalue(a: int, p: int, ell: int = 1) -> RootOfUnity:
-    """Eigenvalue (-1)^a A^(a(a+2)) of a twist on a color-a edge, A = zeta_2p^ell.
+def twist_exponent(a: int, p: int, ell: int = 1) -> int:
+    """Exponent e in 0..2p-1 of zeta_2p for the twist eigenvalue (-1)^a A^(a(a+2))
+    on a color-a edge, A = zeta_2p^ell.
 
     The sign is folded in as an exponent shift by p, so the whole eigenvalue
-    lives in one root of unity of order 2p.
+    lives in the one root of unity of order 2p.
     """
     if not in_palette(a, p):
         raise InvalidColor(f"color {a} is not in the level-{p} palette")
     _check_selector(ell, p)
     shift = p if a % 2 else 0
-    return RootOfUnity(2 * p, ell * a * (a + 2) + shift)
+    return (ell * a * (a + 2) + shift) % (2 * p)

@@ -273,24 +273,6 @@ def _area(g: ConfigurationGraph, v: tuple[float, ...]) -> float:
     return area
 
 
-def flat_surface(g: ConfigurationGraph, data: PerronData) -> tuple[list[dict], float]:
-    """One rectangle per intersection point, sized by the Perron vector of g,
-    and their total area.
-
-    Each rectangle is the report record ``{id, c_component, d_component,
-    width, height}``.  Point ids run over ``g.points`` in order, row-major,
-    one per unit of each count.  How the rectangles glue along a
-    component depends on the order in which it meets its points, which the
-    intersection numbers do not record, so no gluing is reported.
-    """
-    v, m = data.v, g.m
-    rectangles = [
-        {"id": n, "c_component": i, "d_component": j, "width": v[i], "height": v[m + j]}
-        for n, (i, j) in enumerate(_units(g))
-    ]
-    return rectangles, _area(g, v)
-
-
 # One rectangle record as an item of the list, as
 # json.dumps(..., sort_keys=True, indent=2) writes it at depth 0.
 _RECTANGLE_JSON = (
@@ -300,10 +282,17 @@ _RECTANGLE_JSON = (
 
 
 def flat_surface_json(g: ConfigurationGraph, data: PerronData) -> tuple[str, float]:
-    """The JSON text of the rectangle list of ``flat_surface``, exactly
-    ``json.dumps(rectangles, sort_keys=True, indent=2)``, and the same total
-    area.  The text is written straight from the points, each side length
-    formatted once; v > 0 is finite, so every float is its ``repr``."""
+    """One rectangle per intersection point, sized by the Perron vector of g,
+    as JSON text, and their total area.
+
+    Each rectangle is the record ``{id, c_component, d_component, width,
+    height}``, and the text is exactly ``json.dumps(records, sort_keys=True,
+    indent=2)``.  Point ids run over ``g.points`` in order, row-major, one per
+    unit of each count.  How the rectangles glue along a component depends
+    on the order in which it meets its points, which the intersection
+    numbers do not record, so no gluing is reported.  The text is written
+    straight from the points, each side length formatted once; v > 0 is
+    finite, so every float is its ``repr``."""
     m = g.m
     sides = [float.__repr__(x) for x in data.v]
     items = [

@@ -13,8 +13,11 @@ elimination in ``Fraction`` entries is the oracle for the class, which the
 package decides on integer pairs, and ``random_connected_bipartite`` draws
 small graphs for the corpus tests.  The named families built from edge
 lists by a BFS 2-colouring are the oracle for the family builders, which
-write their points directly, and the orbit list as JSON records the oracle
-for the JSON text written from side pairs.
+write their points directly, the orbit list as JSON records the oracle
+for the JSON text written from side pairs, and the rectangle records the
+oracle for the rectangle text.  Twist eigenvalues as angles, exact
+``Fraction`` turns mod 1, are the oracle for the certificate routes, which
+decide on exponents mod 2p.
 """
 
 import heapq
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from quantcert.blocks import ColoredGraph, block_dimension, level_colors
+from quantcert.blocks import ColoredGraph, block_dimension, level_colors, tadpole_basis
 from quantcert.errors import InvalidGraph
 from quantcert.orbits import orbit_types
 from quantcert.veech import CRITICAL, DOMINANT, RECESSIVE, ConfigurationGraph
@@ -206,6 +209,20 @@ def enumerate_orbits(g: int, n: int, labeled: bool = False) -> list[dict]:
     return out
 
 
+def flat_surface(g: ConfigurationGraph, data) -> tuple[list[dict], float]:
+    """One ``{id, c_component, d_component, width, height}`` record per
+    intersection point, ids over ``g.points`` in order, one per unit of each
+    count, and their total area, summed record by record; json.dumps of the
+    records is the oracle of the text ``veech.flat_surface_json`` writes."""
+    v, m = data.v, g.m
+    units = ((i, j) for i, j, count in g.points for _ in range(count))
+    rectangles = [
+        {"id": n, "c_component": i, "d_component": j, "width": v[i], "height": v[m + j]}
+        for n, (i, j) in enumerate(units)
+    ]
+    return rectangles, sum(r["width"] * r["height"] for r in rectangles)
+
+
 def adjacency(g) -> np.ndarray:
     """Dense multigraph adjacency of a configuration graph, size m + k."""
     m = g.m
@@ -253,6 +270,28 @@ def selector_window(p: int) -> tuple[int, ...]:
     return tuple(
         ell for ell in range(1, 2 * k, 2) if 3 * ell > 4 * k and math.gcd(ell, 2 * p) == 1
     )
+
+
+def twist_turn(a: int, p: int, ell: int = 1) -> Fraction:
+    """The twist eigenvalue (-1)^a A^(a(a+2)), A = exp(2 pi i ell/2p), as its
+    angle in turns: a/2 + ell a (a+2)/2p mod 1.  Its order is the denominator."""
+    return (Fraction(a, 2) + Fraction(ell * a * (a + 2), 2 * p)) % 1
+
+
+def odd_block(q: int) -> tuple[tuple[int, ...], Fraction]:
+    """Loop colors (a, b) of the 2-dimensional block at (level q, tail q - 5)
+    and the turn of its Burau parameter -mu_b/mu_a; the order of the negated
+    parameter is the denominator of that turn plus 1/2."""
+    basis = tadpole_basis(q - 5, q)
+    a, b = basis
+    return basis, (Fraction(1, 2) + twist_turn(b, q) - twist_turn(a, q)) % 1
+
+
+def eigenvalue_turns(p: int, ell: int) -> tuple[Fraction, ...]:
+    """Turns of mu_(k-3..k+1)/mu_(k-1) at p = 4k: the even route's tuple."""
+    k = p // 4
+    base = twist_turn(k - 1, p, ell)
+    return tuple((twist_turn(a, p, ell) - base) % 1 for a in range(k - 3, k + 2))
 
 
 def theta_graph() -> ColoredGraph:

@@ -26,7 +26,7 @@ from oracles import (
     theta_graph,
 )
 from quantcert import blocks, burau, certify, hermitian, orbits, veech
-from quantcert.roots import RootOfUnity, twist_eigenvalue
+from quantcert.roots import RootOfUnity, twist_exponent
 
 
 def _report(number: int, label: str) -> None:
@@ -98,19 +98,20 @@ def test_criterion_03_signature_anchor():
 def test_criterion_04_scalar_obstructions():
     """At p = 16, ell = 1: every singleton case is obstructed; the only
     surviving pair multiset is {-zeta^4, 1}; the pair {zeta, -zeta} is
-    obstructed by exponent arithmetic."""
+    obstructed by exponent arithmetic mod 2p = 32."""
     lams = certify.eigenvalue_tuple(16, 1)
-    product = math.prod(lams[1:], start=lams[0])
+    product = sum(lams)
     for lam in lams:
-        assert certify.scalar_obstruction(product, (lam,)) == certify.SCALAR_OBSTRUCTED
+        assert certify.scalar_obstruction(16, product, (lam,)) == certify.SCALAR_OBSTRUCTED
     survivors = set()
     for i in range(5):
         for j in range(i + 1, 5):
             pair = (lams[i], lams[j])
-            if certify.scalar_obstruction(product, pair) == certify.SURVIVES:
+            if certify.scalar_obstruction(16, product, pair) == certify.SURVIVES:
                 survivors.add(frozenset(pair))
     assert survivors == {frozenset({lams[0], lams[2]})}  # the {-zeta^4, 1} class
-    assert certify.scalar_obstruction(product, (lams[1], lams[3])) == (
+    assert (lams[0], lams[2]) == (20, 0)  # -zeta^4 = zeta_32^20
+    assert certify.scalar_obstruction(16, product, (lams[1], lams[3])) == (
         certify.SCALAR_OBSTRUCTED
     )
     _report(4, "scalar obstructions at (p, ell) = (16, 1)")
@@ -123,11 +124,13 @@ def test_criterion_05_burau_oracle_equivalence():
     start = time.monotonic()
     for n in (2, 3, 4, 5):
         q = RootOfUnity(2 * n, n + 2)  # -q = zeta_n
+        assert burau.minus_q_order(q) == n
         result = burau.burau_closure_oracle(q, 10000)
         assert isinstance(result, burau.FiniteOfOrder), n
         assert burau.burau_is_finite(n)
     for n in (7, 9, 11):
         q = RootOfUnity(2 * n, n + 2)
+        assert burau.minus_q_order(q) == n
         result = burau.burau_closure_oracle(q, 5000)
         assert isinstance(result, burau.ExceedsCap), n
         assert not burau.burau_is_finite(n)
@@ -242,8 +245,7 @@ def test_criterion_10_twist_orders():
     """max over colors of the twist eigenvalue order divides 2p for 5 <= p <= 100."""
     for p in range(5, 101):
         orders = [
-            twist_eigenvalue(a, p).multiplicative_order()
-            for a in blocks.level_colors(p)
+            2 * p // math.gcd(2 * p, twist_exponent(a, p)) for a in blocks.level_colors(p)
         ]
         assert all(2 * p % order == 0 for order in orders)
         assert 2 * p % max(orders) == 0

@@ -18,6 +18,8 @@ from quantcert.blocks import (
     ColoredGraph,
     _admissible,
     _fits,
+    _geometry,
+    _loop_positions,
     block_dimension,
     block_dimension_bruteforce,
     in_palette,
@@ -27,7 +29,7 @@ from quantcert.blocks import (
     tadpole_graph,
 )
 from quantcert.errors import GraphParseError, InvalidColor, InvalidGraph
-from quantcert.roots import twist_eigenvalue
+from quantcert.roots import twist_exponent
 
 
 class TestLevelColors:
@@ -73,7 +75,7 @@ class TestInPalette:
         with pytest.raises(ValueError, match="level must be at least 5"):
             tadpole_basis(0, p)
         with pytest.raises(ValueError, match="level must be at least 5"):
-            twist_eigenvalue(0, p)
+            twist_exponent(0, p)
 
 
 class TestIsAdmissible:
@@ -148,9 +150,17 @@ class TestBlockDimension:
         assert block_dimension(tadpole_graph(0), 7) == 3
 
     def test_dimension_equals_basis_length(self):
-        for p in (5, 7, 9, 16, 20):
+        for p in (5, 7, 9, 16, 20, 799, 800):
             for i in level_colors(p):
                 assert block_dimension(tadpole_graph(i), p) == len(tadpole_basis(i, p))
+
+    def test_h_is_the_tadpole_basis_length_at_every_position(self):
+        """The h that ``block_dimension`` builds from the loop-position rule is
+        len(tadpole_basis) at every palette position."""
+        for p in range(5, 801):
+            bound, step, _ = _geometry(p)
+            h = [len(_loop_positions(x, bound, step)) for x in range(bound // 2 + 1)]
+            assert h == [len(tadpole_basis(c, p)) for c in level_colors(p)], p
 
     def test_out_of_palette_tail_gives_zero(self):
         assert block_dimension(tadpole_graph(3), 7) == 0

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from oracles import selector_window
+from oracles import eigenvalue_turns, odd_block, selector_window
 from quantcert import certify
 from quantcert.certify import (
     FORM_INDEFINITE_ON_SPAN,
@@ -11,7 +12,6 @@ from quantcert.certify import (
     ROUTE_UNCERTIFIED,
     SCALAR_OBSTRUCTED,
     SURVIVES,
-    _odd_block,
     certify_level,
     eigenvalue_tuple,
     even_certificate,
@@ -19,38 +19,31 @@ from quantcert.certify import (
     odd_part,
     scalar_obstruction,
 )
-from quantcert.burau import burau_is_finite, minus_q_order
-from quantcert.errors import NonPrimitiveRoot
-from quantcert.roots import RootOfUnity
+from quantcert.errors import InvariantViolation, NonPrimitiveRoot
+from quantcert.roots import twist_exponent
 
 
 def closed_form_tuple(p, ell):
-    """(-z^4, z, 1, -z, -z^4) with z = A^(2k+1), written out by hand."""
+    """(-z^4, z, 1, -z, -z^4) with z = A^(2k+1), as exponents of zeta_2p, by hand."""
     k = p // 4
     n, e = 2 * p, ell * (2 * k + 1)  # -1 = zeta_2p^p
-    return (
-        RootOfUnity(n, 4 * e + p),
-        RootOfUnity(n, e),
-        RootOfUnity(n, 0),
-        RootOfUnity(n, e + p),
-        RootOfUnity(n, 4 * e + p),
-    )
+    return tuple(x % n for x in (4 * e + p, e, 0, e + p, 4 * e + p))
 
 
-def assert_same_tuple(got, want):
-    assert got == want
-    assert [str(lam) for lam in got] == [str(lam) for lam in want]
+def minus_parameter_order(turn):
+    """Order of the negated Burau parameter, from its turn."""
+    return ((turn + Fraction(1, 2)) % 1).denominator
 
 
 class TestEigenvalueTuple:
     def test_middle_eigenvalue_is_one(self):
         lams = eigenvalue_tuple(16, 1)
-        assert lams[2].exponent == 0
+        assert lams[2] == 0
 
     def test_lambda0_value(self):
-        # zeta = zeta_32^9; -zeta^4 = zeta_32^(4 + 16) = zeta_32^20
+        # zeta = zeta_32^9; -zeta^4 = zeta_32^(36 + 16) = zeta_32^20
         lams = eigenvalue_tuple(16, 1)
-        assert lams[0] == RootOfUnity(32, 20)
+        assert lams[0] == 20
 
     def test_ends_agree_everywhere(self):
         for p in (16, 20, 28, 40):
@@ -61,17 +54,13 @@ class TestEigenvalueTuple:
                 assert lams[0] == lams[4]
 
     def test_product_power_identity(self):
-        """(lambda_0 ... lambda_4)^6 = zeta^60 as an exponent identity."""
+        """(lambda_0 ... lambda_4)^6 = zeta^60 as an exponent identity mod 2p."""
         for p in (16, 20, 28, 40, 48):
             for ell in (1, 7, 11):
                 if math.gcd(ell, 2 * p) != 1:
                     continue
                 lams = eigenvalue_tuple(p, ell)
-                product = lams[0]
-                for lam in lams[1:]:
-                    product = product * lam
-                zeta = lams[1]
-                assert product**6 == zeta**60
+                assert (6 * sum(lams) - 60 * lams[1]) % (2 * p) == 0
 
     def test_rescaling_root_is_primitive(self):
         # gcd(8k, 2k+1) = 1, so zeta = A^(2k+1) is again primitive of order 2p
@@ -79,18 +68,26 @@ class TestEigenvalueTuple:
             assert math.gcd(8 * k, 2 * k + 1) == 1
             p = 4 * k
             if k >= 4:
-                assert eigenvalue_tuple(p, 1)[1].multiplicative_order() == 2 * p
+                assert math.gcd(eigenvalue_tuple(p, 1)[1], 2 * p) == 1
 
     def test_matches_closed_form_for_every_primitive_selector(self):
         for p in range(16, 201, 4):
             for ell in range(1, 2 * p, 2):
                 if math.gcd(ell, 2 * p) == 1:
-                    assert_same_tuple(eigenvalue_tuple(p, ell), closed_form_tuple(p, ell))
+                    assert eigenvalue_tuple(p, ell) == closed_form_tuple(p, ell)
 
     def test_matches_closed_form_at_the_first_window_selector(self):
         for p in range(16, 2001, 4):
             ell = selector_window(p)[0]
-            assert_same_tuple(eigenvalue_tuple(p, ell), closed_form_tuple(p, ell))
+            assert eigenvalue_tuple(p, ell) == closed_form_tuple(p, ell)
+
+    def test_matches_the_turn_oracle(self):
+        """Each exponent e in 0..2p-1 is the turn e/2p of the angle oracle."""
+        for p in range(16, 2001, 4):
+            for ell in {1, selector_window(p)[0], p // 2 - 1, 2 * p - 1}:
+                lams = eigenvalue_tuple(p, ell)
+                assert all(0 <= e < 2 * p for e in lams)
+                assert tuple(Fraction(e, 2 * p) for e in lams) == eigenvalue_turns(p, ell)
 
     @pytest.mark.parametrize("p", [12, 8, 4, 18, 30, 17])
     def test_level_must_be_4k_with_k_at_least_4(self, p):
@@ -118,32 +115,32 @@ class TestEigenvalueTuple:
 
 
 def tuple_and_product(p, ell):
-    """The eigenvalue tuple and the product that ``scalar_obstruction`` takes."""
+    """The eigenvalue tuple and the product exponent that ``scalar_obstruction`` takes."""
     lams = eigenvalue_tuple(p, ell)
-    return lams, math.prod(lams[1:], start=lams[0])
+    return lams, sum(lams)
 
 
 class TestScalarObstruction:
     def test_singleton_identity_case(self):
         lams, product = tuple_and_product(16, 1)
-        assert scalar_obstruction(product, (lams[2],)) == SCALAR_OBSTRUCTED
+        assert scalar_obstruction(16, product, (lams[2],)) == SCALAR_OBSTRUCTED
 
     def test_span_pattern_survives_identically(self):
         lams, product = tuple_and_product(16, 1)
-        assert scalar_obstruction(product, (lams[0], lams[2])) == SURVIVES
+        assert scalar_obstruction(16, product, (lams[0], lams[2])) == SURVIVES
 
     def test_double_end_pair_obstructed(self):
         lams, product = tuple_and_product(16, 1)
-        assert scalar_obstruction(product, (lams[0], lams[4])) == SCALAR_OBSTRUCTED
+        assert scalar_obstruction(16, product, (lams[0], lams[4])) == SCALAR_OBSTRUCTED
 
     def test_middle_pair_obstructed_when_zeta60_nontrivial(self):
         lams, product = tuple_and_product(16, 1)
-        assert scalar_obstruction(product, (lams[1], lams[3])) == SCALAR_OBSTRUCTED
+        assert scalar_obstruction(16, product, (lams[1], lams[3])) == SCALAR_OBSTRUCTED
 
     def test_all_singletons_obstructed_at_16_1(self):
         lams, product = tuple_and_product(16, 1)
         for lam in lams:
-            assert scalar_obstruction(product, (lam,)) == SCALAR_OBSTRUCTED
+            assert scalar_obstruction(16, product, (lam,)) == SCALAR_OBSTRUCTED
 
     def test_pair_survivors_at_16_1_are_exactly_the_span_pattern(self):
         lams, product = tuple_and_product(16, 1)
@@ -151,36 +148,53 @@ class TestScalarObstruction:
         survivors = set()
         for i in range(5):
             for j in range(i + 1, 5):
-                if scalar_obstruction(product, (lams[i], lams[j])) == SURVIVES:
+                if scalar_obstruction(16, product, (lams[i], lams[j])) == SURVIVES:
                     survivors.add(frozenset({lams[i], lams[j]}))
         assert survivors == {frozenset(span)}
+
+    def test_matches_the_identity_on_turns(self):
+        """(prod lambda)^(6|S|) = (prod_S lambda)^30, decided on the turn oracle."""
+        for p in range(16, 401, 4):
+            ell = selector_window(p)[0]
+            lams, product = tuple_and_product(p, ell)
+            turns = eigenvalue_turns(p, ell)
+            for subset in [(i,) for i in range(5)] + [
+                (i, j) for i in range(5) for j in range(i, 5)
+            ]:
+                lhs, rhs = 6 * len(subset) * sum(turns), 30 * sum(turns[i] for i in subset)
+                holds = (lhs - rhs) % 1 == 0
+                want = SURVIVES if holds else SCALAR_OBSTRUCTED
+                got = scalar_obstruction(p, product, tuple(lams[i] for i in subset))
+                assert got == want, (p, subset)
 
     def test_size_validated(self):
         lams, product = tuple_and_product(16, 1)
         with pytest.raises(ValueError):
-            scalar_obstruction(product, lams[:3])
+            scalar_obstruction(16, product, lams[:3])
+        with pytest.raises(ValueError):
+            scalar_obstruction(16, product, ())
 
 
 class TestOddCertificate:
     def test_parameter_matches_closed_form(self):
         # -A^(-2) when q = 1 mod 4, -A^2 when q = 3 mod 4, with A = zeta_2q
         for q in range(7, 2000, 2):
-            want = RootOfUnity(2 * q, q - 2 if q % 4 == 1 else q + 2)
-            got = _odd_block(q)[1]
-            assert got == want and str(got) == str(want), q
+            basis, turn = odd_block(q)
+            assert turn == Fraction(q - 2 if q % 4 == 1 else q + 2, 2 * q), q
+            a, b = basis
+            assert Fraction(q + twist_exponent(b, q) - twist_exponent(a, q), 2 * q) % 1 == turn
 
     def test_p7(self):
         cert = odd_certificate(7)
         assert cert["route"] == ROUTE_ODD
         assert cert["boundary_color"] == 2
-        basis, parameter = _odd_block(7)
+        basis, turn = odd_block(7)
         assert basis == (2, 4)
-        assert minus_q_order(parameter) == 7
-        assert not burau_is_finite(minus_q_order(parameter))
+        assert minus_parameter_order(turn) == 7
 
     def test_p9(self):
         assert odd_certificate(9)["route"] == ROUTE_ODD
-        assert _odd_block(9)[0] == (2, 4)
+        assert odd_block(9)[0] == (2, 4)
 
     def test_p5_uncertified(self):
         assert odd_certificate(5)["route"] == ROUTE_UNCERTIFIED
@@ -195,10 +209,21 @@ class TestOddCertificate:
             cert = odd_certificate(p)
             q = odd_part(p)
             assert cert["odd_part"] == q
-            parameter = _odd_block(q)[1]
-            assert minus_q_order(parameter) == q
-            minus = RootOfUnity(2, 1) * parameter
-            assert minus.multiplicative_order() == q
+            assert minus_parameter_order(odd_block(q)[1]) == q
+
+    def test_every_odd_level_to_19999_agrees_with_the_turn_oracle(self):
+        """The oracle's block is 2-dimensional with -parameter of order q, and
+        the certificate, which checks the same order on exponents, is odd."""
+        for q in range(7, 20000, 2):
+            basis, turn = odd_block(q)
+            assert len(basis) == 2 and minus_parameter_order(turn) == q, q
+            want = {"p": q, "route": ROUTE_ODD, "odd_part": q, "boundary_color": q - 5}
+            assert odd_certificate(q) == want, q
+
+    def test_order_check_fires_on_a_wrong_exponent(self, monkeypatch):
+        monkeypatch.setattr(certify, "twist_exponent", lambda a, p, ell=1: 0)
+        with pytest.raises(InvariantViolation, match="order 1, expected 7"):
+            odd_certificate(7)
 
 
 class TestEvenCertificate:

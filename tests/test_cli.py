@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_connected_bipartite
-from quantcert import cli, errors, orbits
+from oracles import flat_surface, random_connected_bipartite
+from quantcert import cli, errors, orbits, veech
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
 from test_orbits import no_enumeration
 
@@ -321,8 +321,9 @@ class TestJsonDiscipline:
 
     def test_veech_rectangles_text_matches_the_records(self, capsys):
         """A JSON veech request writes its rectangle list as text; the report
-        a table request builds, with one record per rectangle, dumped by
-        json, is its oracle, floats and total area included."""
+        a table request builds, which counts the rectangles, with the count
+        replaced by the oracle's records and dumped by json, is its oracle,
+        floats and total area included."""
         families = {
             "A": (2, 3, 5, 17, 2000),
             "D": (4, 5, 9, 2000),
@@ -348,7 +349,14 @@ class TestJsonDiscipline:
             code, out, err = run(capsys, "--format", "json", "veech", *argv)
             assert (code, err) == (EXIT_OK, ""), argv
             report = cli.cmd_veech(cli._PARSER.parse_args(["veech", *argv]))
-            assert isinstance(report["results"]["rectangles"], list)
+            if argv[0] == "--inter":
+                graph = veech.parse_intersections(argv[1], argv[3] if len(argv) > 2 else "")
+            else:
+                graph = veech.parse_config_spec(argv[0])
+            records, total_area = flat_surface(graph, veech.perron(graph))
+            results = report["results"]
+            assert (results["rectangles"], results["total_area"]) == (len(records), total_area)
+            results["rectangles"] = records
             assert out == json.dumps(report, sort_keys=True, indent=2) + "\n", argv
 
     def test_exact_fields_are_integers(self, capsys):

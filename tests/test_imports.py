@@ -2,7 +2,10 @@
 every public name it defines is read by the package or the benchmark."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,6 +57,38 @@ def test_numpy_is_imported_only_by_burau_or_inside_veech_perron():
     """Module level only in ``burau``, inside a function only in ``veech.perron``."""
     sites = {site for path in SOURCES for site in _numpy_import_sites(path)}
     assert sites <= {("burau", None), ("veech", "perron")}
+
+
+#: after the request, print whether numpy was loaded
+_LOADS_NUMPY = """
+import contextlib, io, json, sys
+from quantcert.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "1..50"],
+        ["orbits", "3", "2"],
+        ["blocks", "vertices=2; edges=1-2,1-2,1-2", "--level", "9"],
+        ["--format", "json", "blocks", "tadpole", "--tail", "2", "--level", "16"],
+    ],
+)
+def test_request_loads_no_numpy(argv):
+    """The package imports each submodule only when a caller does, and only
+    ``burau`` and ``veech.perron`` import numpy, which these requests never reach."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS_NUMPY, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=60,
+    )
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
 
 
 def test_pyproject_lists_only_numpy():

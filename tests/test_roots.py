@@ -1,9 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from oracles import twist_turn
+from quantcert.blocks import level_colors
 from quantcert.errors import InvalidColor, NonPrimitiveRoot
-from quantcert.roots import RootOfUnity, _check_selector, _sin_sign, twist_eigenvalue
+from quantcert.roots import RootOfUnity, _check_selector, _sin_sign, twist_exponent
 
 
 def quantum_integer_sign(n, p, ell):
@@ -16,45 +19,9 @@ class TestRootOfUnity:
     def test_exponent_reduced_on_construction(self):
         assert RootOfUnity(32, 540).exponent == 28
         assert RootOfUnity(10, -3).exponent == 7
-
-    def test_equality_across_orders(self):
-        assert RootOfUnity(4, 1) == RootOfUnity(8, 2)
-        assert RootOfUnity(4, 1) != RootOfUnity(8, 3)
-        assert RootOfUnity(6, 3) == RootOfUnity(2, 1)
-        assert hash(RootOfUnity(4, 1)) == hash(RootOfUnity(8, 2))
-
-    def test_product_at_lcm(self):
-        z = RootOfUnity(4, 1) * RootOfUnity(6, 1)
-        assert z == RootOfUnity(12, 5)
-
-    def test_inverse_and_order(self):
-        z = RootOfUnity(10, 8)
-        assert (z * z.inverse()).exponent == 0
-        assert z.multiplicative_order() == 5
-
-    def test_minus_one(self):
-        assert RootOfUnity.minus_one(10) == RootOfUnity(2, 1)
-
-
-class TestRootPow:
-    def test_pow_reduces_modulo_order(self):
-        assert RootOfUnity(32, 9) ** 60 == RootOfUnity(32, 28)
-
-    def test_pow_zero_is_identity(self):
-        assert RootOfUnity(32, 9) ** 0 == RootOfUnity(32, 0)
-
-    def test_pow_hits_minus_one(self):
-        # 21 * 120 = 2520 = 40 mod 80, which is -1, not 1
-        z = RootOfUnity(80, 21) ** 120
-        assert z == RootOfUnity(80, 40)
-        assert z.exponent != 0
-        assert z == RootOfUnity.minus_one(80)
-
-    def test_group_action(self):
-        z = RootOfUnity(48, 7)
-        for m in (-3, 0, 5, 11):
-            for mp in (-2, 4, 9):
-                assert (z**m) ** mp == z ** (m * mp)
+        assert RootOfUnity(10, -3) == RootOfUnity(10, 7)
+        with pytest.raises(ValueError):
+            RootOfUnity(0, 1)
 
 
 class TestQuantumIntegerSign:
@@ -111,29 +78,36 @@ class TestQuantumIntegerSign:
 class TestTwistEigenvalue:
     def test_color_zero_is_trivial(self):
         for p in (5, 7, 16):
-            assert twist_eigenvalue(0, p) == RootOfUnity(2 * p, 0)
+            assert twist_exponent(0, p) == 0
 
     def test_even_color(self):
         # a(a+2) = 8; the even color's sign +1 adds no shift
-        ev = twist_eigenvalue(2, 5)
-        assert ev == RootOfUnity(10, 8)
-        assert ev * RootOfUnity(10, -8) == RootOfUnity(10, 0)
+        assert twist_exponent(2, 5) == 8
 
     def test_odd_color_folds_sign(self):
-        # a(a+2) = 15; the odd color's sign -1 is an exponent shift by p = 16
-        ev = twist_eigenvalue(3, 16)
-        assert ev == RootOfUnity(32, 31)
-        assert ev * RootOfUnity(32, -15) == RootOfUnity.minus_one(32)
+        # a(a+2) = 15; the odd color's sign -1 is an exponent shift by p = 16,
+        # so the eigenvalue over zeta_32^15 is zeta_32^16 = -1
+        assert twist_exponent(3, 16) == 31
+        assert (twist_exponent(3, 16) - 15) % 32 == 16
 
     def test_invalid_color(self):
         with pytest.raises(InvalidColor):
-            twist_eigenvalue(1, 7)  # odd color at odd level
+            twist_exponent(1, 7)  # odd color at odd level
         with pytest.raises(InvalidColor):
-            twist_eigenvalue(7, 16)  # beyond the even palette
+            twist_exponent(7, 16)  # beyond the even palette
+
+    def test_matches_the_turn_oracle(self):
+        for p in range(5, 101):
+            for ell in (1, 3, 7, 2 * p - 1):
+                if math.gcd(ell, 2 * p) == 1:
+                    for a in level_colors(p):
+                        e = twist_exponent(a, p, ell)
+                        assert 0 <= e < 2 * p
+                        assert Fraction(e, 2 * p) == twist_turn(a, p, ell), (a, p, ell)
 
 
 def twist_order(a, p):
-    return twist_eigenvalue(a, p).multiplicative_order()
+    return 2 * p // math.gcd(2 * p, twist_exponent(a, p))
 
 
 class TestTwistOrder:
@@ -143,8 +117,7 @@ class TestTwistOrder:
         assert twist_order(2, 16) == 4
 
     def test_divides_2p_everywhere(self):
-        from quantcert.blocks import level_colors
-
         for p in range(5, 101):
             for a in level_colors(p):
                 assert 2 * p % twist_order(a, p) == 0
+                assert twist_order(a, p) == twist_turn(a, p).denominator

@@ -16,6 +16,7 @@ from oracles import (
     classify_by_fractions,
     dense_graph,
     family_from_edges,
+    flat_surface,
     graph_from_edges,
     intersection_matrix,
     random_connected_bipartite,
@@ -44,7 +45,7 @@ from quantcert.veech import (
     classify_graph,
     cycle_family,
     exceptional_family,
-    flat_surface,
+    flat_surface_json,
     forked_path_family,
     lattice_certificate,
     multitwist_matrices,
@@ -79,7 +80,7 @@ class TestConfigurationGraph:
         assert g.points == ((0, 0, 2), (0, 1, 1), (1, 1, 3))
         assert g == ConfigurationGraph(2, 2, g.points, (1, 1, 1, 1))
         assert perron(g).mu > 0 and classify_graph(g) == DOMINANT
-        flat_surface(g, perron(g))
+        flat_surface_json(g, perron(g))
         assert set(vars(g)) == {"m", "k", "points", "multiplicities"}
 
     def test_points_outside_the_block_or_negative_rejected(self):
@@ -516,8 +517,9 @@ class TestFlatSurface:
             data = perron(g)
             v = np.asarray(data.v)
             expected = v @ adjacency(g) @ v / 2
-            _, total_area = flat_surface(g, data)
+            _, total_area = flat_surface_json(g, data)
             assert abs(total_area - expected) < 1e-12
+            assert total_area == flat_surface(g, data)[1]
             assert total_area > 0
 
     def test_one_rectangle_per_intersection_unit(self):
@@ -539,17 +541,17 @@ class TestFlatSurface:
         # perron never returns a zero vector, so this is a bug, not bad input
         zero = veech.PerronData(mu=1.0, v=(0.0,) * 3, residual=0.0)
         with pytest.raises(InvariantViolation, match="no area"):
-            flat_surface(path_family(3), zero)
+            flat_surface_json(path_family(3), zero)
 
     def test_area_invariant_under_relabeling(self):
         inter = ((1, 1, 0), (0, 1, 1))
         g = dense_graph(inter, (1,) * 5)
-        base = flat_surface(g, perron(g))[1]
+        base = flat_surface_json(g, perron(g))[1]
         for rows in ((1, 0), (0, 1)):
             for cols in ((2, 1, 0), (1, 0, 2), (0, 2, 1)):
                 permuted = tuple(tuple(inter[i][j] for j in cols) for i in rows)
                 h = dense_graph(permuted, (1,) * 5)
-                assert abs(flat_surface(h, perron(h))[1] - base) < 1e-9
+                assert abs(flat_surface_json(h, perron(h))[1] - base) < 1e-9
 
 
 class TestParsing:
