@@ -11,19 +11,25 @@ broken input rule lives), 3 on any other package error.  ``main`` is the only pl
 maps an error to an exit code.  A reader that closes stdout early (``| head``)
 ends the output, not the command: it still exits 0, with nothing on stderr.
 
-Every integer a request reads is a ``grammar.numeral``.  The argument parser
-is built once, at import; ``main(argv)`` may be called any number of times
-in one process, and each call parses into a fresh namespace, so no flag or
-default carries over from one request to the next.
+Arguments are read by ``_read``: one pass over argv, driven by one table
+per subcommand (its positionals, then its flags, each with a converter), in
+which every integer is a ``grammar.numeral``.  It reads every argv as the
+argparse parser it replaced did (``tests/oracles.build_parser``, the
+differential oracle), except that a value ``--`` stays text where argparse
+stored an empty list.  A reading error is a ``UsageError`` like any other,
+so no request raises ``SystemExit``.  ``main(argv)`` may be called any number
+of times in one process: the tables are constants, and each call reads into
+a fresh namespace, so no flag or default carries over from one request to the next.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__, blocks, certify, orbits, veech
 from .errors import QuantcertError, UsageError
@@ -336,60 +342,211 @@ _TABLE_PRINTERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # --format/--quiet go before or after the subcommand; a flag given after it wins
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
+# ---------------------------------------------------------------------------
+# reading argv
 
-    parser = argparse.ArgumentParser(
-        prog="quantcert",
-        description=(
-            "Exact certificates for quantum twist representations, block "
-            "dimensions, multitwist Veech data and curve-orbit counts."
-        ),
-    )
-    parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--quiet", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: flags every level reads, before or after the subcommand, as flag -> (dest,
+#: converter, required); a switch has no converter, and a choice list is one
+_SHARED = {
+    "-h": ("help", None, False),
+    "--help": ("help", None, False),
+    "--format": ("format", ("table", "json"), False),
+    "--quiet": ("quiet", None, False),
+}
 
-    p_cert = sub.add_parser(
-        "certify", parents=[common], help="infiniteness certificates per level"
-    )
-    p_cert.add_argument("levels", help="a level N or a range N..M")
+#: subcommand -> its positionals as (dest, converter, required), in order,
+#: and its own flags
+_ARGUMENTS = {
+    "certify": ((("levels", str, True),), {}),
+    "blocks": (
+        (("graph", str, True),),
+        {"--tail": ("tail", numeral, False), "--level": ("level", numeral, True)},
+    ),
+    "veech": (
+        (("spec", str, False),),
+        {"--inter": ("inter", str, False), "--mult": ("mult", str, False)},
+    ),
+    "orbits": (
+        (("g", numeral, True), ("n", numeral, True)),
+        {"--labeled": ("labeled", None, False)},
+    ),
+}
 
-    p_blocks = sub.add_parser(
-        "blocks", parents=[common], help="block dimensions on trivalent graphs"
+#: subcommand -> (positionals, every flag it reads, the defaults of what it may leave out)
+_GRAMMAR = {
+    command: (
+        positionals,
+        {**_SHARED, **flags},
+        {
+            dest: False if convert is None else None
+            for dest, convert, required in (*positionals, *flags.values())
+            if not required
+        },
     )
-    p_blocks.add_argument(
-        "graph", help="'tadpole' or 'vertices=n; edges=u-v,...; tails=v:color,...'"
-    )
-    p_blocks.add_argument("--tail", type=numeral, default=None, help="tadpole tail color")
-    p_blocks.add_argument("--level", type=numeral, required=True)
+    for command, (positionals, flags) in _ARGUMENTS.items()
+}
 
-    p_veech = sub.add_parser(
-        "veech", parents=[common], help="Perron data and multitwist classification"
-    )
-    p_veech.add_argument(
-        "spec",
-        nargs="?",
-        default=None,
-        help="A:n, D:n, E:6|7|8, cycle:n, star:n, or c=..; d=..; inter=..; mult=..",
-    )
-    p_veech.add_argument("--inter", default=None, help="(i,j,count),... triples")
-    p_veech.add_argument("--mult", default=None, help="comma list of multiplicities")
+#: what -h and --help print, before or after the subcommand
+_USAGE = """usage: quantcert [options] COMMAND ARGUMENTS [options]
 
-    p_orbits = sub.add_parser(
-        "orbits", parents=[common], help="curve orbit counts and H^2 bounds"
-    )
-    p_orbits.add_argument("g", type=numeral)
-    p_orbits.add_argument("n", type=numeral)
-    p_orbits.add_argument("--labeled", action="store_true")
-    return parser
+Exact certificates for quantum twist representations, block dimensions,
+multitwist Veech data and curve-orbit counts.
+
+commands:
+  certify LEVELS           infiniteness certificates for a level N or a range N..M
+  blocks GRAPH --level N [--tail COLOR]
+                           block dimensions; GRAPH is tadpole, with --tail,
+                           or 'vertices=n; edges=u-v,...; tails=v:color,...'
+  veech [SPEC] [--inter TRIPLES] [--mult LIST]
+                           Perron data and multitwist class of a spec (A:n, D:n,
+                           E:6|7|8, cycle:n, star:n or 'c=..; d=..; inter=..;
+                           mult=..') or of (i,j,count),... triples (- reads stdin)
+  orbits G N [--labeled]   curve orbit counts and H^2 bounds
+
+options, before or after the command (given on both sides, the one after wins):
+  -h, --help               print this text and exit
+  --format {table,json}    output format (default: table)
+  --quiet                  a table prints its summary lines only
+Each option may be written --flag value, --flag=value, or with its name
+shortened to a unique prefix (--f json).
+"""
+
+#: a token that looks like a negative number: a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-#: built once at import; parse_args leaves it unchanged, so every request reuses it
-_PARSER = build_parser()
+def _option(token: str, flags: dict):
+    """``(flag, text joined to it or None)`` when ``token`` names a flag of
+    ``flags``, ``(None, None)`` when it looks like an option of none, and
+    None when it is a value.
+
+    A long flag may be shortened to a unique prefix and take its value after
+    ``=``; ``-h`` may be followed by more ``h``.  A token that starts with
+    ``-`` and names no flag is a value only if it looks like a negative
+    number or holds a blank; ``-`` alone is a value.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    name, eq, explicit = token.partition("=")
+    if eq and name in flags:
+        return name, explicit
+    if token[1] != "-":
+        if token[1] == "h":
+            return "-h", token[2:]
+    else:
+        found = [flag for flag in flags if flag.startswith(name)]
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], explicit if eq else None
+    if " " in token or _NEGATIVE.match(token):
+        return None
+    return None, None
+
+
+def _convert(name: str, convert, text: str):
+    """``text`` as the argument ``name`` reads it: through ``convert``, or
+    checked against it when it lists the choices."""
+    if not callable(convert):
+        if text in convert:
+            return text
+        choices = ", ".join(map(repr, convert))
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return convert(text)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None
+
+
+def _usage(rest: list[str]) -> str:
+    """The text ``--help`` asks for.  An ambiguous flag
+    (``--=x``) before the first ``--`` is an error wherever it stands, even
+    after ``--help``: every token is sorted before any is acted on."""
+    for token in rest:
+        if token == "--":
+            break
+        _option(token, _SHARED)
+    return _USAGE
+
+
+def _read(argv: list[str]) -> SimpleNamespace | str:
+    """The arguments of the request ``argv``, or the usage text it asks for.
+
+    One pass: the first value names the subcommand and the next ones fill
+    its positionals in order; an option takes the next token as its value
+    unless that token is an option too; after the first ``--`` every token
+    is a value, and the ``--`` itself is dropped where it stands next to a
+    positional; a value with no positional left, or an option no level
+    knows, is unrecognized.  Every error raises UsageError at the token that
+    breaks the rule, so a ``--help`` after it is not read; a missing or
+    unrecognized argument is reported once the pass ends.
+    """
+    args: dict = {"format": "table", "quiet": False}
+    flags, positionals, command = _SHARED, (), None
+    extras: list[str] = []
+    filled = 0  # positionals given so far
+    after_positional = marked = False
+    i, end = 0, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        if marked:
+            option = None
+        elif token == "--":
+            if command is None:
+                _convert("command", _GRAMMAR, token)
+            marked = True
+            if not (after_positional or filled < len(positionals)):
+                extras.append(token)
+            continue
+        else:
+            option = _option(token, flags)
+        if option is None:
+            after_positional = command is not None and filled < len(positionals)
+            if command is None:
+                command = args["command"] = _convert("command", _GRAMMAR, token)
+                positionals, flags, defaults = _GRAMMAR[command]
+                args.update(defaults)
+            elif after_positional:
+                dest, convert, _ = positionals[filled]
+                args[dest] = _convert(dest, convert, token)
+                filled += 1
+            else:
+                extras.append(token)
+            continue
+        after_positional = False
+        flag, explicit = option
+        if flag is None:
+            extras.append(token)
+            continue
+        dest, convert, _ = flags[flag]
+        if convert is None:
+            if explicit is not None and (flag != "-h" or explicit.strip("h") or not explicit):
+                raise UsageError(f"argument {flag}: ignored explicit argument {explicit!r}")
+            if dest == "help":
+                return _usage(argv[i:])
+            args[dest] = True
+            continue
+        if explicit is None:
+            if i == end or argv[i] == "--" or _option(argv[i], flags) is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            explicit = argv[i]
+            i += 1
+        args[dest] = _convert(flag, convert, explicit)
+    if command is None:
+        raise UsageError("the following arguments are required: command")
+    missing = [dest for dest, _, required in positionals if required and dest not in args]
+    missing += [
+        flag for flag, (dest, _, required) in flags.items() if required and dest not in args
+    ]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
+
 
 _COMMANDS = {
     "certify": cmd_certify,
@@ -400,8 +557,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _read(sys.argv[1:] if argv is None else argv)
+        if type(args) is str:  # the usage text -h or --help asks for
+            print(args, end="")
+            return EXIT_OK
         report = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,9 +17,11 @@ write their points directly, the orbit list as JSON records the oracle
 for the JSON text written from side pairs, and the rectangle records the
 oracle for the rectangle text.  Twist eigenvalues as angles, exact
 ``Fraction`` turns mod 1, are the oracle for the certificate routes, which
-decide on exponents mod 2p.
+decide on exponents mod 2p, and the argparse parser the CLI once built is
+the oracle for its one-pass argument reader.
 """
 
+import argparse
 import heapq
 import itertools
 import math
@@ -29,6 +31,7 @@ import numpy as np
 
 from quantcert.blocks import ColoredGraph, block_dimension, level_colors, tadpole_basis
 from quantcert.errors import InvalidGraph
+from quantcert.grammar import numeral
 from quantcert.orbits import orbit_types
 from quantcert.veech import CRITICAL, DOMINANT, RECESSIVE, ConfigurationGraph
 
@@ -385,3 +388,58 @@ def sl2_type(x) -> str:
     """Elliptic, parabolic or Anosov as |trace| is below, at or above 2, exactly."""
     t = abs(x[0] + x[3])
     return PARABOLIC if t == 2 else ELLIPTIC if t < 2 else ANOSOV
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI read its arguments with before ``cli._read``:
+    the oracle of the reader, which must give every argv it accepts the same
+    namespace and reject every argv it rejects."""
+    # --format/--quiet go before or after the subcommand; a flag given after it wins
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("table", "json"), default=argparse.SUPPRESS)
+    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
+
+    parser = argparse.ArgumentParser(
+        prog="quantcert",
+        description=(
+            "Exact certificates for quantum twist representations, block "
+            "dimensions, multitwist Veech data and curve-orbit counts."
+        ),
+    )
+    parser.add_argument("--format", choices=("table", "json"), default="table")
+    parser.add_argument("--quiet", action="store_true")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_cert = sub.add_parser(
+        "certify", parents=[common], help="infiniteness certificates per level"
+    )
+    p_cert.add_argument("levels", help="a level N or a range N..M")
+
+    p_blocks = sub.add_parser(
+        "blocks", parents=[common], help="block dimensions on trivalent graphs"
+    )
+    p_blocks.add_argument(
+        "graph", help="'tadpole' or 'vertices=n; edges=u-v,...; tails=v:color,...'"
+    )
+    p_blocks.add_argument("--tail", type=numeral, default=None, help="tadpole tail color")
+    p_blocks.add_argument("--level", type=numeral, required=True)
+
+    p_veech = sub.add_parser(
+        "veech", parents=[common], help="Perron data and multitwist classification"
+    )
+    p_veech.add_argument(
+        "spec",
+        nargs="?",
+        default=None,
+        help="A:n, D:n, E:6|7|8, cycle:n, star:n, or c=..; d=..; inter=..; mult=..",
+    )
+    p_veech.add_argument("--inter", default=None, help="(i,j,count),... triples")
+    p_veech.add_argument("--mult", default=None, help="comma list of multiplicities")
+
+    p_orbits = sub.add_parser(
+        "orbits", parents=[common], help="curve orbit counts and H^2 bounds"
+    )
+    p_orbits.add_argument("g", type=numeral)
+    p_orbits.add_argument("n", type=numeral)
+    p_orbits.add_argument("--labeled", action="store_true")
+    return parser

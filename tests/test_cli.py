@@ -1,4 +1,3 @@
-import argparse
 import ast
 import contextlib
 import enum
@@ -13,13 +12,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flat_surface, random_connected_bipartite
+from oracles import build_parser, flat_surface, random_connected_bipartite
 from quantcert import cli, errors, orbits, veech
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
 from test_orbits import no_enumeration
@@ -165,7 +165,7 @@ class TestVeechCommand:
         # every entry of the cycle:180 eigenvector is 1/sqrt(180) =
         # 0.07453559925 up to rounding noise: a tie in its 11th decimal
         for spec in ("A:3", "cycle:180"):
-            report = cli.cmd_veech(cli._PARSER.parse_args(["veech", spec]))
+            report = cli.cmd_veech(cli._read(["veech", spec]))
             docs = [report]
             for way in (math.inf, -math.inf):
                 nudged = json.loads(cli._dump(report))
@@ -348,7 +348,7 @@ class TestJsonDiscipline:
         for argv in requests:
             code, out, err = run(capsys, "--format", "json", "veech", *argv)
             assert (code, err) == (EXIT_OK, ""), argv
-            report = cli.cmd_veech(cli._PARSER.parse_args(["veech", *argv]))
+            report = cli.cmd_veech(cli._read(["veech", *argv]))
             if argv[0] == "--inter":
                 graph = veech.parse_intersections(argv[1], argv[3] if len(argv) > 2 else "")
             else:
@@ -507,6 +507,18 @@ class TestContract:
                 "invalid tail token '1:+2'",
             ),
             (("blocks", "vertices=\u0662; edges=1-2", "--level", "7"), "invalid vertex count"),
+            # reading errors keep argparse's phrases
+            (("orbits", "x", "0"), "argument g: invalid numeral value: 'x'"),
+            (("blocks", "tadpole"), "the following arguments are required: --level"),
+            (("orbits",), "the following arguments are required: g, n"),
+            (("certify", "-5..3"), "the following arguments are required: levels"),
+            ((), "the following arguments are required: command"),
+            (("nosuch",), "argument command: invalid choice: 'nosuch'"),
+            (("--format", "xml", "certify", "7"), "argument --format: invalid choice: 'xml'"),
+            (("certify", "7", "8", "--bogus"), "unrecognized arguments: 8 --bogus"),
+            (("certify", "7", "--quiet=x"), "argument --quiet: ignored explicit argument 'x'"),
+            (("veech", "--inter"), "argument --inter: expected one argument"),
+            (("--help", "--=x"), "ambiguous option: --=x could match --help, --format, --quiet"),
         ],
     )
     def test_bad_input_exits_2_at_once_without_traceback(
@@ -514,10 +526,7 @@ class TestContract:
     ):
         monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         start = time.perf_counter()
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse rejects a non-integer itself
-            code = exc.code
+        code = main(list(argv))
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
@@ -631,10 +640,7 @@ class TestContract:
 def run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects "-5..3" as an option
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -687,13 +693,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 JSON_BEFORE = ["--format", "json", "certify", "7"]
 TABLE = ["certify", "7"]
 QUIET = ["--quiet", "certify", "7"]
-ARGPARSE_ERROR = ["orbits", "x", "3"]
+READ_ERROR = ["orbits", "x", "3"]
 HELP = ["--help"]
 USAGE_ERROR = ["certify", "0"]
 TAIL_JSON_AFTER = ["blocks", "tadpole", "--tail", "2", "--level", "16", "--format", "json"]
 GRAPH_NO_TAIL = ["blocks", "vertices=2; edges=1-2,1-2,1-2", "--level", "5"]
 SEQUENCE = [
-    JSON_BEFORE, TABLE, ARGPARSE_ERROR, QUIET, TABLE, HELP, USAGE_ERROR,
+    JSON_BEFORE, TABLE, READ_ERROR, QUIET, TABLE, HELP, USAGE_ERROR,
     TAIL_JSON_AFTER, GRAPH_NO_TAIL, JSON_BEFORE, QUIET, GRAPH_NO_TAIL, TABLE,
 ]
 
@@ -718,37 +724,154 @@ def fresh_process_results(argvs, env):
 
 
 class TestSharedParser:
-    def test_main_builds_no_parser(self, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        requests = SEQUENCE + [
-            ["veech", "A:3"],
-            ["veech", "--inter", "(1,1,3)", "--mult", "1,1", "--format", "json"],
-            ["orbits", "3", "2", "--labeled"],
-            ["blocks", "tadpole", "--level", "7"],
-            ["certify", "--help"],
-            ["nosuchcommand"],
-            ["certify", "1..40", "--quiet", "--format", "table"],
-        ]
-        for argv in requests:
-            assert run_quietly(argv)[0] in (EXIT_OK, EXIT_USAGE)
-        assert len(requests) >= 20
-        assert built == []
-
     def test_requests_carry_no_state(self, monkeypatch):
         # the fresh processes are the oracle: none has served an earlier request
-        monkeypatch.setenv("COLUMNS", "80")  # the same help layout in and out of process
         env = dict(os.environ, PYTHONPATH=str(SRC))
         expected = fresh_process_results(SEQUENCE, env)
         assert len(expected) == 8
         for argv in SEQUENCE:
             assert run_quietly(argv) == expected[tuple(argv)], argv
+
+
+#: the argparse parser the reader replaced; parse_args leaves it unchanged
+ORACLE = build_parser()
+#: every flag, its unique prefixes (--l is --level in blocks and --labeled in
+#: orbits), its =value form, and -h with text joined on
+FLAG_TOKENS = [
+    "-h", "--help", "--he", "-hh", "-hx", "-h=h", "-h=", "--help=x",
+    "--format", "--form", "--f", "--format=json", "--fo=table", "--format=xml", "--format=",
+    "--quiet", "--q", "--quiet=x", "--qu=",
+    "--tail", "--ta", "--t", "--tail=2", "--t=-1", "--tail=1_0",
+    "--level", "--le", "--l", "--level=7", "--lev=16", "--level=",
+    "--labeled", "--lab", "--labeled=",
+    "--inter", "--in", "--inter=(1,1,3)", "--i=(1,1,2)", "--inter=",
+    "--mult", "--mu", "--mult=1,1", "--m=2,1",
+    "--bogus", "--=x",
+]
+#: values: the subcommands, names padded with blanks, numerals good,
+#: negative and malformed, and the tokens that start with -
+VALUE_TOKENS = [
+    "certify", "blocks", "veech", "orbits", " certify", "orbits ", "nosuch",
+    "json", "table", "tadpole", " tadpole", "tadpole ", "A:3", " A:3", "(1,1,3)", "1,1",
+    "vertices=2; edges=1-2,1-2,1-2", "1..5", "7", "16", "2", "3", "0", " 5", "4 ",
+    "-1", "-5", "-1.5", "1_0", "-1_0", "x", "+7", "-5..3", "-x", "-", "--", "",
+]
+READER_TOKENS = st.sampled_from(FLAG_TOKENS + VALUE_TOKENS)
+#: per subcommand, the values drawn for each of its positionals in order
+POSITIONAL_VALUES = {
+    "certify": [["7", "1..5", "-1", "1_0", "-5..3"]],
+    "blocks": [["tadpole", " tadpole", "vertices=2; edges=1-2,1-2,1-2", "-"]],
+    "veech": [["A:3", " A:3", "-1.5", "c=1; d=1; inter=(1,1,2)"]],
+    "orbits": [["3", "-1", "x", "0"], ["2", " 5", "4 ", "-5", "+7"]],
+}
+#: per subcommand (None: before it), option forms: flag and value, flag=value, prefixes
+OPTION_FORMS = {
+    None: [["--format", "json"], ["--format=table"], ["--f", "json"], ["--quiet"], ["--q"]],
+    "certify": [],
+    "blocks": [["--tail", "2"], ["--t=-1"], ["--level", "16"], ["--le=7"], ["--l", "9"]],
+    "veech": [["--inter", "(1,1,3)"], ["--in=-"], ["--inter", "-"], ["--mult", "1,1"], ["--m=2"]],
+    "orbits": [["--labeled"], ["--lab"], ["--l"]],
+}
+
+
+@st.composite
+def reader_argvs(draw):
+    """A request assembled from its parts (options before the subcommand,
+    then its positionals in order with options drawn in between), with up
+    to two tokens inserted, replaced or deleted."""
+    command = draw(st.sampled_from(list(POSITIONAL_VALUES)))
+    forms = st.sampled_from(OPTION_FORMS[None] + OPTION_FORMS[command])
+    pieces = [[draw(st.sampled_from(values))] for values in POSITIONAL_VALUES[command]]
+    for piece in draw(st.lists(forms, max_size=3)):
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    head = draw(st.lists(st.sampled_from(OPTION_FORMS[None]), max_size=2))
+    argv = [*itertools.chain(*head), command, *itertools.chain(*pieces)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, draw(READER_TOKENS))
+        elif edit == "replace":
+            argv[at] = draw(READER_TOKENS)
+        else:
+            del argv[at]
+    return argv
+
+
+def oracle_read(argv):
+    """(exit code, namespace) of ``argv`` under the argparse oracle; the
+    namespace is None when it exits, on an error (2) or after help (0)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return EXIT_OK, vars(ORACLE.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, None
+
+
+class TestReaderMatchesArgparse:
+    @settings(derandomize=True, database=None, max_examples=3000, deadline=None)
+    @given(argv=reader_argvs())
+    def test_same_namespace_or_exit_2(self, argv):
+        """Where the oracle accepts, the reader gives the same namespace;
+        where it prints help, so does the reader; where it exits 2, so does
+        ``main``.  argparse stores an empty list for a positional whose one
+        token is a second ``--``; the reader keeps the text ``--``, which no
+        subcommand accepts."""
+        code, namespace = oracle_read(argv)
+        if namespace is not None and [] not in namespace.values():
+            assert vars(cli._read(argv)) == namespace
+            return
+        if namespace is None and code == EXIT_OK:
+            assert isinstance(cli._read(argv), str)
+        with mock.patch.object(sys, "stdin", io.StringIO("(1,1,1)")):  # for --inter -
+            reply = run_quietly(argv)
+        assert reply[0] == (code if namespace is None else EXIT_USAGE)
+        assert "Traceback" not in reply[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "7", "--format", "json"],
+            ["--format", "json", "certify", "7", "--format", "table"],
+            ["--quiet", "--format=json", "orbits", "3", "--l", "2", "--q"],
+            ["blocks", "--le", "16", "tadpole", "--t=2", "--fo", "json"],
+            ["veech", "--inter", "-", "--mult=1,2"],
+            ["veech", "--in=(1,1,1)", "--"],
+            ["orbits", "-1", "5"],
+            ["certify", "--", "-5..3"],
+            ["orbits", "3", "2", "--"],
+        ],
+    )
+    def test_accepted_forms(self, argv):
+        code, namespace = oracle_read(argv)
+        assert code == EXIT_OK
+        assert vars(cli._read(argv)) == namespace
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format=--", "certify", "7"],
+            ["blocks", "tadpole", "--tail=--", "--level", "7"],
+            ["veech", "--inter=--"],
+            ["orbits", "3", "--", "--"],
+        ],
+    )
+    def test_a_value_dashdash_stays_text(self, argv):
+        """argparse drops the ``--`` of ``--flag=--``, or a positional's one
+        token ``--`` after the first, and stores an empty list: a table for
+        ``--format=--``, a TypeError traceback for the others.  The reader
+        keeps the text, which no argument accepts."""
+        assert [] in oracle_read(argv)[1].values()
+        code, _, err = run_quietly(argv)
+        assert (code, "Traceback" in err) == (EXIT_USAGE, False)
+        assert "'--'" in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--he", "certify"], ["veech", "A:3", "-hh"]])
+    def test_help_prints_static_usage(self, argv):
+        code, out, err = run_quietly(argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: quantcert")
+        assert "--flag=value" in out
 
 
 def check_contract(argv):

@@ -59,14 +59,18 @@ def test_numpy_is_imported_only_by_burau_or_inside_veech_perron():
     assert sites <= {("burau", None), ("veech", "perron")}
 
 
-#: after the request, print whether numpy was loaded
+#: after the request, print its exit code and whether numpy and argparse were loaded
 _LOADS_NUMPY = """
 import contextlib, io, json, sys
 from quantcert.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "argparse" in sys.modules)
 """
+
+
+#: requests the reader refuses (exit 2)
+_USAGE_ERRORS = (["orbits", "x", "3"], ["--quiet", "nosuchcommand"])
 
 
 @pytest.mark.parametrize(
@@ -76,11 +80,15 @@ print(code, "numpy" in sys.modules)
         ["orbits", "3", "2"],
         ["blocks", "vertices=2; edges=1-2,1-2,1-2", "--level", "9"],
         ["--format", "json", "blocks", "tadpole", "--tail", "2", "--level", "16"],
+        *_USAGE_ERRORS,
+        ["certify", "--help"],
     ],
 )
 def test_request_loads_no_numpy(argv):
     """The package imports each submodule only when a caller does, and only
-    ``burau`` and ``veech.perron`` import numpy, which these requests never reach."""
+    ``burau`` and ``veech.perron`` import numpy, which these requests never
+    reach.  No request imports argparse: the CLI reads its own arguments,
+    help and reading errors included."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADS_NUMPY, json.dumps(argv)],
         capture_output=True,
@@ -88,7 +96,8 @@ def test_request_loads_no_numpy(argv):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         timeout=60,
     )
-    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+    code = 2 if argv in _USAGE_ERRORS else 0
+    assert (proc.stdout, proc.stderr) == (f"{code} False False\n", "")
 
 
 def test_pyproject_lists_only_numpy():
@@ -131,8 +140,8 @@ def test_every_public_name_is_read_by_the_package_or_the_benchmark():
 
 
 def test_input_text_becomes_an_int_only_in_grammar():
-    """One numeral rule: no parser calls or passes ``int``, and no argparse
-    option converts with ``type=int``; ``grammar.numeral`` does it all."""
+    """One numeral rule: no parser calls or passes ``int``, and no option
+    converts with ``type=int``; ``grammar.numeral`` does it all."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
