@@ -31,7 +31,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from . import __version__, blocks, certify, orbits, veech
+from . import __version__, blocks, certify, orbits
 from .errors import QuantcertError, UsageError
 from .grammar import numeral
 
@@ -239,6 +239,8 @@ def _print_blocks_table(report: dict, quiet: bool) -> None:
 # veech
 
 def cmd_veech(args) -> dict:
+    from . import veech  # only a veech request loads it
+
     if args.mult is not None and args.inter is None:
         raise UsageError("--mult applies to --inter only; a spec gives them as mult=...")
     if args.spec is not None and args.inter is not None:

@@ -6,8 +6,9 @@ these float evaluations, whole-window enumerations and dense (m + k)-square
 matrices are the independent references the package code is compared
 against, and ``dense_graph`` lets a test write a graph as its m-by-k
 intersection matrix.  The closed trivalent corpus graphs and the cut-and-sum
-identity are an oracle over ``blocks.block_dimension``, and so is the
-Verlinde formula in floats, which shares no code with ``blocks``; the SL2
+identity are an oracle over ``blocks.block_dimension``, and so are the
+Verlinde formula in floats, which shares no code with ``blocks``, and the
+slice-sum fusion product it computed with before its prefix sums; the SL2
 helpers classify the multitwist matrices by their trace in exact rationals.  The
 elimination in ``Fraction`` entries is the oracle for the class, which the
 package decides on integer pairs, and ``random_connected_bipartite`` draws
@@ -25,11 +26,21 @@ import argparse
 import heapq
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from quantcert.blocks import ColoredGraph, block_dimension, level_colors, tadpole_basis
+from quantcert.blocks import (
+    ColoredGraph,
+    _geometry,
+    _loop_positions,
+    block_dimension,
+    in_palette,
+    level_colors,
+    tadpole_basis,
+)
 from quantcert.errors import InvalidGraph
 from quantcert.grammar import numeral
 from quantcert.orbits import orbit_types
@@ -361,6 +372,45 @@ def verlinde_dimension(genus: int, tails, p: int) -> float:
         lambdas = math.prod(math.sin((a + 1) * theta) / sin for a in tails)
         total += (r / (k * sin * sin)) ** (genus - 1) * lambdas
     return total
+
+
+def slice_sum_dimension(graph: ColoredGraph, p: int) -> int:
+    """``blocks.block_dimension`` before its prefix sums: the same fusion-ring product
+    over palette positions, with N_b v one slice sum per entry (O(|palette|^2) per
+    product, O(|palette|^3) to build H).  The oracle of the prefix-sum product."""
+    bound, step, scale = _geometry(p)
+    if not all(in_palette(c, p) for _v, c in graph.tails):
+        return 0
+    root = {v: v for v in graph.vertices}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in graph.edges:
+        root[find(u)] = find(v)
+    excess = Counter(find(u) for u, _v in graph.edges)
+    excess.subtract(find(v) for v in graph.vertices)  # E - V = g - 1 per component
+    ops = {r: [None] * (e + 1) for r, e in excess.items()}  # None stands for H
+    for v, c in graph.tails:
+        ops[find(v)].append(c // scale)
+    positions = range(bound // 2 + 1)
+
+    def fusion(b: int, v: list[int]) -> list[int]:
+        return [sum(v[abs(x - b) : min(x + b, bound - x - b) + 1 : step]) for x in positions]
+
+    h = [len(_loop_positions(x, bound, step)) for x in positions]
+    if max(excess.values(), default=0) >= 2:
+        handle = [fusion(y, h) for y in positions]
+    dim = 1
+    for first, last, *middle in ops.values():
+        v = h if last is None else [int(x == last) for x in positions]
+        for op in middle:
+            v = [sum(map(mul, row, v)) for row in handle] if op is None else fusion(op, v)
+        dim *= sum(map(mul, h, v)) if first is None else v[first]
+    return dim
 
 
 def sl2(a, b, c, d) -> tuple[Fraction, ...]:

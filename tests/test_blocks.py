@@ -11,6 +11,7 @@ from oracles import (
     chain_graph,
     cut_identity_check,
     dumbbell_graph,
+    slice_sum_dimension,
     theta_graph,
     verlinde_dimension,
 )
@@ -262,16 +263,18 @@ def _prism(k: int) -> ColoredGraph:
     return ColoredGraph(tuple(range(1, 2 * k + 1)), ring + other + rungs)
 
 
-def _random_trivalent(rng: random.Random, p: int) -> ColoredGraph:
-    """Random pairing of half-edges on 1-5 vertices, some left as tails.
+def _random_trivalent(
+    rng: random.Random, p: int, most: int = 5, wild: tuple[int, int] = (-3, 14)
+) -> ColoredGraph:
+    """Random pairing of half-edges on 1..most vertices, some left as tails.
 
-    One tail in five gets a color from -3..14, mostly outside the palette.
+    One tail in five gets a color from the range ``wild``, mostly outside the palette.
     """
-    n = rng.randint(1, 5)
+    n = rng.randint(1, most)
     half = [v for v in range(1, n + 1) for _ in range(3)]
     rng.shuffle(half)
     t = rng.choice(range(n % 2, 3 * n + 1, 2))
-    colors = [rng.choice(level_colors(p)) for _ in range(4)] + [rng.randint(-3, 14)]
+    colors = [rng.choice(level_colors(p)) for _ in range(4)] + [rng.randint(*wild)]
     tails = tuple((v, rng.choice(colors)) for v in half[:t])
     rest = half[t:]
     return ColoredGraph(tuple(range(1, n + 1)), tuple(zip(rest[::2], rest[1::2])), tails)
@@ -324,6 +327,24 @@ class TestAgainstOracles:
                 checked += 1
         assert checked >= 300
 
+    def test_prefix_sums_match_the_slice_sum_product(self):
+        """Every level 5..200 on theta, dumbbell, chain, K4 and seeded random graphs
+        of up to 8 vertices with tails, against the slice-sum product: its tail colors
+        include odd ones at even p and ones outside the palette."""
+        rng = random.Random(6)
+        odd_at_even = outside = nonzero = 0
+        for p in range(5, 201):
+            graphs = [theta_graph(), dumbbell_graph(), chain_graph(), _k4()]
+            graphs += [_random_trivalent(rng, p, 8, (-3, p + 3)) for _ in range(6)]
+            for g in graphs:
+                dim = block_dimension(g, p)
+                assert dim == slice_sum_dimension(g, p), (g, p)
+                tails = [c for _v, c in g.tails]
+                odd_at_even += p % 2 == 0 and any(c % 2 for c in tails if in_palette(c, p))
+                outside += not all(in_palette(c, p) for c in tails)
+                nonzero += dim > 0
+        assert min(odd_at_even, outside) >= 400 and nonzero >= 1100, (odd_at_even, outside, nonzero)
+
     def test_random_graphs_at_higher_levels_match_elimination(self):
         """Levels past the brute force's reach, against the elimination alone."""
         rng = random.Random(5)
@@ -351,36 +372,42 @@ class TestAgainstOracles:
         assert checked == 1997
 
     @pytest.mark.parametrize(
-        "graph, p, bits, digest",
+        "graph, p, bits, digest, seconds",
         [
             pytest.param(
                 _caterpillar(100), 799, 609,
-                "97aee2a95b0f05346ba159bf90608dd0a3b800fa5df48fb344443a7d36e54f6a",
+                "97aee2a95b0f05346ba159bf90608dd0a3b800fa5df48fb344443a7d36e54f6a", 0.05,
                 id="caterpillar-799",
             ),
             pytest.param(
                 _caterpillar(100), 800, 595,
-                "f04e23a635c90b11ab4ff6dc28a00488e5a39f822c9425ce3469962729935f7c",
+                "f04e23a635c90b11ab4ff6dc28a00488e5a39f822c9425ce3469962729935f7c", 0.05,
                 id="caterpillar-800",
             ),
             pytest.param(
                 _prism(10), 400, 188,
-                "48d3df38e58e1eb0e32f0f76c72e3ffe703899a370d7dbbd97986911a41173e8",
+                "48d3df38e58e1eb0e32f0f76c72e3ffe703899a370d7dbbd97986911a41173e8", None,
                 id="prism10-400",
             ),
             pytest.param(
                 _prism(10), 401, 207,
-                "9058d2d8a9cff92ca30837003a5563ca46afefee663d6845529b38dff9c7a4bc",
+                "9058d2d8a9cff92ca30837003a5563ca46afefee663d6845529b38dff9c7a4bc", None,
                 id="prism10-401",
             ),
         ],
     )
-    def test_values_past_the_oracles_reach_are_pinned(self, graph, p, bits, digest):
+    def test_values_past_the_oracles_reach_are_pinned(self, graph, p, bits, digest, seconds):
         """Bit length and sha256 of the decimal, as the numpy fusion-matrix
         product computed them: 102 tails at the top level, and a genus-11
-        closed graph."""
-        dim = block_dimension(graph, p)
+        closed graph.  The caterpillar's 102 tails cost one O(|palette|)
+        product each, so its best of 3 must also come under ``seconds``."""
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            dim = block_dimension(graph, p)
+            times.append(time.perf_counter() - start)
         assert (dim.bit_length(), hashlib.sha256(str(dim).encode()).hexdigest()) == (bits, digest)
+        assert seconds is None or min(times) < seconds, times
 
     @pytest.mark.parametrize("p, expected", [(81, 196430508), (121, 2180952642)])
     def test_k4_at_high_level_is_pinned_and_fast(self, p, expected):

@@ -59,13 +59,13 @@ def test_numpy_is_imported_only_by_burau_or_inside_veech_perron():
     assert sites <= {("burau", None), ("veech", "perron")}
 
 
-#: after the request, print its exit code and whether numpy and argparse were loaded
+#: after the request, print its exit code and whether numpy, argparse and veech were loaded
 _LOADS_NUMPY = """
 import contextlib, io, json, sys
 from quantcert.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
-print(code, "numpy" in sys.modules, "argparse" in sys.modules)
+print(code, *(name in sys.modules for name in ("numpy", "argparse", "quantcert.veech")))
 """
 
 
@@ -88,7 +88,8 @@ def test_request_loads_no_numpy(argv):
     """The package imports each submodule only when a caller does, and only
     ``burau`` and ``veech.perron`` import numpy, which these requests never
     reach.  No request imports argparse: the CLI reads its own arguments,
-    help and reading errors included."""
+    help and reading errors included.  Only a ``veech`` request imports
+    ``veech``: ``cmd_veech`` imports it, not the top of ``cli``."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADS_NUMPY, json.dumps(argv)],
         capture_output=True,
@@ -97,7 +98,7 @@ def test_request_loads_no_numpy(argv):
         timeout=60,
     )
     code = 2 if argv in _USAGE_ERRORS else 0
-    assert (proc.stdout, proc.stderr) == (f"{code} False False\n", "")
+    assert (proc.stdout, proc.stderr) == (f"{code} False False False\n", "")
 
 
 def test_pyproject_lists_only_numpy():
