@@ -21,13 +21,14 @@ generate SL_2(Z), which is infinite.
 
 The closure works a whole BFS layer at a time on int32 coefficient arrays.
 Every generator entry is 0, 1, +-q or +-q^-1, so a product with a generator
-is one integer matmul by the fixed "times q" or "times q^-1" matrix on one
-column plus an add on the other.  The generators' contract (eigenvalues
-{1, -q}, inverses, braid relation) is checked exactly on every call,
-through the same step function the layers use.  Elements are deduplicated
-by their exact bytes, and a guard checked on Python ints before each layer
-raises InvariantViolation where the next layer could overflow int32; no
-float arithmetic is involved.
+is one matmul by the fixed "times q" or "times q^-1" matrix on one column
+plus an add on the other.  The matmul runs in float64 so that it reaches
+BLAS; ``_step`` gives the bound that keeps it exact.  The generators'
+contract (eigenvalues {1, -q}, inverses, braid relation) is checked exactly
+on every call, through the same step function the layers use.  Elements
+are deduplicated by their exact int32 bytes, and a guard checked on Python
+ints before each layer raises InvariantViolation where the next layer could
+reach ``INT32_BOUND``.
 """
 
 from __future__ import annotations
@@ -164,13 +165,22 @@ def _step(block: np.ndarray, g: int, times, out: np.ndarray | None = None) -> np
     ``g`` indexes _GENERATORS and ``times`` holds the "times q" and "times
     q^-1" matrices.  The products are written to ``out`` (a new array by
     default), which is returned.
+
+    The product with ``times`` is a float64 matmul, cast back to int32, and
+    it is exact.  With block entries at most ``largest`` in size and growth
+    = 1 + the largest column sum of |times|, every term and every partial
+    sum of a product entry is an integer of size at most largest * (growth
+    - 1), and the closure's guard keeps largest * growth below 2^31.
+    float64 holds every integer below 2^53 exactly, so any summation order,
+    with or without FMA, gives the exact integer.
     """
     source, inverse, twisted = _GENERATORS[g]
     if out is None:
         out = np.empty_like(block)
     col, new_col = block[:, source::2], out[:, source::2]
     other, new_other = block[:, 1 - source::2], out[:, 1 - source::2]
-    np.matmul(col, times[inverse], out=new_col)
+    rows = col.astype(np.float64).reshape(-1, col.shape[-1])
+    new_col[...] = (rows @ times[inverse].astype(np.float64)).reshape(col.shape)
     np.negative(new_col, out=new_col)
     if twisted:
         np.subtract(other, new_col, out=new_other)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import re
@@ -6,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import integer_step
 from quantcert import burau
 from quantcert.burau import (
     ExceedsCap,
@@ -54,6 +56,7 @@ def _root(n: int, e: int) -> tuple[int, ...]:
     return _reduce([0] * (e % n) + [1], n)
 
 
+@functools.lru_cache(maxsize=None)
 def _mul(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
     conv = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -232,6 +235,31 @@ class TestBurauMatrices:
             assert tuple(m[0, 0] + m[0, 3]) == one_minus_q
             assert np.array_equal(_step(m, g, times), m - m @ times[0] + q_ident)
 
+    def test_step_is_exact_at_the_guard_edge(self):
+        """The float64 product equals the int64 oracle on the largest entries
+        the guard admits, (INT32_BOUND - 1) // growth in size.
+
+        For each column j of each "times" matrix, one block row is that
+        bound with the signs of column j, so its product entry j is the
+        largest sum the guard allows; eight more elements have random signs.
+        """
+        rng = np.random.default_rng(30)
+        for n in range(1, 121):
+            # e and -e swap the two matrices, so e = n - 1 repeats e = 1
+            for e in sorted({0, 1, int(rng.integers(n))}):
+                times = _times(RootOfUnity(n, e))
+                growth = 1 + max(int(np.abs(z).sum(axis=0).max()) for z in times)
+                edge = (burau.INT32_BOUND - 1) // growth
+                deg = len(times[0])
+                columns = np.concatenate([np.where(z.T < 0, -1, 1) for z in times])
+                # rows (a, b, c, d) = (P, P, Q, Q) for consecutive rows P, Q of
+                # columns, so either matrix column (a, c) or (b, d) is (P, Q)
+                extreme = np.repeat(columns.reshape(-1, 2, 1, deg), 2, axis=2).reshape(-1, 4, deg)
+                signs = np.concatenate([extreme, rng.choice((-1, 1), size=(8, 4, deg))])
+                block = (edge * signs).astype(np.int32)
+                for g in range(4):
+                    assert np.array_equal(_step(block, g, times), integer_step(block, g, times)), (n, e, g)
+
     def test_inverses(self):
         q = RootOfUnity(9, 2)
         ident, times = _identity_block(9), _times(q)
@@ -296,6 +324,20 @@ class TestClosureOracle:
         monkeypatch.setattr(burau, "INT32_BOUND", 16)
         with pytest.raises(InvariantViolation, match="int32"):
             burau_closure_oracle(RootOfUnity(2, 1), 10**6)
+
+    def test_high_degree_closure_at_cap_700(self):
+        """Degrees past the scalar oracle's reach, up to phi(59) = 58.
+
+        Every n <= 60 with q = 1, zeta_n, zeta_n^-1 and every q whose -q has
+        order 2..5 closes to Coxeter's order or exceeds the cap.
+        """
+        for n in range(1, 61):
+            finite = {e for e in range(n) if minus_q_order(RootOfUnity(n, e)) in FINITE_GROUP_ORDERS}
+            for e in sorted({0, 1, n - 1} | finite):
+                q = RootOfUnity(n, e)
+                order = FINITE_GROUP_ORDERS.get(minus_q_order(q))
+                expected = ExceedsCap(700, 701) if order is None else FiniteOfOrder(order)
+                assert burau_closure_oracle(q, 700) == expected, (n, e)
 
     def test_cap_validated(self):
         with pytest.raises(ValueError):
