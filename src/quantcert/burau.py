@@ -5,30 +5,30 @@ space; at parameter q (a root of unity) we take
 
     sigma_1 = [[-q, 1], [0, 1]],      sigma_2 = [[1, 0], [q, -q]].
 
-Both have characteristic polynomial (x - 1)(x + q) and they satisfy the
-braid relation; any other matrix model with those two properties generates
-the same group up to conjugacy.  Matrix entries live in Z[zeta_N] with
-N = order(q).  Their one representation is an integer coefficient row of
-length phi(N), reduced modulo the N-th cyclotomic polynomial, so equality
-of matrices is exact and hashable.
+Both have characteristic polynomial (x - 1)(x + q), they satisfy the
+braid relation and they do not commute; any other matrix pair with those
+three properties generates the same group up to conjugacy.  Matrix entries
+live in Z[zeta_N] with N = order(q).  Their one representation is an
+integer coefficient row of length phi(N), reduced modulo the N-th
+cyclotomic polynomial, so equality of matrices is exact and hashable.
 
 The closure probe runs a breadth-first multiplication closure of the two
-generators and their inverses; it either exhausts the group (finite image)
-or overruns a caller-supplied cap.  The image is finite precisely when -q
-has multiplicative order 2, 3, 4 or 5 (Coxeter's finite quotients of the
+generators; it either exhausts the group (finite image) or overruns a
+caller-supplied cap.  The image is finite precisely when -q has
+multiplicative order 2, 3, 4 or 5 (Coxeter's finite quotients of the
 three-strand braid group).  At q = -1 both generators are unipotent and
 generate SL_2(Z), which is infinite.
 
 The closure works a whole BFS layer at a time on int32 coefficient arrays.
-Every generator entry is 0, 1, +-q or +-q^-1, so a product with a generator
-is one matmul by the fixed "times q" or "times q^-1" matrix on one column
-plus an add on the other.  The matmul runs in float64 so that it reaches
-BLAS; ``_step`` gives the bound that keeps it exact.  The generators'
-contract (eigenvalues {1, -q}, inverses, braid relation) is checked exactly
-on every call, through the same step function the layers use.  Elements
-are deduplicated by their exact int32 bytes, and a guard checked on Python
-ints before each layer raises InvariantViolation where the next layer could
-reach ``INT32_BOUND``.
+Every generator entry is 0, 1 or +-q, so a product with a generator is one
+matmul by the fixed "times q" matrix on one column plus an add on the
+other.  The matmul runs in float64 so that it reaches BLAS; ``_step`` gives
+the bound that keeps it exact.  The generators' contract (eigenvalues
+{1, -q}, not commuting, braid relation) is checked exactly on every call,
+through the same step function the layers use.  Elements are deduplicated
+by their exact int32 bytes, and a guard checked on Python ints before each
+layer raises InvariantViolation where the next layer could reach
+``INT32_BOUND``.
 """
 
 from __future__ import annotations
@@ -153,18 +153,18 @@ def _row_keys(block: np.ndarray) -> list[bytes]:
 
 
 #: Right multiplication of [[a, b], [c, d]] by each generator, as
-#: (source column, use Z- instead of Z+, twisted).  The source column becomes
-#: new = -(source @ Z); the other column becomes other - new when twisted and
-#: other + source otherwise.  In order: sigma1, sigma2, sigma1^-1, sigma2^-1.
-_GENERATORS = ((0, 0, False), (1, 0, True), (0, 1, True), (1, 1, False))
+#: (source column, twisted).  The source column becomes new = -(source @ Z)
+#: for the "times q" matrix Z; the other column becomes other - new when
+#: twisted and other + source otherwise.  In order: sigma1, sigma2.
+_GENERATORS = ((0, False), (1, True))
 
 
 def _step(block: np.ndarray, g: int, times, out: np.ndarray | None = None) -> np.ndarray:
     """Right-multiply every element of a (F, 4, deg) block by generator ``g``.
 
-    ``g`` indexes _GENERATORS and ``times`` holds the "times q" and "times
-    q^-1" matrices.  The products are written to ``out`` (a new array by
-    default), which is returned.
+    ``g`` indexes _GENERATORS and ``times`` is the "times q" matrix in
+    float64.  The products are written to ``out`` (a new array by default),
+    which is returned.
 
     The product with ``times`` is a float64 matmul, cast back to int32, and
     it is exact.  With block entries at most ``largest`` in size and growth
@@ -174,13 +174,13 @@ def _step(block: np.ndarray, g: int, times, out: np.ndarray | None = None) -> np
     float64 holds every integer below 2^53 exactly, so any summation order,
     with or without FMA, gives the exact integer.
     """
-    source, inverse, twisted = _GENERATORS[g]
+    source, twisted = _GENERATORS[g]
     if out is None:
         out = np.empty_like(block)
     col, new_col = block[:, source::2], out[:, source::2]
     other, new_other = block[:, 1 - source::2], out[:, 1 - source::2]
     rows = col.astype(np.float64).reshape(-1, col.shape[-1])
-    new_col[...] = (rows @ times[inverse].astype(np.float64)).reshape(col.shape)
+    new_col[...] = (rows @ times).reshape(col.shape)
     np.negative(new_col, out=new_col)
     if twisted:
         np.subtract(other, new_col, out=new_other)
@@ -189,38 +189,45 @@ def _step(block: np.ndarray, g: int, times, out: np.ndarray | None = None) -> np
     return out
 
 
-def _check_generators(ident: np.ndarray, times) -> None:
+def _check_generators(ident: np.ndarray, times: np.ndarray) -> None:
     """The contract of _GENERATORS, checked exactly through ``_step``.
 
     Each generator has trace 1 - q and satisfies sigma^2 = (1 - q) sigma + q,
     so by Cayley-Hamilton its determinant is -q and its eigenvalues are
-    {1, -q}; each inverse rule inverts its generator; and the braid relation
-    sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 holds.  ``ident`` is the
-    identity as a (1, 4, deg) block.
+    {1, -q}; sigma1 sigma2 != sigma2 sigma1; and the braid relation
+    sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 holds.  Two equal rules pass
+    the other two checks.  ``ident`` is the identity as a (1, 4, deg) block.
     """
     s1, s2 = (_step(ident, g, times) for g in (0, 1))
-    q_ident = ident @ times[0]
+    q_ident = ident @ times
     for g, m in enumerate((s1, s2)):
         if not (
             np.array_equal(m[:, 0] + m[:, 3], ident[:, 0] - q_ident[:, 0])
-            and np.array_equal(_step(m, g, times), m - m @ times[0] + q_ident)
+            and np.array_equal(_step(m, g, times), m - m @ times + q_ident)
         ):
             raise InvariantViolation("generator eigenvalues are not {1, -q}")
-        if not np.array_equal(_step(m, g + 2, times), ident):
-            raise InvariantViolation("generator inverse is wrong")
-    s121 = _step(_step(s1, 1, times), 0, times)
-    if not np.array_equal(s121, _step(_step(s2, 0, times), 1, times)):
+    s12, s21 = _step(s1, 1, times), _step(s2, 0, times)
+    if np.array_equal(s12, s21):
+        raise InvariantViolation("generators commute")
+    if not np.array_equal(_step(s12, 0, times), _step(s21, 1, times)):
         raise InvariantViolation("braid relation fails")
 
 
 def burau_closure_oracle(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap:
-    """Breadth-first closure of the generator matrices and their inverses.
+    """Breadth-first closure of the generator matrices under right products.
 
     Multiplies outward from the identity with exact cyclotomic entries, one
     whole BFS layer at a time.  Returns the exact group order when the
     closure stabilizes within ``cap`` elements, and ExceedsCap at the first
     element past the cap otherwise (which for an infinite image is the only
     possible answer).
+
+    It multiplies by sigma1 and sigma2 only, and still answers for the group.
+    Let M be the set of their products, the identity included.  If M is
+    finite, each g in M has g^a = g^b for some a < b, so g^(b - a) = 1 and
+    g^-1 = g^(b - a - 1) lies in M: M is the whole group.  So M is infinite
+    exactly when the group is, and a BFS over M returns what a BFS over the
+    group would; only the order of visits differs.
 
     A layer of F matrices [[a, b], [c, d]] is an int32 array of shape
     (F, 4, deg) holding the coefficient rows of a, b, c, d.  Raises
@@ -231,8 +238,8 @@ def burau_closure_oracle(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap
         raise ValueError("cap must be positive")
     n = q.order
     deg = len(cyclotomic_polynomial(n)) - 1
-    times = (_times_root(n, q.exponent), _times_root(n, -q.exponent))
-    growth = 1 + max(int(np.abs(z).sum(axis=0).max()) for z in times)
+    times = _times_root(n, q.exponent).astype(np.float64)
+    growth = 1 + int(np.abs(times).sum(axis=0).max())
     frontier = np.zeros((1, 4, deg), dtype=np.int32)
     frontier[0, 0, 0] = frontier[0, 3, 0] = 1
     _check_generators(frontier, times)

@@ -20,8 +20,9 @@ oracle for the rectangle text.  Twist eigenvalues as angles, exact
 ``Fraction`` turns mod 1, are the oracle for the certificate routes, which
 decide on exponents mod 2p, and the argparse parser the CLI once built is
 the oracle for its one-pass argument reader.  ``integer_step``, the int64
-matmul the closure step ran before its float64 product, is the oracle for
-``burau._step``.
+matmul the closure step ran before its float64 product, reads the same
+(source column, twisted) rules and the one "times q" matrix, and is the
+oracle for ``burau._step``.
 """
 
 import argparse
@@ -258,14 +259,14 @@ def intersection_matrix(g) -> np.ndarray:
     return np.asarray(g.multiplicities, dtype=np.int64)[:, None] * adjacency(g)
 
 
-def integer_step(block: np.ndarray, g: int, times) -> np.ndarray:
+def integer_step(block: np.ndarray, g: int, times: np.ndarray) -> np.ndarray:
     """``burau._step`` in int64 arithmetic, with no float product."""
-    source, inverse, twisted = _GENERATORS[g]
+    source, twisted = _GENERATORS[g]
     block = block.astype(np.int64)
     out = np.empty_like(block)
     col, new_col = block[:, source::2], out[:, source::2]
     other, new_other = block[:, 1 - source::2], out[:, 1 - source::2]
-    np.matmul(col, times[inverse].astype(np.int64), out=new_col)
+    np.matmul(col, times.astype(np.int64), out=new_col)
     np.negative(new_col, out=new_col)
     if twisted:
         np.subtract(other, new_col, out=new_other)

@@ -26,8 +26,20 @@ from quantcert.roots import RootOfUnity
 FINITE_GROUP_ORDERS = {2: 6, 3: 24, 4: 96, 5: 600}
 
 EIGENVALUES = "generator eigenvalues are not {1, -q}"
-INVERSE = "generator inverse is wrong"
+COMMUTE = "generators commute"
 BRAID = "braid relation fails"
+
+#: every (source column, twisted) rule; a table is one rule for each generator
+RULES = ((0, False), (0, True), (1, False), (1, True))
+#: the tables that pass the contract check: the true one, its generators
+#: swapped, and both of those conjugated by diag(1, q), which turns sigma1
+#: into [[-q, q], [0, 1]] and sigma2 into [[1, 0], [1, -q]]
+PASSING_TABLES = (
+    ((0, False), (1, True)),
+    ((1, True), (0, False)),
+    ((0, True), (1, False)),
+    ((1, False), (0, True)),
+)
 
 
 def parameter_with_minus_q_order(n: int) -> RootOfUnity:
@@ -76,7 +88,7 @@ def _mat_mul(m, g, n):
 
 
 def _generators(q: RootOfUnity):
-    """sigma1, sigma2, sigma1^-1, sigma2^-1 as in the burau module docstring."""
+    """sigma1, sigma2 as in the burau module docstring, then their inverses."""
     n = q.order
     one, zero = _reduce([1], n), _reduce([], n)
     qq, qi = _root(n, q.exponent), _root(n, -q.exponent)
@@ -85,7 +97,14 @@ def _generators(q: RootOfUnity):
 
 
 def _scalar_closure(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap:
-    """Element-at-a-time closure over 4-tuples of coefficient tuples: the oracle."""
+    """Element-at-a-time closure over 4-tuples of coefficient tuples: the oracle.
+
+    It multiplies by all four generators, inverses included, so it closes the
+    group itself.  That makes it the independent check of the argument in
+    ``burau_closure_oracle``, which multiplies by sigma1 and sigma2 only:
+    TestClosureAgainstScalarOracle compares the two at caps 1, 700, |G| and
+    |G| - 1 for every n with phi(n) <= 8.
+    """
     gens = _generators(q)
     one, zero = _reduce([1], q.order), _reduce([], q.order)
     ident = (one, zero, zero, one)
@@ -111,8 +130,14 @@ def _identity_block(n: int) -> np.ndarray:
     return ident
 
 
-def _times(q: RootOfUnity):
-    return _times_root(q.order, q.exponent), _times_root(q.order, -q.exponent)
+def _times(q: RootOfUnity) -> np.ndarray:
+    """The "times q" matrix in float64, as ``burau_closure_oracle`` passes it."""
+    return _times_root(q.order, q.exponent).astype(np.float64)
+
+
+def _step_times_minus_q(block, g, times, out=None):
+    """A corrupted step that multiplies by -q where its rules say q."""
+    return _step(block, g, -times, out)
 
 
 def _embed(coeffs, n: int) -> complex:
@@ -178,7 +203,7 @@ class TestBurauMatrices:
     )
     def test_rules_step_identity_to_docstring_matrices(self, q):
         ident, times = _identity_block(q.order), _times(q)
-        for g, expected in enumerate(_generators(q)):
+        for g, expected in zip(range(len(burau._GENERATORS)), _generators(q)):
             assert _step(ident, g, times)[0].tolist() == [list(row) for row in expected], g
 
     @pytest.mark.parametrize("q", [RootOfUnity(5, 1), RootOfUnity(7, 3), RootOfUnity(10, 7)])
@@ -194,78 +219,99 @@ class TestBurauMatrices:
         assert np.array_equal(word(0, 1, 0), word(1, 0, 1))
 
     @pytest.mark.parametrize(
-        "rules, message",
+        "name, corrupted, message",
         [
-            # sigma1 multiplies by q^-1: trace 1 - q^-1
-            (((0, 1, False), (1, 0, True), (0, 1, True), (1, 1, False)), EIGENVALUES),
-            # sigma2^-1 twisted: [[1, 0], [q^-1, -q^-1]]
-            (((0, 0, False), (1, 0, True), (0, 1, True), (1, 1, True)), INVERSE),
-            # one flipped field always breaks an eigenvalue or inverse check
-            # first, so sigma1 and its inverse change together, to the
-            # conjugate [[-q, q], [0, 1]] and its true inverse
-            (((0, 0, True), (1, 0, True), (0, 1, False), (1, 1, False)), BRAID),
+            # every rule gives a matrix with eigenvalues {1, -q}, so only a
+            # wrong step breaks them: sigma1 becomes [[q, 1], [0, 1]]
+            ("_step", _step_times_minus_q, EIGENVALUES),
+            # sigma2 = sigma1 passes the eigenvalue and braid checks
+            ("_GENERATORS", ((0, False), (0, False)), COMMUTE),
+            # sigma1 alone conjugated, to [[-q, q], [0, 1]]
+            ("_GENERATORS", ((0, True), (1, True)), BRAID),
         ],
-        ids=["eigenvalues", "inverse", "braid"],
+        ids=["eigenvalues", "commute", "braid"],
     )
-    def test_corrupted_rule_raises_its_own_message(self, monkeypatch, rules, message):
+    def test_corrupted_rule_raises_its_own_message(self, monkeypatch, name, corrupted, message):
         q = RootOfUnity(7, 3)
         assert burau_closure_oracle(q, 1) == ExceedsCap(1, 2)
-        monkeypatch.setattr(burau, "_GENERATORS", rules)
+        monkeypatch.setattr(burau, name, corrupted)
         # cap 1 stops at the first product, so the check runs before any layer
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
             burau_closure_oracle(q, 1)
 
-    @pytest.mark.parametrize("rule", range(4))
-    @pytest.mark.parametrize("field", range(3))
-    def test_every_single_field_corruption_raises(self, monkeypatch, rule, field):
-        rules = [list(r) for r in burau._GENERATORS]
-        rules[rule][field] = not rules[rule][field] if field == 2 else 1 - rules[rule][field]
+    @pytest.mark.parametrize("table", range(len(PASSING_TABLES)))
+    @pytest.mark.parametrize("field", range(4))
+    def test_every_single_field_corruption_raises(self, monkeypatch, table, field):
+        """One flipped field of a passing table breaks the braid relation.
+
+        A passing table has two sources and two twists that differ; one flip
+        makes one of them equal, which is not yet a commuting pair.  Over the
+        four passing tables these flips reach every table that is neither
+        passing nor commuting.
+        """
+        rules = [list(rule) for rule in PASSING_TABLES[table]]
+        rule, position = divmod(field, 2)
+        old = rules[rule][position]
+        rules[rule][position] = not old if position else 1 - old
         monkeypatch.setattr(burau, "_GENERATORS", tuple(map(tuple, rules)))
-        with pytest.raises(InvariantViolation, match="^(generator|braid)"):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(BRAID)}$"):
+            burau_closure_oracle(RootOfUnity(7, 3), 1)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_commuting_tables_raise(self, monkeypatch, rule):
+        """sigma1 = sigma2 passes the eigenvalue and braid checks.
+
+        Without the commutation check its closure at q = zeta_7^3, whose
+        image is infinite, would be a finite group of order 14.
+        """
+        monkeypatch.setattr(burau, "_GENERATORS", (rule, rule))
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(COMMUTE)}$"):
             burau_closure_oracle(RootOfUnity(7, 3), 10**6)
+
+    @pytest.mark.parametrize("table", PASSING_TABLES[1:])
+    def test_other_passing_tables_close_like_the_true_one(self, monkeypatch, table):
+        """The swapped and conjugated tables generate a conjugate group."""
+        monkeypatch.setattr(burau, "_GENERATORS", table)
+        for n in range(1, 25):
+            for e in range(n):
+                q = RootOfUnity(n, e)
+                order = FINITE_GROUP_ORDERS.get(minus_q_order(q))
+                expected = ExceedsCap(700, 701) if order is None else FiniteOfOrder(order)
+                assert burau_closure_oracle(q, 700) == expected, (n, e)
 
     def test_eigenvalue_contract_checked_on_build(self):
         # trace 1 - q and sigma^2 = (1 - q) sigma + q, on the stepped rows
         q = RootOfUnity(7, 3)
         ident, times = _identity_block(7), _times(q)
         one_minus_q = tuple(a - b for a, b in zip(_reduce([1], 7), _root(7, 3)))
-        q_ident = ident @ times[0]
+        q_ident = ident @ times
         for g in (0, 1):
             m = _step(ident, g, times)
             assert tuple(m[0, 0] + m[0, 3]) == one_minus_q
-            assert np.array_equal(_step(m, g, times), m - m @ times[0] + q_ident)
+            assert np.array_equal(_step(m, g, times), m - m @ times + q_ident)
 
     def test_step_is_exact_at_the_guard_edge(self):
         """The float64 product equals the int64 oracle on the largest entries
         the guard admits, (INT32_BOUND - 1) // growth in size.
 
-        For each column j of each "times" matrix, one block row is that
-        bound with the signs of column j, so its product entry j is the
-        largest sum the guard allows; eight more elements have random signs.
+        For each column j of the "times q" matrix, one block element has
+        all four entries that bound with the signs of column j, so product
+        entry j of either generator is the largest sum the guard allows;
+        eight more elements have random signs.
         """
         rng = np.random.default_rng(30)
         for n in range(1, 121):
-            # e and -e swap the two matrices, so e = n - 1 repeats e = 1
-            for e in sorted({0, 1, int(rng.integers(n))}):
-                times = _times(RootOfUnity(n, e))
-                growth = 1 + max(int(np.abs(z).sum(axis=0).max()) for z in times)
+            for e in sorted({0, 1, n - 1, int(rng.integers(n))}):
+                times = _times_root(n, e)
+                growth = 1 + int(np.abs(times).sum(axis=0).max())
                 edge = (burau.INT32_BOUND - 1) // growth
-                deg = len(times[0])
-                columns = np.concatenate([np.where(z.T < 0, -1, 1) for z in times])
-                # rows (a, b, c, d) = (P, P, Q, Q) for consecutive rows P, Q of
-                # columns, so either matrix column (a, c) or (b, d) is (P, Q)
-                extreme = np.repeat(columns.reshape(-1, 2, 1, deg), 2, axis=2).reshape(-1, 4, deg)
+                deg = len(times)
+                extreme = np.repeat(np.where(times.T < 0, -1, 1)[:, None], 4, axis=1)
                 signs = np.concatenate([extreme, rng.choice((-1, 1), size=(8, 4, deg))])
                 block = (edge * signs).astype(np.int32)
-                for g in range(4):
-                    assert np.array_equal(_step(block, g, times), integer_step(block, g, times)), (n, e, g)
-
-    def test_inverses(self):
-        q = RootOfUnity(9, 2)
-        ident, times = _identity_block(9), _times(q)
-        for g in (0, 1):
-            assert np.array_equal(_step(_step(ident, g, times), g + 2, times), ident)
-            assert np.array_equal(_step(_step(ident, g + 2, times), g, times), ident)
+                for g in range(len(burau._GENERATORS)):
+                    step = _step(block, g, times.astype(np.float64))
+                    assert np.array_equal(step, integer_step(block, g, times)), (n, e, g)
 
 
 class TestMinusQOrder:
