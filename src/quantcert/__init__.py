@@ -9,8 +9,8 @@ what its subcommand needs (numpy only with ``burau`` or a Perron solve):
   hermitian  diagonal signs and signature of the invariant Hermitian form
              on the 5-dimensional block
   burau      braid-generator matrices on exact cyclotomic coefficient
-             arrays (their one representation, with the generator
-             contract checked on them), the order of -q and the
+             arrays (their one representation; the generator contract
+             is proved once, at import), the order of -q and the
              finite-closure probe
   certify    per-level infiniteness certificates (odd and even routes),
              decided on exponents mod 2p; certify_level returns each

@@ -24,11 +24,12 @@ Every generator entry is 0, 1 or +-q, so a product with a generator is one
 matmul by the fixed "times q" matrix on one column plus an add on the
 other.  The matmul runs in float64 so that it reaches BLAS; ``_step`` gives
 the bound that keeps it exact.  The generators' contract (eigenvalues
-{1, -q}, not commuting, braid relation) is checked exactly on every call,
-through the same step function the layers use.  Elements are deduplicated
-by their exact int32 bytes, and a guard checked on Python ints before each
-layer raises InvariantViolation where the next layer could reach
-``INT32_BOUND``.
+{1, -q}, not commuting, braid relation) is proved once, at import, over
+Z[x]/(x^4) through the same step function the layers use; its identities
+have degree at most 3 in q, so they hold on every ring.  Elements are
+deduplicated by their exact int32 bytes, and a guard checked on Python
+ints before each layer raises InvariantViolation where the next layer
+could reach ``INT32_BOUND``.
 """
 
 from __future__ import annotations
@@ -83,25 +84,22 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row j holds the coefficients of x^(deg+j) reduced mod Phi_n.
+def _powers(n: int) -> np.ndarray:
+    """Row k holds x^k reduced modulo Phi_n, for k < n, as read-only float64.
 
-    Rows run up to x^(n-1), enough to reduce any monomial x^e with e < n.
+    Built in Python ints; the int32 pass refuses an entry past int32.
     """
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    # x^deg = -(phi[0] + phi[1] x + ...)/phi[deg]; Phi_n is monic
-    current = [-c for c in phi[:deg]]
-    rows.append(tuple(current))
-    for _ in range(deg + 1, n):
-        shifted = [0] + current[:-1]
-        overflow = current[-1]
-        if overflow:
-            shifted = [s + overflow * r for s, r in zip(shifted, rows[0])]
-        current = shifted
-        rows.append(tuple(current))
-    return tuple(rows)
+    row = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(n):
+        rows.append(row)
+        # x * row, with x^deg = -(phi[0] + phi[1] x + ...) since Phi_n is monic
+        top, row = row[-1], [0] + row[:-1]
+        row = [r - top * c for r, c in zip(row, phi)]
+    table = np.array(rows, dtype=np.int32).astype(np.float64)
+    table.flags.writeable = False
+    return table
 
 
 def minus_q_order(q: RootOfUnity) -> int:
@@ -129,21 +127,13 @@ class ExceedsCap:
 
 
 def _times_root(n: int, exponent: int) -> np.ndarray:
-    """The integer matrix of "multiply by zeta_n^exponent" on coefficient rows.
+    """The float64 matrix of "multiply by zeta_n^exponent" on coefficient rows.
 
     Row i holds zeta_n^(i + exponent) reduced modulo Phi_n, so a coefficient
-    row c maps to c @ Z.
+    row c maps to c @ Z.  The matrix is a fresh copy of rows of _powers(n).
     """
-    rows = _reduction_rows(n)
-    deg = len(cyclotomic_polynomial(n)) - 1
-    out = np.zeros((deg, deg), dtype=np.int32)
-    for i in range(deg):
-        k = (i + exponent) % n
-        if k < deg:
-            out[i, k] = 1
-        else:
-            out[i] = rows[k - deg]
-    return out
+    table = _powers(n)
+    return table[(np.arange(table.shape[1]) + exponent) % n]
 
 
 def _row_keys(block: np.ndarray) -> list[bytes]:
@@ -189,15 +179,28 @@ def _step(block: np.ndarray, g: int, times, out: np.ndarray | None = None) -> np
     return out
 
 
-def _check_generators(ident: np.ndarray, times: np.ndarray) -> None:
-    """The contract of _GENERATORS, checked exactly through ``_step``.
+def _check_generators() -> None:
+    """The contract of _GENERATORS, proved once, through ``_step``.
 
     Each generator has trace 1 - q and satisfies sigma^2 = (1 - q) sigma + q,
     so by Cayley-Hamilton its determinant is -q and its eigenvalues are
     {1, -q}; sigma1 sigma2 != sigma2 sigma1; and the braid relation
     sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 holds.  Two equal rules pass
-    the other two checks.  ``ident`` is the identity as a (1, 4, deg) block.
+    the other two checks.
+
+    The check runs over Z[x]/(x^4) with q = x, where "times q" shifts the 4
+    coefficients up by one.  ``_step`` reads q only through that matrix, and
+    linearly, so every product is the product in Z[q] cut at x^4.  The
+    trace, the quadratic and the commutator have degree at most 2 in q and
+    the braid words degree at most 3, so the cut loses nothing: an identity
+    that holds here holds in Z[q], and so on every ring Z[zeta_n] at every
+    exponent.  For the true rules sigma1 sigma2 - sigma2 sigma1 has the
+    entry q, which is nonzero at every root of unity, so they do not commute
+    on any ring.
     """
+    ident = np.zeros((1, 4, 4), dtype=np.int32)
+    ident[0, 0, 0] = ident[0, 3, 0] = 1
+    times = np.eye(4, k=1)
     s1, s2 = (_step(ident, g, times) for g in (0, 1))
     q_ident = ident @ times
     for g, m in enumerate((s1, s2)):
@@ -211,6 +214,9 @@ def _check_generators(ident: np.ndarray, times: np.ndarray) -> None:
         raise InvariantViolation("generators commute")
     if not np.array_equal(_step(s12, 0, times), _step(s21, 1, times)):
         raise InvariantViolation("braid relation fails")
+
+
+_check_generators()
 
 
 def burau_closure_oracle(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap:
@@ -231,18 +237,14 @@ def burau_closure_oracle(q: RootOfUnity, cap: int) -> FiniteOfOrder | ExceedsCap
 
     A layer of F matrices [[a, b], [c, d]] is an int32 array of shape
     (F, 4, deg) holding the coefficient rows of a, b, c, d.  Raises
-    InvariantViolation when the generators break their contract, and where
-    the next layer could reach ``INT32_BOUND``.
+    InvariantViolation where the next layer could reach ``INT32_BOUND``.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    n = q.order
-    deg = len(cyclotomic_polynomial(n)) - 1
-    times = _times_root(n, q.exponent).astype(np.float64)
+    times = _times_root(q.order, q.exponent)
     growth = 1 + int(np.abs(times).sum(axis=0).max())
-    frontier = np.zeros((1, 4, deg), dtype=np.int32)
+    frontier = np.zeros((1, 4, len(times)), dtype=np.int32)
     frontier[0, 0, 0] = frontier[0, 3, 0] = 1
-    _check_generators(frontier, times)
     seen: set[bytes] = set(_row_keys(frontier))
     while len(frontier):
         largest = max(int(frontier.max()), -int(frontier.min()))

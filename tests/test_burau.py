@@ -1,8 +1,10 @@
+import ast
 import cmath
 import functools
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +67,12 @@ def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
 
 
 def _root(n: int, e: int) -> tuple[int, ...]:
-    return _reduce([0] * (e % n) + [1], n)
+    return _monomial(n, e % n)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial(n: int, k: int) -> tuple[int, ...]:
+    return _reduce([0] * k + [1], n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,7 +139,7 @@ def _identity_block(n: int) -> np.ndarray:
 
 def _times(q: RootOfUnity) -> np.ndarray:
     """The "times q" matrix in float64, as ``burau_closure_oracle`` passes it."""
-    return _times_root(q.order, q.exponent).astype(np.float64)
+    return _times_root(q.order, q.exponent)
 
 
 def _step_times_minus_q(block, g, times, out=None):
@@ -169,6 +176,24 @@ class TestCyclotomic:
         z = _times_root(5, 1).astype(np.int64)
         one = np.array([1, 0, 0, 0])
         assert not sum(one @ np.linalg.matrix_power(z, k) for k in range(5)).any()
+
+    def test_times_root_rows_match_the_scalar_oracle(self):
+        """Row i of "times zeta_n^e" is zeta_n^(i + e), reduced by long division."""
+        for n in range(1, 121):
+            deg = len(cyclotomic_polynomial(n)) - 1
+            for e in range(-n, 2 * n):
+                rows = np.array([_root(n, i + e) for i in range(deg)], dtype=np.int64)
+                assert np.array_equal(_times_root(n, e), rows), (n, e)
+
+    def test_cached_table_is_read_only(self):
+        table = burau._powers(7)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+        first = _times_root(7, 3)
+        expected = first.copy()
+        first[...] = 99
+        assert np.array_equal(_times_root(7, 3), expected)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 12, 30])
     def test_times_inverse_root_is_identity(self, n):
@@ -232,12 +257,10 @@ class TestBurauMatrices:
         ids=["eigenvalues", "commute", "braid"],
     )
     def test_corrupted_rule_raises_its_own_message(self, monkeypatch, name, corrupted, message):
-        q = RootOfUnity(7, 3)
-        assert burau_closure_oracle(q, 1) == ExceedsCap(1, 2)
+        burau._check_generators()
         monkeypatch.setattr(burau, name, corrupted)
-        # cap 1 stops at the first product, so the check runs before any layer
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
-            burau_closure_oracle(q, 1)
+            burau._check_generators()
 
     @pytest.mark.parametrize("table", range(len(PASSING_TABLES)))
     @pytest.mark.parametrize("field", range(4))
@@ -255,7 +278,7 @@ class TestBurauMatrices:
         rules[rule][position] = not old if position else 1 - old
         monkeypatch.setattr(burau, "_GENERATORS", tuple(map(tuple, rules)))
         with pytest.raises(InvariantViolation, match=f"^{re.escape(BRAID)}$"):
-            burau_closure_oracle(RootOfUnity(7, 3), 1)
+            burau._check_generators()
 
     @pytest.mark.parametrize("rule", RULES)
     def test_commuting_tables_raise(self, monkeypatch, rule):
@@ -266,7 +289,26 @@ class TestBurauMatrices:
         """
         monkeypatch.setattr(burau, "_GENERATORS", (rule, rule))
         with pytest.raises(InvariantViolation, match=f"^{re.escape(COMMUTE)}$"):
-            burau_closure_oracle(RootOfUnity(7, 3), 10**6)
+            burau._check_generators()
+
+    def test_closure_runs_no_check(self, monkeypatch):
+        """The contract is proved at import; a closure does not re-check it."""
+
+        def refuse():
+            raise AssertionError("the closure checked the generators")
+
+        monkeypatch.setattr(burau, "_check_generators", refuse)
+        assert burau_closure_oracle(RootOfUnity(7, 3), 700) == ExceedsCap(700, 701)
+
+    def test_module_body_checks_the_generators(self):
+        """``burau`` calls ``_check_generators()``, with no arguments, at module level."""
+        tree = ast.parse(Path(burau.__file__).read_text(), filename=burau.__file__)
+        calls = [
+            ast.unparse(node)
+            for node in tree.body
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        ]
+        assert calls == ["_check_generators()"]
 
     @pytest.mark.parametrize("table", PASSING_TABLES[1:])
     def test_other_passing_tables_close_like_the_true_one(self, monkeypatch, table):
@@ -310,7 +352,7 @@ class TestBurauMatrices:
                 signs = np.concatenate([extreme, rng.choice((-1, 1), size=(8, 4, deg))])
                 block = (edge * signs).astype(np.int32)
                 for g in range(len(burau._GENERATORS)):
-                    step = _step(block, g, times.astype(np.float64))
+                    step = _step(block, g, times)
                     assert np.array_equal(step, integer_step(block, g, times)), (n, e, g)
 
 
