@@ -24,7 +24,8 @@ what its subcommand needs (numpy only with ``burau`` or a Perron solve):
              text) and h2_bounds return the report's orbit list and h2 record
   grammar    the numerals and key=value sections every parser reads
   cli        the quantcert command-line tool, which assembles those
-             records into one report per request
+             records into one report per request (a certify report is
+             written as text from one template per route and format)
 """
 
 __version__ = "0.1.0"

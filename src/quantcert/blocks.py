@@ -19,8 +19,8 @@ basic example; its basis is indexed by the admissible loop colors.
 Masbaum and Vogel, 1995): a connected component with first Betti number g and
 tail colors a_1..a_n gives (H^g N_{a_1} ... N_{a_n})_00, where over the palette
 N_b[x, y] = [(x, b, y) admissible] and H = sum_b N_b^2; components multiply.
-Each N_b v costs O(|palette|), read off one prefix-sum list of v; H costs
-O(|palette|^2) to build, once, and each further handle one |palette|^2 matvec.
+Each N_b v costs O(|palette|), read off one prefix-sum list of v, and so does
+each H v, read off prefix sums of its moments (``_handle``); no H table is built.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import GraphParseError, InvalidColor, InvalidGraph, UsageError
 from .grammar import comma_tokens, numeral, sections
 
 #: Most vertices of a parsed graph and highest level the CLI accepts.  A count costs
-#: O(|palette|) per tail, O(|palette|^2) once for H if some g >= 3, and a |palette|^2
-#: matvec per further handle.  The worst case measured inside them is the prism
-#: C_50 x K_2 (closed, g = 51) at p = 799: 1.1-1.2 s in a fresh process, nearly all in
-#: its 50 big-int H matvecs; a 100-vertex caterpillar with 102 tails takes about 0.1 s.
+#: O(|palette|) big-int operations per tail and per handle.  The worst case measured
+#: inside them is the prism C_50 x K_2 (closed, g = 51) at p = 799: about 0.06 s in
+#: process for its 50 H products (0.14 s for the request in a fresh process); a
+#: 100-vertex caterpillar with 102 tails takes about 0.01 s.
 VERTEX_BUDGET = 100
 LEVEL_BUDGET = 800
 
@@ -161,15 +161,45 @@ def _prefix(v: list[int], step: int) -> list[int]:
     return s
 
 
+def _handle(v: list[int], p: int) -> list[int]:
+    """H v over the palette positions of level p, in O(|palette|) from moment prefix sums.
+
+    H = sum_b h_b N_b with h_b = top + 1 - b for step | b <= top (the tadpole loop count)
+    and 0 otherwise.  With S = _prefix(v, step), T = S[step:], E[i] = T[min(i, bound - i)]
+    and R[btop + j] = S[|j|] (btop = top - top % step), both terms of (N_b v)_x are read at
+    i = x + b and i = x + btop - b, so over the one stride-step range i = x, x + step, ...,
+    x + btop
+        (H v)_x = sum_i (top + 1 + x - i) E[i] - (top + 1 - btop - x + i) R[i],
+    the weights linear in i: one prefix list of (top + 1 - i) E[i] - (top + 1 - btop + i) R[i]
+    and one of E[i] + R[i], which x multiplies, give every entry in O(1).
+    """
+    bound, step, _ = _geometry(p)
+    top = bound // 2
+    btop = top - top % step
+    s = _prefix(v, step)
+    t = s[step:]
+    last = top + btop  # the largest i read
+    edge = [t[min(i, bound - i)] for i in range(last + 1)]
+    mirror = s[btop:0:-1] + s[: top + 1]
+    constant = _prefix(
+        [(top + 1 - i) * e - (top + 1 - btop + i) * r for i, (e, r) in enumerate(zip(edge, mirror))],
+        step,
+    )
+    slope = _prefix(list(map(add, edge, mirror)), step)
+    span = btop + step
+    return [
+        constant[x + span] - constant[x] + x * (slope[x + span] - slope[x]) for x in range(top + 1)
+    ]
+
+
 def block_dimension(graph: ColoredGraph, p: int) -> int:
     """Number of admissible colorings of the free edges of ``graph``.
 
     The fusion-ring product of the module docstring on palette positions.  N_b v costs
     O(|palette|) from the prefix list S of v (``_prefix``): with T = S[step:], entry x is
-    T[min(x+b, bound-x-b)] - S[|x-b|], a range never empty as 2 max(x, b) <= bound.  As the
-    matrices commute, H = sum_c h_c N_c has row y = N_y h (h_c the tadpole loop count of c),
-    all from one prefix list of h, so building H costs O(|palette|^2) once and each further
-    handle one |palette|^2 matvec; e_0 N_a = e_a and H e_0 = h close each component.
+    T[min(x+b, bound-x-b)] - S[|x-b|], a range never empty as 2 max(x, b) <= bound.  So
+    does H v (``_handle``), from the same prefix list and no H table; e_0 N_a = e_a and
+    H e_0 = h, the tadpole loop counts, close each component.
     """
     bound, step, scale = _geometry(p)
     if not all(in_palette(c, p) for _v, c in graph.tails):
@@ -198,18 +228,12 @@ def block_dimension(graph: ColoredGraph, p: int) -> int:
         his = t[b : top + 1] + t[bound - top - b : bound - top][::-1]
         return list(map(sub, his, s[b:0:-1] + s[: top - b + 1]))
 
-    h = [len(_loop_positions(x, bound, step)) for x in positions]
-    if max(excess.values(), default=0) >= 2:
-        prefix_h = _prefix(h, step)
-        handle = [fusion(y, prefix_h) for y in positions]
+    h = [top + 1 - x if x % step == 0 else 0 for x in positions]
     dim = 1
     for first, last, *middle in ops.values():
         v = h if last is None else [int(x == last) for x in positions]
         for op in middle:
-            if op is None:
-                v = [sum(map(mul, row, v)) for row in handle]
-            else:
-                v = fusion(op, _prefix(v, step))
+            v = _handle(v, p) if op is None else fusion(op, _prefix(v, step))
         dim *= sum(map(mul, h, v)) if first is None else v[first]
     return dim
 

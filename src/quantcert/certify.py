@@ -199,12 +199,12 @@ def even_certificate(p: int) -> dict:
     class_signs: dict[int, set[int]] = {}
     for lam, sign in zip(lams, profile.diagonal_signs):
         class_signs.setdefault(lam, set()).add(sign)
+    texts = {lam: _root_text(lam, p) for lam in class_signs}
     cases: list[dict] = []
     failures: list[str] = []
 
     for subset in _distinct_submultisets(lams):
-        label = "{" + ", ".join(_root_text(lam, p) for lam in subset) + "}"
-        multiset = sorted(_root_text(lam, p) for lam in subset)
+        multiset = sorted(texts[lam] for lam in subset)
         if scalar_obstruction(p, product, subset) == SCALAR_OBSTRUCTED:
             cases.append({"multiset": multiset, "resolution": SCALAR_OBSTRUCTED})
             continue
@@ -212,6 +212,7 @@ def even_certificate(p: int) -> dict:
         # {z, -z} would need (prod lambda)^12 = (-z^2)^30, i.e. z^120 = z^60,
         # i.e. z^60 = 1; but z is a primitive 2p = 8k-th root and 8 does not
         # divide 60, so that pair is always scalar_obstructed.
+        reason = " and admits no indefiniteness argument"
         if Counter(subset) == span_pattern:
             # The sign of a norm must not depend on which vector of an
             # eigenspace realizes the subspace, so each class needs one sign.
@@ -222,15 +223,9 @@ def even_certificate(p: int) -> dict:
                 cases.append({"multiset": multiset, "resolution": FORM_INDEFINITE_ON_SPAN})
                 continue
             if indefinite:
-                failures.append(
-                    f"case {label} survives the scalar identity; the span is "
-                    f"indefinite but {license_note}"
-                )
-                continue
-        failures.append(
-            f"case {label} survives the scalar identity and admits no "
-            "indefiniteness argument"
-        )
+                reason = f"; the span is indefinite but {license_note}"
+        label = "{" + ", ".join(texts[lam] for lam in subset) + "}"
+        failures.append(f"case {label} survives the scalar identity{reason}")
 
     if failures:
         return {"p": p, "route": ROUTE_UNCERTIFIED, "failed": failures}

@@ -1,15 +1,20 @@
 """Command-line interface: certify, blocks, veech, orbits.
 
-Every command builds a deterministic report (command echo, inputs, results,
-provenance notes, tool version) and renders it as a table or as canonically
-ordered JSON.  Two fields may arrive as JSON text already (a JSON ``orbits``
-request writes its orbit list from the side pairs, and a JSON ``veech``
-request its rectangle list from the intersection points), which the writer
-splices in; every other value it walks.  Exit codes: 0 on success (an uncertified
-level is a result, not an error), 2 on a ``UsageError`` (raised where the
-broken input rule lives), 3 on any other package error.  ``main`` is the only place that
-maps an error to an exit code.  A reader that closes stdout early (``| head``)
-ends the output, not the command: it still exits 0, with nothing on stderr.
+Every command gives a deterministic report (command echo, inputs, results,
+provenance notes, tool version) as a table or as canonically ordered JSON.
+``certify`` writes its report as text, in one pass over the levels, from a
+template per route and format, and builds no report dict: a range of
+``RANGE_BUDGET`` levels would be as many small dicts, walked once more to be
+written.  The other commands build a report dict, which ``_dump`` writes as
+JSON and a table printer prints.  Two of its fields may arrive as JSON text
+already (a JSON ``orbits`` request writes its orbit list from the side pairs,
+and a JSON ``veech`` request its rectangle list from the intersection points),
+which ``_dump`` splices in; every other value it walks.  Exit codes: 0 on
+success (an uncertified level is a result, not an error), 2 on a
+``UsageError`` (raised where the broken input rule lives), 3 on any other
+package error.  ``main`` is the only place that maps an error to an exit
+code.  A reader that closes stdout early (``| head``) ends the output, not
+the command: it still exits 0, with nothing on stderr.
 
 Arguments are read by ``_read``: one pass over argv, driven by one table
 per subcommand (its positionals, then its flags, each with a converter), in
@@ -50,7 +55,9 @@ class _JSONText(str):
 def _dump(report: dict) -> str:
     """``report`` as canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2)``.
 
-    json turns its C encoder off when ``indent`` is given and builds the text
+    The writer of the ``blocks``, ``veech`` and ``orbits`` reports; a ``certify``
+    report is written as text from its templates, in the same layout.  json
+    turns its C encoder off when ``indent`` is given and builds the text
     from nested pure-Python generators.  This walks the report once, appends
     every piece to one flat list and joins the list once; per-container joins
     would be faster per call but hold more memory at peak.  A ``_JSONText``
@@ -150,51 +157,147 @@ def _parse_level_range(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # certify
+#
+# A certify report is written as text from these templates, in the layout
+# ``_dump`` gives its dict: keys sorted, two spaces per level, and each
+# ``%s`` filled with JSON text already.  A record sits at depth 2, in the
+# ``results`` list of the report.
 
-def cmd_certify(args) -> dict:
+_CERTIFY_JSON = """{
+  "command": "certify",
+  "inputs": {
+    "levels": %s
+  },
+  "provenance": %s,
+  "results": [
+    %s
+  ],
+  "summary": {
+    "certified": %s,
+    "uncertified": %s
+  },
+  "version": %s
+}
+"""
+
+_ODD_JSON = """{
+      "boundary_color": %%d,
+      "odd_part": %%d,
+      "p": %%d,
+      "route": %s
+    }""" % encode_basestring_ascii(certify.ROUTE_ODD)
+
+_EVEN_JSON = """{
+      "boundary_color": %%d,
+      "cases": [
+        %%s
+      ],
+      "ell": %%d,
+      "p": %%d,
+      "route": %s,
+      "signature": [
+        %%d,
+        %%d
+      ]
+    }""" % encode_basestring_ascii(certify.ROUTE_EVEN)
+
+_CASE_JSON = """{
+          "multiset": [
+            %s
+          ],
+          "resolution": %s
+        }"""
+
+_UNCERTIFIED_JSON = """{
+      "failed": [
+        %%s
+      ],
+      "p": %%d,
+      "route": %s
+    }""" % encode_basestring_ascii(certify.ROUTE_UNCERTIFIED)
+
+#: the table row of an odd-route level; a row starts with the level and its route
+_ODD_ROW = "p=%%-4d %-14s odd part %%d, boundary color %%d" % certify.ROUTE_ODD
+
+
+def _json_list(items: list[str], newline: str) -> str:
+    """A JSON list of ``items``, each JSON text already, on the lines ``newline`` indents."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _json_record(record: dict) -> str:
+    """The JSON text of one ``certify.certify_level`` record, from its route's template."""
+    route = record["route"]
+    if route == certify.ROUTE_ODD:
+        return _ODD_JSON % (record["boundary_color"], record["odd_part"], record["p"])
+    if route == certify.ROUTE_EVEN:
+        cases = ",\n        ".join(
+            _CASE_JSON % (
+                ",\n            ".join(map(encode_basestring_ascii, case["multiset"])),
+                encode_basestring_ascii(case["resolution"]),
+            )
+            for case in record["cases"]
+        )
+        return _EVEN_JSON % (
+            record["boundary_color"], cases, record["ell"], record["p"], *record["signature"]
+        )
+    failed = ",\n        ".join(map(encode_basestring_ascii, record["failed"]))
+    return _UNCERTIFIED_JSON % (failed, record["p"])
+
+
+def _table_row(record: dict) -> str:
+    """The table row of one ``certify.certify_level`` record."""
+    route = record["route"]
+    if route == certify.ROUTE_ODD:
+        return _ODD_ROW % (record["p"], record["odd_part"], record["boundary_color"])
+    if route == certify.ROUTE_EVEN:
+        extra = (
+            f"ell {record['ell']}, signature {tuple(record['signature'])}, "
+            f"{len(record['cases'])} subspace cases"
+        )
+    else:
+        extra = "; ".join(record["failed"])
+    return f"p={record['p']:<4d} {route:<14s} {extra}"
+
+
+def cmd_certify(args) -> str:
+    """The certify report on ``args.levels`` as the text ``main`` prints.
+
+    One pass over the levels writes each record (JSON) or row (a table,
+    which ``--quiet`` leaves out) as it comes from ``certify.certify_level``,
+    and collects the two summary lists and the provenance notes, each
+    stamped with its level; no report dict is built.
+    """
     lo, hi = _parse_level_range(args.levels)
-    results = []
+    json_out = args.format == "json"
+    write = _json_record if json_out else None if args.quiet else _table_row
+    records: list[str] = []
     provenance: list[str] = []
     certified: list[int] = []
     uncertified: list[int] = []
     for p in range(lo, hi + 1):
         record, notes = certify.certify_level(p)
-        results.append(record)
         (uncertified if record["route"] == certify.ROUTE_UNCERTIFIED else certified).append(p)
+        if write is not None:
+            records.append(write(record))
         for note in notes:
-            stamped = f"p={p}: {note}"
-            if stamped not in provenance:
-                provenance.append(stamped)
-    report = _report(
-        "certify",
-        {"levels": args.levels},
-        results,
-        provenance,
-    )
-    report["summary"] = {"certified": certified, "uncertified": uncertified}
-    return report
-
-
-def _print_certify_table(report: dict, quiet: bool) -> None:
-    if not quiet:
-        for cert in report["results"]:
-            p = cert["p"]
-            route = cert["route"]
-            if route == certify.ROUTE_ODD:
-                extra = f"odd part {cert['odd_part']}, boundary color {cert['boundary_color']}"
-            elif route == certify.ROUTE_EVEN:
-                extra = (
-                    f"ell {cert['ell']}, signature {tuple(cert['signature'])}, "
-                    f"{len(cert['cases'])} subspace cases"
-                )
-            else:
-                extra = "; ".join(cert["failed"])
-            print(f"p={p:<4d} {route:<14s} {extra}")
-    summary = report["summary"]
-    print(f"certified:   {summary['certified']}")
-    print(f"uncertified: {summary['uncertified']}")
-    for note in report["provenance"]:
-        print(f"note: {note}")
+            provenance.append(f"p={p}: {note}")
+    if json_out:
+        return _CERTIFY_JSON % (
+            encode_basestring_ascii(args.levels),
+            _json_list(list(map(encode_basestring_ascii, provenance)), "\n  "),
+            ",\n    ".join(records),
+            _json_list(list(map(str, certified)), "\n    "),
+            _json_list(list(map(str, uncertified)), "\n    "),
+            encode_basestring_ascii(__version__),
+        )
+    records.append(f"certified:   {certified}")
+    records.append(f"uncertified: {uncertified}")
+    records.extend(["note: " + note for note in provenance])
+    return "\n".join(records) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +440,6 @@ def _print_orbits_table(report: dict, quiet: bool) -> None:
 # ---------------------------------------------------------------------------
 
 _TABLE_PRINTERS = {
-    "certify": _print_certify_table,
     "blocks": _print_blocks_table,
     "veech": _print_veech_table,
     "orbits": _print_orbits_table,
@@ -564,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
         if type(args) is str:  # the usage text -h or --help asks for
             print(args, end="")
             return EXIT_OK
-        report = _COMMANDS[args.command](args)
+        output = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -572,10 +674,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        if args.format == "json":
-            print(_dump(report))
+        if type(output) is str:  # certify writes its own text
+            print(output, end="")
+        elif args.format == "json":
+            print(_dump(output))
         else:
-            _TABLE_PRINTERS[args.command](report, args.quiet)
+            _TABLE_PRINTERS[args.command](output, args.quiet)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (``| head``): stop writing, and send what

@@ -19,32 +19,39 @@ for the JSON text written from side pairs, and the rectangle records the
 oracle for the rectangle text.  Twist eigenvalues as angles, exact
 ``Fraction`` turns mod 1, are the oracle for the certificate routes, which
 decide on exponents mod 2p, and the argparse parser the CLI once built is
-the oracle for its one-pass argument reader.  ``integer_step``, the int64
-matmul the closure step ran before its float64 product, reads the same
-(source column, twisted) rules and the one "times q" matrix, and is the
-oracle for ``burau._step``.
+the oracle for its one-pass argument reader.  The report dict the CLI
+built for ``certify``, dumped by json or printed row by row, is the oracle
+for the certify text it now writes in one pass, and the explicit H table
+the oracle for the handle product read off moment prefix sums.
+``integer_step``, the int64 matmul the closure step ran before its float64
+product, reads the same (source column, twisted) rules and the one "times
+q" matrix, and is the oracle for ``burau._step``.
 """
 
 import argparse
 import heapq
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 
+from quantcert import __version__, certify
 from quantcert.blocks import (
     ColoredGraph,
     _geometry,
     _loop_positions,
+    _prefix,
     block_dimension,
     in_palette,
     level_colors,
     tadpole_basis,
 )
 from quantcert.burau import _GENERATORS
+from quantcert.cli import _parse_level_range
 from quantcert.errors import InvalidGraph
 from quantcert.grammar import numeral
 from quantcert.orbits import orbit_types
@@ -433,6 +440,24 @@ def slice_sum_dimension(graph: ColoredGraph, p: int) -> int:
     return dim
 
 
+def handle_table_product(v: list[int], p: int) -> list[int]:
+    """H v from the explicit H table, as ``blocks.block_dimension`` computed it before
+    its moment prefix sums: row y of H is N_y h by the prefix-sum fusion product, with h
+    from the loop-position rule (O(|palette|^2) to build, and per product).  The oracle
+    of ``blocks._handle``."""
+    bound, step, _ = _geometry(p)
+    top = bound // 2
+    positions = range(top + 1)
+
+    def fusion(b: int, s: list[int]) -> list[int]:
+        t = s[step:]
+        his = t[b : top + 1] + t[bound - top - b : bound - top][::-1]
+        return list(map(sub, his, s[b:0:-1] + s[: top - b + 1]))
+
+    prefix_h = _prefix([len(_loop_positions(x, bound, step)) for x in positions], step)
+    return [sum(map(mul, fusion(y, prefix_h), v)) for y in positions]
+
+
 def sl2(a, b, c, d) -> tuple[Fraction, ...]:
     """The matrix [[a, b], [c, d]] as exact rationals; asserts determinant 1."""
     mat = tuple(map(Fraction, (a, b, c, d)))
@@ -513,3 +538,58 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbits.add_argument("n", type=numeral)
     p_orbits.add_argument("--labeled", action="store_true")
     return parser
+
+
+def certify_report(levels: str) -> dict:
+    """The report dict ``cli.cmd_certify`` built before it wrote text: one
+    ``certify.certify_level`` record per level, the two summary lists, and the
+    provenance notes stamped with their level, each kept once."""
+    lo, hi = _parse_level_range(levels)
+    results, provenance, certified, uncertified = [], [], [], []
+    for p in range(lo, hi + 1):
+        record, notes = certify.certify_level(p)
+        results.append(record)
+        (uncertified if record["route"] == certify.ROUTE_UNCERTIFIED else certified).append(p)
+        for note in notes:
+            stamped = f"p={p}: {note}"
+            if stamped not in provenance:
+                provenance.append(stamped)
+    return {
+        "command": "certify",
+        "inputs": {"levels": levels},
+        "results": results,
+        "provenance": provenance,
+        "version": __version__,
+        "summary": {"certified": certified, "uncertified": uncertified},
+    }
+
+
+def certify_json(report: dict) -> str:
+    """The stdout of a JSON certify request on ``report``; ``cli._dump``, which wrote
+    it, is pinned to this ``json.dumps`` call."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def certify_table(report: dict, quiet: bool) -> str:
+    """The stdout of a table certify request on ``report``, as
+    ``cli._print_certify_table`` printed it line by line."""
+    lines = []
+    if not quiet:
+        for cert in report["results"]:
+            p = cert["p"]
+            route = cert["route"]
+            if route == certify.ROUTE_ODD:
+                extra = f"odd part {cert['odd_part']}, boundary color {cert['boundary_color']}"
+            elif route == certify.ROUTE_EVEN:
+                extra = (
+                    f"ell {cert['ell']}, signature {tuple(cert['signature'])}, "
+                    f"{len(cert['cases'])} subspace cases"
+                )
+            else:
+                extra = "; ".join(cert["failed"])
+            lines.append(f"p={p:<4d} {route:<14s} {extra}")
+    summary = report["summary"]
+    lines.append(f"certified:   {summary['certified']}")
+    lines.append(f"uncertified: {summary['uncertified']}")
+    lines.extend(f"note: {note}" for note in report["provenance"])
+    return "".join(line + "\n" for line in lines)

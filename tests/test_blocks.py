@@ -11,6 +11,7 @@ from oracles import (
     chain_graph,
     cut_identity_check,
     dumbbell_graph,
+    handle_table_product,
     slice_sum_dimension,
     theta_graph,
     verlinde_dimension,
@@ -20,6 +21,7 @@ from quantcert.blocks import (
     _admissible,
     _fits,
     _geometry,
+    _handle,
     _loop_positions,
     block_dimension,
     block_dimension_bruteforce,
@@ -156,12 +158,15 @@ class TestBlockDimension:
                 assert block_dimension(tadpole_graph(i), p) == len(tadpole_basis(i, p))
 
     def test_h_is_the_tadpole_basis_length_at_every_position(self):
-        """The h that ``block_dimension`` builds from the loop-position rule is
-        len(tadpole_basis) at every palette position."""
+        """The loop-position rule gives len(tadpole_basis) at every palette
+        position, and so does the closed form top + 1 - x for step | x (0
+        otherwise) that ``block_dimension`` and ``_handle`` build on."""
         for p in range(5, 801):
             bound, step, _ = _geometry(p)
-            h = [len(_loop_positions(x, bound, step)) for x in range(bound // 2 + 1)]
+            top = bound // 2
+            h = [len(_loop_positions(x, bound, step)) for x in range(top + 1)]
             assert h == [len(tadpole_basis(c, p)) for c in level_colors(p)], p
+            assert h == [top + 1 - x if x % step == 0 else 0 for x in range(top + 1)], p
 
     def test_out_of_palette_tail_gives_zero(self):
         assert block_dimension(tadpole_graph(3), 7) == 0
@@ -330,7 +335,15 @@ class TestAgainstOracles:
     def test_prefix_sums_match_the_slice_sum_product(self):
         """Every level 5..200 on theta, dumbbell, chain, K4 and seeded random graphs
         of up to 8 vertices with tails, against the slice-sum product: its tail colors
-        include odd ones at even p and ones outside the palette."""
+        include odd ones at even p and ones outside the palette.  The handle product
+        read off moment prefix sums equals the H-table product on seeded random
+        vectors at every level 5..300."""
+        vectors = random.Random(7)
+        for p in range(5, 301):
+            top = _geometry(p)[0] // 2
+            for _ in range(3):
+                v = [vectors.randint(-(10**9), 10**9) for _ in range(top + 1)]
+                assert _handle(v, p) == handle_table_product(v, p), p
         rng = random.Random(6)
         odd_at_even = outside = nonzero = 0
         for p in range(5, 201):

@@ -19,8 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import build_parser, flat_surface, random_connected_bipartite
-from quantcert import cli, errors, orbits, veech
+from oracles import (
+    build_parser,
+    certify_json,
+    certify_report,
+    certify_table,
+    flat_surface,
+    random_connected_bipartite,
+)
+from quantcert import certify, cli, errors, orbits, veech
 from quantcert.cli import EXIT_OK, EXIT_USAGE, main
 from test_orbits import no_enumeration
 
@@ -63,6 +70,48 @@ class TestCertifyCommand:
         code, _, err = run(capsys, "certify", "7..")
         assert code == EXIT_USAGE
         assert "range" in err
+
+
+#: levels 2^a * {1, 3, 5} = 4k with k >= 4 up to 100000: the even route decides
+#: them, as their odd part is below 7
+EVEN_ROUTE_LEVELS = sorted(
+    p for c in (1, 3, 5) for a in range(2, 17) if 16 <= (p := c << a) <= 100000
+)
+
+#: level arguments whose reports hold every route, blanks around numerals
+#: included, which the report echoes as given
+CERTIFY_TEXT_REQUESTS = ["1..200", "7..9", "16", "20", "24", "40", "60", "\t7 ..\u20039"] + [
+    str(p) for p in EVEN_ROUTE_LEVELS
+]
+
+
+class TestCertifyText:
+    @pytest.mark.parametrize("levels", CERTIFY_TEXT_REQUESTS, ids=ascii)
+    def test_text_matches_the_report_dict(self, capsys, levels):
+        """``cmd_certify`` writes its text in one pass; the report dict it built
+        before, dumped by json or printed row by row, is its oracle, in both
+        formats, with and without --quiet."""
+        report = certify_report(levels)
+        for out_format, quiet in itertools.product(("table", "json"), (False, True)):
+            argv = ["certify", levels, "--format", out_format] + ["--quiet"] * quiet
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            want = certify_json(report) if out_format == "json" else certify_table(report, quiet)
+            assert out == want, argv
+
+    def test_every_route_is_covered(self):
+        routes = {
+            record["route"]
+            for levels in CERTIFY_TEXT_REQUESTS
+            for record in certify_report(levels)["results"]
+        }
+        assert routes == {certify.ROUTE_ODD, certify.ROUTE_EVEN, certify.ROUTE_UNCERTIFIED}
+        even = [
+            p
+            for p in EVEN_ROUTE_LEVELS
+            if certify_report(str(p))["results"][0]["route"] == certify.ROUTE_EVEN
+        ]
+        assert len(even) == 37 and set(EVEN_ROUTE_LEVELS) - set(even) == {20, 24}
 
 
 class TestBlocksCommand:

@@ -26,6 +26,12 @@ GOLDEN = {
         "175708052f35f13e92b1e10f9cae4d0e6d74f214ba38dbb4459b772de5e910ca",
     ("certify", "40", "--format", "json"):
         "8d6b0d9a74c1c66cee062237576af342845c4a11a84b4debe27038596308f56d",
+    ("certify", "1..100000", "--format", "json"):
+        "115eeceded637a1010ae0a353db60dff66af1a93fabb736923c8147f1462fb4c",
+    ("certify", "1..100000"):
+        "50f5f6eb6507606121b37e080046e731e9fb47bdb8041fa5ca6b5ae37f67383b",
+    ("certify", "1..100000", "--quiet"):
+        "663f807b6b8d22bfbf5e22a383bd127e9ff06bd2b9e5fe5c93339726e792b599",
     ("orbits", "5", "4", "--labeled", "--format", "json"):
         "9864e81f441d17ef91062f9fe76cae8963730bcf56deb71256754caa4e3324d1",
     ("orbits", "5", "4", "--format", "json"):
